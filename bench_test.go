@@ -91,26 +91,6 @@ func BenchmarkTable5(b *testing.B) { benchArtifact(b, "table5") }
 // BENCH_core.json. Set BENCH_QUANTUM_STEPPED=1 to run the quantum-per-event
 // oracle instead (Config.QuantumStepped) — that is how the "pre" snapshot of
 // BENCH_core.json is produced.
-//
-// events/sec/core is the scheduling-normalized throughput figure tracked by
-// the benchjson -compare gate: dispatched events per wall-clock second,
-// divided by the configured worker budget (max(1, ParallelRun)) — NOT
-// clamped to the host's GOMAXPROCS — so a parallel run is held to beating
-// the sequential engine per core it asked for and the figure means the same
-// thing on every host. benchjson records the run's GOMAXPROCS in the
-// snapshot and skips the per-core gate when two snapshots' core counts
-// differ. Set BENCH_PARALLEL_RUN=N to run the sharded-calendar engine
-// (Config.ParallelRun) instead of the merged one.
-
-// benchParallelRun reads BENCH_PARALLEL_RUN (0, the merged calendar, when
-// unset or malformed).
-func benchParallelRun() int {
-	n, err := strconv.Atoi(os.Getenv("BENCH_PARALLEL_RUN"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
 
 func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	b.Helper()
@@ -120,9 +100,6 @@ func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	cfg.ArrivalRate = lambda
 	cfg.Duration = 200_000 * Millisecond
 	cfg.QuantumStepped = os.Getenv("BENCH_QUANTUM_STEPPED") == "1"
-	if !cfg.QuantumStepped {
-		cfg.ParallelRun = benchParallelRun()
-	}
 	gen := NewBatchScanWorkload(16, 32)
 	b.ReportAllocs()
 	var events uint64
@@ -141,10 +118,6 @@ func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 		events += m.Engine().Executed()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	cores := max(1, cfg.ParallelRun)
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(events)/secs/float64(cores), "events/sec/core")
-	}
 }
 
 // Arrival rates sit at the mid-range of each scheduler's operating region
@@ -327,7 +300,7 @@ func BenchmarkDecisionLOW(b *testing.B) {
 // throughput that still meets the default service SLO on a reduced GOW point
 // — and reports the solved rate as sustained_tps_at_slo. The figure is
 // tracked in BENCH_core.json and gated by benchjson -compare (higher is
-// better, like events/sec/core), so a scheduler or admission change that
+// better), so a scheduler or admission change that
 // quietly erodes open-stream capacity fails CI even when ns/op is flat.
 func BenchmarkSustainedTPSAtSLO(b *testing.B) {
 	pol := DefaultAdmitPolicy()

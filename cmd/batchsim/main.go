@@ -41,9 +41,8 @@ func main() {
 		mpl       = flag.Int("mpl", 0, "C2PL+M admission limit (0 = unlimited)")
 		k         = flag.Int("k", 2, "LOW conflict bound K")
 		check     = flag.Bool("check", false, "verify conflict-serializability of the run")
-		parallel  = flag.Int("parallel-run", 0, "sharded-calendar PDES: 0 = merged calendar, 1 = sharded single-core, N>1 = N wave-prepare workers (results byte-identical; see DESIGN.md)")
 		decisionW = flag.Int("decision-workers", 0, "GOW/LOW parallel decision engine: N>1 fans candidate scoring over N workers (results byte-identical; see DESIGN.md §17)")
-		progress  = flag.Bool("progress", false, "print engine execution stats after the run: events/sec, safe waves, per-shard utilization")
+		progress  = flag.Bool("progress", false, "print engine execution stats after the run: calendar events dispatched and events/sec")
 		backend   = flag.String("backend", "sim", "execution backend: sim (virtual clock) or live (real goroutine-per-DPN execution)")
 		txns      = flag.Int("txns", 64, "closed-batch size for -backend live and -compare")
 		pace      = flag.Duration("pace", 0, "live backend: minimum wall time per object scanned (e.g. 300us)")
@@ -131,7 +130,6 @@ func main() {
 	}
 
 	cfg := batchsched.DefaultConfig()
-	cfg.ParallelRun = *parallel
 	cfg.ArrivalRate = *lambda
 	cfg.NumFiles = *numFiles
 	cfg.NumNodes = *numNodes
@@ -364,9 +362,6 @@ func main() {
 				os.Exit(1)
 			}
 			st.Events += stOne.Events
-			st.Waves += stOne.Waves
-			st.WaveMembers += stOne.WaveMembers
-			st.ShardUtilization = stOne.ShardUtilization
 			sums = append(sums, one)
 		}
 		wall = time.Since(start)
@@ -423,19 +418,8 @@ func main() {
 		if wall > 0 {
 			evPerSec = float64(st.Events) / wall.Seconds()
 		}
-		fmt.Printf("engine           %d events in %.3fs wall (%.0f events/sec, parallel-run=%d)\n",
-			st.Events, wall.Seconds(), evPerSec, *parallel)
-		if st.Waves > 0 {
-			fmt.Printf("safe waves       %d waves, %d members (mean width %.2f)\n",
-				st.Waves, st.WaveMembers, float64(st.WaveMembers)/float64(st.Waves))
-		}
-		// Per-shard busy fractions of the virtual span (last replication):
-		// a shard stuck near zero is being starved of lookahead.
-		fmt.Printf("shard util      ")
-		for _, u := range st.ShardUtilization {
-			fmt.Printf(" %.2f", u)
-		}
-		fmt.Println()
+		fmt.Printf("engine           %d events in %.3fs wall (%.0f events/sec)\n",
+			st.Events, wall.Seconds(), evPerSec)
 	}
 	if *check {
 		fmt.Println("serializability  OK")

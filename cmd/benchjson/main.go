@@ -11,6 +11,8 @@
 // with -benchmem — B/op and allocs/op), merges the snapshot into the
 // existing file, and whenever both a "pre" and a "post" snapshot are present
 // recomputes the speedup section (time and allocation ratios pre/post).
+// When a benchmark appears several times (go test -count N), the line with
+// the median ns/op is recorded.
 //
 // Compare mode gates performance regressions instead of recording:
 //
@@ -42,12 +44,6 @@ type benchResult struct {
 	// dispatched per benchmark op (b.ReportMetric(..., "events/op")) —
 	// recorded so event-coalescing wins are tracked next to wall time.
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
-	// EventsPerSecPerCore is dispatched events per wall-clock second per
-	// core the run may occupy (b.ReportMetric(..., "events/sec/core")): the
-	// scheduling-normalized throughput figure, so a ParallelRun engine is
-	// held to beating the sequential one per core spent. Higher is better;
-	// -compare treats a drop beyond -max-regress as a regression.
-	EventsPerSecPerCore float64 `json:"events_per_sec_per_core,omitempty"`
 	// ObsOverhead is the instrumented/bare wall-time ratio reported by
 	// BenchmarkObsOverhead (b.ReportMetric(..., "obs_overhead")): 1.0 means
 	// attaching the observability layer is free. -compare treats growth
@@ -72,10 +68,8 @@ type snapshot struct {
 	Benches map[string]benchResult `json:"benches"`
 	// GOMAXPROCS is the worker-parallelism the benchmarks ran under (parsed
 	// from the standard -N benchmark-name suffix; 1 when absent) and NumCPU
-	// the recording host's core count. Compare mode refuses to judge
-	// core-normalized throughput (events/sec/core) across snapshots taken
-	// at different GOMAXPROCS — the figures are not commensurable — and
-	// says so instead of failing spuriously.
+	// the recording host's core count, kept so a snapshot says what kind of
+	// host produced its timings.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	NumCPU     int `json:"num_cpu,omitempty"`
 }
@@ -84,9 +78,6 @@ type speedup struct {
 	Time   float64 `json:"time"`
 	Allocs float64 `json:"allocs,omitempty"`
 	Events float64 `json:"events,omitempty"`
-	// PerCore is post/pre events_per_sec_per_core (>1 means post pushes
-	// more events through each core it occupies).
-	PerCore float64 `json:"per_core,omitempty"`
 	// Decision is pre/post decision_ns_per_op (>1 means post decides
 	// faster).
 	Decision float64 `json:"decision,omitempty"`
@@ -101,7 +92,7 @@ type baseline struct {
 }
 
 func parseBench(r *bufio.Scanner) (map[string]benchResult, int, error) {
-	out := map[string]benchResult{}
+	runs := map[string][]benchResult{}
 	gomaxprocs := 1 // the suffix is omitted when GOMAXPROCS is 1
 	for r.Scan() {
 		line := strings.TrimSpace(r.Text())
@@ -138,8 +129,6 @@ func parseBench(r *bufio.Scanner) (map[string]benchResult, int, error) {
 				br.AllocsPerOp = v
 			case "events/op":
 				br.EventsPerOp = v
-			case "events/sec/core":
-				br.EventsPerSecPerCore = v
 			case "obs_overhead":
 				br.ObsOverhead = v
 			case "sustained_tps_at_slo":
@@ -151,7 +140,13 @@ func parseBench(r *bufio.Scanner) (map[string]benchResult, int, error) {
 		if br.NsPerOp == 0 {
 			return nil, 0, fmt.Errorf("benchjson: no ns/op on line %q", line)
 		}
-		out[strings.TrimPrefix(name, "Benchmark")] = br
+		name = strings.TrimPrefix(name, "Benchmark")
+		runs[name] = append(runs[name], br)
+	}
+	out := make(map[string]benchResult, len(runs))
+	for name, rs := range runs {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		out[name] = rs[(len(rs)-1)/2]
 	}
 	return out, gomaxprocs, r.Err()
 }
@@ -222,9 +217,6 @@ func main() {
 			if p.EventsPerOp > 0 {
 				s.Events = round2(pre.Benches[n].EventsPerOp / p.EventsPerOp)
 			}
-			if q := pre.Benches[n].EventsPerSecPerCore; q > 0 && p.EventsPerSecPerCore > 0 {
-				s.PerCore = round2(p.EventsPerSecPerCore / q)
-			}
 			if p.DecisionNsPerOp > 0 && pre.Benches[n].DecisionNsPerOp > 0 {
 				s.Decision = round2(pre.Benches[n].DecisionNsPerOp / p.DecisionNsPerOp)
 			}
@@ -272,16 +264,12 @@ func loadBaseline(path string) (snapshot, error) {
 
 // runCompare diffs the "post" snapshots of two baseline files and returns
 // the process exit code: 0 when every shared benchmark's ns/op — and, where
-// both snapshots report them, events/op, events/sec/core, obs_overhead,
-// sustained_tps_at_slo and decision_ns_per_op — regression stays within
-// maxRegress percent, 1 otherwise. Events/op is deterministic per workload,
-// so any growth there is a real coalescing loss rather than machine noise;
-// events/sec/core and sustained_tps_at_slo regress by DROPPING (higher is
-// better); obs_overhead and decision_ns_per_op regress by growing. The
-// events/sec/core gate only runs when both snapshots were taken at the same
-// GOMAXPROCS — a per-core figure from an 8-way run is not commensurable
-// with one from a sequential run, so a mismatch skips that column (with a
-// notice) instead of failing spuriously.
+// both snapshots report them, events/op, obs_overhead, sustained_tps_at_slo
+// and decision_ns_per_op — regression stays within maxRegress percent, 1
+// otherwise. Events/op is deterministic per workload, so any growth there is
+// a real coalescing loss rather than machine noise; sustained_tps_at_slo
+// regresses by DROPPING (higher is better); obs_overhead and
+// decision_ns_per_op regress by growing.
 func runCompare(oldPath, newPath string, maxRegress float64) int {
 	oldSnap, err := loadBaseline(oldPath)
 	if err != nil {
@@ -292,12 +280,6 @@ func runCompare(oldPath, newPath string, maxRegress float64) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
-	}
-	sameCores := oldSnap.GOMAXPROCS == 0 || newSnap.GOMAXPROCS == 0 ||
-		oldSnap.GOMAXPROCS == newSnap.GOMAXPROCS
-	if !sameCores {
-		fmt.Printf("note: snapshots ran at GOMAXPROCS %d vs %d; skipping the events/sec/core gate (not commensurable per-core)\n",
-			oldSnap.GOMAXPROCS, newSnap.GOMAXPROCS)
 	}
 
 	names := make([]string, 0, len(oldSnap.Benches))
@@ -312,7 +294,7 @@ func runCompare(oldPath, newPath string, maxRegress float64) int {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-12s %14s %14s %9s %14s %14s %12s %12s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "events delta", "ev/s/core", "obs_ovh", "tps@slo", "decision")
+	fmt.Printf("%-12s %14s %14s %9s %14s %12s %12s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "events delta", "obs_ovh", "tps@slo", "decision")
 	failed := false
 	for _, n := range names {
 		o, nw := oldSnap.Benches[n], newSnap.Benches[n]
@@ -327,15 +309,6 @@ func runCompare(oldPath, newPath string, maxRegress float64) int {
 			evDelta := (nw.EventsPerOp/o.EventsPerOp - 1) * 100
 			evCol = fmt.Sprintf("%+.1f%%", evDelta)
 			if evDelta > maxRegress {
-				mark = "  REGRESSION"
-				failed = true
-			}
-		}
-		coreCol := "-"
-		if o.EventsPerSecPerCore > 0 && nw.EventsPerSecPerCore > 0 && sameCores {
-			coreDelta := (nw.EventsPerSecPerCore/o.EventsPerSecPerCore - 1) * 100
-			coreCol = fmt.Sprintf("%+.1f%%", coreDelta)
-			if -coreDelta > maxRegress {
 				mark = "  REGRESSION"
 				failed = true
 			}
@@ -367,10 +340,10 @@ func runCompare(oldPath, newPath string, maxRegress float64) int {
 				failed = true
 			}
 		}
-		fmt.Printf("%-12s %14.0f %14.0f %+8.1f%% %14s %14s %12s %12s %12s%s\n", n, o.NsPerOp, nw.NsPerOp, delta, evCol, coreCol, obsCol, tpsCol, decCol, mark)
+		fmt.Printf("%-12s %14.0f %14.0f %+8.1f%% %14s %12s %12s %12s%s\n", n, o.NsPerOp, nw.NsPerOp, delta, evCol, obsCol, tpsCol, decCol, mark)
 	}
 	if failed {
-		fmt.Printf("FAIL: at least one benchmark regressed more than %.1f%% in ns/op, events/op, events/sec/core, obs_overhead, or decision_ns_per_op\n", maxRegress)
+		fmt.Printf("FAIL: at least one benchmark regressed more than %.1f%% in ns/op, events/op, obs_overhead, sustained_tps_at_slo, or decision_ns_per_op\n", maxRegress)
 		return 1
 	}
 	fmt.Printf("OK: all %d shared benchmarks within %.1f%% of baseline\n", len(names), maxRegress)

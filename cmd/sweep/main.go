@@ -41,7 +41,6 @@ func main() {
 		outDir    = flag.String("out", "sweep-out", "output directory")
 		resume    = flag.Bool("resume", false, "resume from the output directory's checkpoint")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		runWorker = flag.Int("run-workers", 0, "intra-run wave workers per unit (sharded-calendar engine; the -workers budget is split between cells and runs)")
 		progress  = flag.Bool("progress", false, "print live progress (units/sec, ETA, virtual/wall ratio)")
 		reps      = flag.Int("reps", 0, "replications per cell (0 = spec's, default 1)")
 		seed      = flag.Int64("seed", 0, "root seed (0 = spec's, default 1)")
@@ -92,7 +91,6 @@ func main() {
 
 	opt := sweep.Options{
 		Workers:    *workers,
-		RunWorkers: *runWorker,
 		Checkpoint: filepath.Join(*outDir, "checkpoint.jsonl"),
 		Resume:     *resume,
 		HaltAfter:  *haltAfter,
@@ -105,9 +103,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweep %s: %d cells x %d reps = %d units\n",
 		spec.Norm().Name, len(spec.Cells()), spec.Norm().Reps, spec.NumUnits())
 	runFn := experiments.RunCell
-	if *runWorker > 0 {
-		runFn = experiments.RunCellParallel(*runWorker)
-	}
 	if *serveAddr != "" {
 		tel := newSweepTelemetry(spec.NumUnits())
 		if err := tel.serveOn(*serveAddr); err != nil {

@@ -63,10 +63,6 @@ type Point struct {
 	// QuantumStepped selects the quantum-per-event DPN oracle instead of
 	// the fast-forward engine (identical results, more calendar events).
 	QuantumStepped bool
-	// ParallelRun selects the sharded-calendar PDES engine (results are
-	// byte-identical to the merged calendar): 0 = merged, 1 = sharded on
-	// the caller's goroutine, N > 1 = N wave-prepare workers per run.
-	ParallelRun int
 	// Service switches the run into streaming-admission mode
 	// (internal/admit): arrivals flow through the bounded admission queue
 	// and the epoch loop instead of the closed paper loop. nil = closed.
@@ -131,7 +127,6 @@ func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
 	cfg.RestartDelay = p.RestartDelay
 	cfg.Faults = p.Faults
 	cfg.QuantumStepped = p.QuantumStepped
-	cfg.ParallelRun = p.ParallelRun
 	if p.Service != nil {
 		pol := *p.Service // the machine must not share policy state across replications
 		cfg.Service = &pol

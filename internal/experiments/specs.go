@@ -150,26 +150,11 @@ func CellPoint(c sweep.Cell) Point {
 // error (instead of the panic Run raises) so one bad cell fails cleanly
 // inside the pool.
 func RunCell(c sweep.Cell, seed int64) (metrics.Summary, error) {
-	return runCell(c, seed, 0)
-}
-
-// RunCellParallel is RunCell with each replication on the sharded-calendar
-// engine (Point.ParallelRun = n). Results are byte-identical to RunCell;
-// pair it with sweep.Options.RunWorkers so the worker budget is split
-// between cells and the intra-run wave workers instead of oversubscribed.
-func RunCellParallel(n int) sweep.RunFunc {
-	return func(c sweep.Cell, seed int64) (metrics.Summary, error) {
-		return runCell(c, seed, n)
-	}
-}
-
-func runCell(c sweep.Cell, seed int64, parallelRun int) (metrics.Summary, error) {
 	if _, err := sched.New(c.Scheduler, sched.DefaultParams()); err != nil {
 		return metrics.Summary{}, err
 	}
 	p := CellPoint(c)
 	p.Seed = seed
-	p.ParallelRun = parallelRun
 	return Run(p), nil
 }
 

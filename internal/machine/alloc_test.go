@@ -8,16 +8,17 @@ import (
 )
 
 // TestDPNSteadyStateAllocFree pins the allocation audit at the node layer:
-// a warmed sharded DPN cycling pooled cohorts — completion, a payload-event
-// round trip standing in for the CN hop, redelivery — must run without a
-// single allocation per event. Everything reusable is created at setup:
-// cohorts, their done closures, and the prebound redelivery handler.
+// a warmed DPN cycling pooled cohorts — completion, a payload-event round
+// trip standing in for the CN hop, redelivery — must run without a single
+// allocation per event. Redeliveries to the busy node and a recurring
+// straggler toggle both move the forecast, so the completion booking
+// (ScheduleAtTie) is canceled and rebooked throughout. Everything reusable
+// is created at setup: cohorts, their done closures, and the prebound
+// redelivery and toggle handlers.
 func TestDPNSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	met := metrics.NewCollector(1, 0)
 	d := newDPN(0, eng, met)
-	eng.SetShards(1)
-	d.sharded = true
 
 	const residents = 6
 	cohorts := make([]*cohort, residents)
@@ -40,8 +41,18 @@ func TestDPNSteadyStateAllocFree(t *testing.T) {
 		i, c := i, c
 		eng.ScheduleAt(sim.Time(i)*sim.Millisecond, func(sim.Time) { d.add(c) })
 	}
+	var toggle sim.Handler
+	toggle = func(sim.Time) {
+		if d.slow > 1 {
+			d.setSlow(1)
+		} else {
+			d.setSlow(1.5)
+		}
+		eng.Schedule(5*sim.Millisecond, toggle)
+	}
+	eng.Schedule(5*sim.Millisecond, toggle)
 
-	// Warm the free lists, the ring, and the shard slot.
+	// Warm the free lists, the ring, and the calendar.
 	horizon := sim.Time(0)
 	step := func() {
 		horizon += 100 * sim.Millisecond

@@ -3,9 +3,12 @@ package machine
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"batchsched/internal/admit"
+	"batchsched/internal/fault"
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
 	"batchsched/internal/sched"
@@ -18,9 +21,16 @@ import (
 // DESIGN.md §17) must be observationally identical to the sequential
 // scheduler: same grant/block/delay outcomes, same CPU charges, same audit
 // records, same event traces — whether candidate scoring runs inline
-// (DecisionWorkers 0/1) or fanned over a worker pool (>1). These tests
-// mirror the PDES differential suite one layer down: the oracle is the
+// (DecisionWorkers 0/1) or fanned over a worker pool (>1). The oracle is the
 // DecisionWorkers=0 scheduler the rest of the repo's suite already proves.
+
+// decisionDiffFaults is the full fault cocktail (crashes, stragglers,
+// message loss with timeout-and-retry) used across the differential grid.
+var decisionDiffFaults = fault.Config{
+	MTBF: 80 * sim.Second, MTTR: 5 * sim.Second,
+	StragglerMTBF: 150 * sim.Second, StragglerDuration: 10 * sim.Second, StragglerFactor: 3,
+	MsgLoss: 0.03, MsgTimeout: 5 * sim.Second, MsgRetries: 2,
+}
 
 // decisionDiffRun runs one full machine at the given decision fan-out and
 // returns the summary plus the serialized event trace and scheduler audit.
@@ -83,7 +93,7 @@ func TestDecisionDiffGrid(t *testing.T) {
 				cfg.ArrivalRate = 0.6
 				cfg.Duration = 120_000 * sim.Millisecond
 				if withFaults {
-					cfg.Faults = pdesDiffFaults
+					cfg.Faults = decisionDiffFaults
 				}
 				label := name
 				if withFaults {
@@ -115,7 +125,7 @@ func TestDecisionDiffRandom(t *testing.T) {
 		cfg.ArrivalRate = 0.3 + 0.15*float64(g.Intn(5))
 		cfg.Duration = 60_000 * sim.Millisecond
 		if g.Intn(2) == 0 {
-			cfg.Faults = pdesDiffFaults
+			cfg.Faults = decisionDiffFaults
 		}
 		decisionDiffCompare(t, name, name, cfg, seed, nil)
 	}
@@ -133,6 +143,55 @@ func TestDecisionDiffScan(t *testing.T) {
 		cfg.Duration = 120_000 * sim.Millisecond
 		decisionDiffCompare(t, name+"/scan", name, cfg, 11, workload.NewBatchScan(16, 32))
 	}
+}
+
+// TestDecisionPoolStoppedAfterRun: a run with a decision worker pool must
+// leave no worker goroutines behind, on both the open (Run) and the closed
+// (RunClosed) path. The batch-scan LOW runs score enough candidates per
+// decision to start the pool's workers.
+func TestDecisionPoolStoppedAfterRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	noLeak := func(path string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: goroutine leak: %d before, %d after", path, before, n)
+		}
+	}
+	p := sched.DefaultParams()
+	p.DecisionWorkers = 4
+	cfg := DefaultConfig()
+	cfg.NumNodes = 16
+	cfg.DD = 16
+	cfg.ArrivalRate = 0
+	cfg.Duration = 100_000 * sim.Millisecond
+	scan := workload.NewBatchScan(16, 32)
+
+	m, err := New(cfg, sched.MustNew("LOW", p), nil, sim.NewRNG(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sim.NewRNG(7)
+	for i := 0; i < 24; i++ {
+		m.Submit(scan.Steps(g))
+	}
+	if sum := m.RunClosed(1 << 40); sum.Completions != 24 {
+		t.Fatalf("closed batch committed %d of 24", sum.Completions)
+	}
+	noLeak("RunClosed")
+
+	cfg.ArrivalRate = 0.15
+	for seed := int64(1); seed <= 5; seed++ {
+		m, err := New(cfg, sched.MustNew("LOW", p), scan, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+	}
+	noLeak("Run")
 }
 
 // decisionDiffService runs one service-mode machine (open arrivals through

@@ -109,24 +109,6 @@ type dpn struct {
 	fcQ   []sim.Time
 	fcE   []sim.Time
 
-	// Sharded-PDES state (Config.ParallelRun; see parallel.go and DESIGN.md
-	// §13). sharded routes the completion booking to the node's sub-calendar.
-	// During a safe wave, inWave redirects stamp() to waveIdx — the dispatch
-	// index this member will hold once committed — so tie-key stamps taken in
-	// the concurrent prepare phase equal the values sequential dispatch would
-	// have produced. wavePrepare leaves the member's deferred completion in
-	// waveDone and its precomputed next booking in pOK/pAt/pPrio/pTie;
-	// waveCommit (the ringChange fast path) replays both in exact order.
-	sharded      bool
-	inWave       bool
-	wavePrepared bool
-	waveIdx      uint64
-	waveDone     []*cohort
-	pOK          bool
-	pAt          sim.Time
-	pPrio        sim.Time
-	pTie         sim.TieKey
-
 	// ob records cohort residency spans when observability is enabled.
 	ob *obs.Observer
 }
@@ -166,7 +148,7 @@ func (d *dpn) add(c *cohort) {
 		// this very delivery event: the booking chain starts here.
 		d.anchor = d.eng.Now()
 		d.anchorPre = d.eng.CurPrio()
-		d.anchorStamp = d.stamp()
+		d.anchorStamp = d.eng.Executed()
 		d.startService(d.eng.Now())
 	}
 	d.reschedule()

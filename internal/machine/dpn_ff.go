@@ -64,7 +64,7 @@ func (d *dpn) applyBoundary() {
 		// this boundary anchors the tie keys of later completions.
 		d.anchor = b
 		d.anchorPre = d.svcStart
-		d.anchorStamp = d.stamp()
+		d.anchorStamp = d.eng.Executed()
 	}
 	if c.dead {
 		d.ring = append(d.ring[:d.cur], d.ring[d.cur+1:]...)
@@ -76,12 +76,7 @@ func (d *dpn) applyBoundary() {
 	if c.remaining <= 0 {
 		d.ring = append(d.ring[:d.cur], d.ring[d.cur+1:]...)
 		d.ob.End(c.span, b)
-		if d.inWave {
-			// Concurrent prepare phase: the completion callback touches
-			// machine-shared state, so it is deferred to the sequential
-			// commit phase (waveCommit runs it in member order).
-			d.waveDone = append(d.waveDone, c)
-		} else if c.done != nil {
+		if c.done != nil {
 			c.done()
 		} else if d.complete != nil {
 			d.complete(c)
@@ -129,12 +124,6 @@ func (d *dpn) flush(t sim.Time) {
 // its next quantum.
 func (d *dpn) ringChange(now sim.Time) {
 	d.ffEvent = nil
-	if d.wavePrepared {
-		// The replay and forecast already ran in the wave's concurrent
-		// prepare phase; only the machine-shared effects remain.
-		d.waveCommit()
-		return
-	}
 	d.advanceTo(now)
 	if !d.busy || d.svcEnd != now {
 		// (unreachable when the reschedule discipline is intact)
@@ -151,7 +140,13 @@ func (d *dpn) ringChange(now sim.Time) {
 // order at the same instant, and keeping the original event preserves that
 // FIFO tie order (and saves two heap operations).
 func (d *dpn) reschedule() {
-	at, prio, tie, ok := d.computeBooking()
+	var (
+		at, prio, wq sim.Time
+		ok           bool
+	)
+	if d.busy {
+		at, prio, wq, ok = d.forecast()
+	}
 	if !ok {
 		// Idle, or every resident cohort is dead: the ring drains with no
 		// further completion, its boundaries replayed by the next sync or
@@ -162,6 +157,13 @@ func (d *dpn) reschedule() {
 		}
 		return
 	}
+	tie := sim.TieKey{Q: d.slowRound(wq), Anchor: d.anchor, Pre: d.anchorPre, Stamp: d.anchorStamp}
+	if prio != d.svcStart && d.svcElapsed != tie.Q {
+		// The completion lies beyond an in-flight service ending in a short
+		// slice (a dying cohort's remainder): that boundary, though not yet
+		// replayed, is the chain's true anchor.
+		tie.Anchor, tie.Pre, tie.Stamp = d.svcEnd, d.svcStart, d.eng.Executed()
+	}
 	if d.ffEvent != nil {
 		if at == d.ffAt && prio == d.ffPrio && tie == d.ffTie {
 			return
@@ -169,37 +171,7 @@ func (d *dpn) reschedule() {
 		d.ffEvent.Cancel()
 	}
 	d.ffAt, d.ffPrio, d.ffTie = at, prio, tie
-	d.ffEvent = d.bookCompletion(at, prio, tie)
-}
-
-// computeBooking derives the node's next completion booking — the forecast
-// plus its tie genealogy — without touching the calendar, so the sharded
-// engine can run it in a wave's concurrent prepare phase.
-func (d *dpn) computeBooking() (at, prio sim.Time, tie sim.TieKey, ok bool) {
-	if !d.busy {
-		return 0, 0, sim.TieKey{}, false
-	}
-	at, prio, wq, ok := d.forecast()
-	if !ok {
-		return 0, 0, sim.TieKey{}, false
-	}
-	tie = sim.TieKey{Q: d.slowRound(wq), Anchor: d.anchor, Pre: d.anchorPre, Stamp: d.anchorStamp}
-	if prio != d.svcStart && d.svcElapsed != tie.Q {
-		// The completion lies beyond an in-flight service ending in a short
-		// slice (a dying cohort's remainder): that boundary, though not yet
-		// replayed, is the chain's true anchor.
-		tie.Anchor, tie.Pre, tie.Stamp = d.svcEnd, d.svcStart, d.stamp()
-	}
-	return at, prio, tie, true
-}
-
-// bookCompletion places the completion event on the node's sub-calendar when
-// the sharded engine is active, else on the merged calendar.
-func (d *dpn) bookCompletion(at, prio sim.Time, tie sim.TieKey) *sim.Event {
-	if d.sharded {
-		return d.eng.ScheduleShardTie(d.id, at, prio, tie, d.onRing)
-	}
-	return d.eng.ScheduleAtTie(at, prio, tie, d.onRing)
+	d.ffEvent = d.eng.ScheduleAtTie(at, prio, tie, d.onRing)
 }
 
 // forecast computes the virtual time of the node's next cohort completion

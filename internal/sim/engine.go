@@ -34,7 +34,6 @@ type Event struct {
 	arg      any
 	canceled bool
 	index    int     // heap index, -1 when not on the heap
-	shard    int     // owning sub-calendar, -1 for the main calendar
 	eng      *Engine // owner, for the canceled-event accounting in Cancel
 	label    string
 	// tie (when hasTie is set) refines the ordering among events with equal
@@ -129,30 +128,19 @@ func (e *Event) Time() Time { return e.at }
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Cancel prevents the event's handler from running. Canceling an event that
-// already fired (or was already canceled) is a no-op. On the main calendar
-// the tombstone stays until it surfaces or the engine compacts; the engine
-// keeps a count of live tombstones so heavy cancelers cannot bloat the heap.
-// A sharded event is instead unlinked and recycled immediately — its slot
-// must be free for the shard's next booking — so the caller must drop the
-// reference as soon as Cancel returns.
+// already fired (or was already canceled) is a no-op. The tombstone stays
+// until it surfaces or the engine compacts; the engine keeps a count of live
+// tombstones so heavy cancelers cannot bloat the heap.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
 	if e.index >= 0 && e.eng != nil {
-		if e.shard >= 0 {
-			e.eng.cancelShard(e)
-			return
-		}
 		e.eng.dead++
 		e.eng.maybeCompact()
 	}
 }
-
-// Shard returns the sub-calendar the event was booked on (ScheduleShard), or
-// -1 for main-calendar events.
-func (e *Event) Shard() int { return e.shard }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same timestamp fire in scheduling order, which makes every run fully
@@ -177,13 +165,6 @@ type Engine struct {
 	// hundreds of thousands of events, and recycling them keeps Schedule
 	// allocation-free at steady state.
 	pool []*Event
-
-	// Sharded-calendar state (SetShards): shardEv[i] is shard i's single
-	// booking slot (nil when empty) and shardCal is the heap of occupied
-	// slots, ordered by the same (time, prio, tie, seq) total order as the
-	// main calendar. See shard.go.
-	shardEv  []*Event
-	shardCal eventHeap
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -206,10 +187,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // handler; between dispatches it holds the last dispatched event's priority.
 func (e *Engine) CurPrio() Time { return e.curPrio }
 
-// Pending returns the number of events currently on the calendar (main and
-// shard sub-calendars), including canceled events that have not yet been
-// discarded.
-func (e *Engine) Pending() int { return e.calendar.Len() + e.shardCal.Len() }
+// Pending returns the number of events currently on the calendar, including
+// canceled events that have not yet been discarded.
+func (e *Engine) Pending() int { return e.calendar.Len() }
 
 // Schedule books fn to run after delay. A negative delay panics: the model
 // would be rewinding time, which is always a bug.
@@ -314,9 +294,9 @@ func (e *Engine) alloc(at, prio Time, label string, fn Handler) *Event {
 		ev = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		*ev = Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label, shard: -1}
+		*ev = Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label}
 	} else {
-		ev = &Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label, shard: -1}
+		ev = &Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label}
 	}
 	return ev
 }
@@ -360,31 +340,29 @@ func (e *Engine) recycle(ev *Event) {
 	e.pool = append(e.pool, ev)
 }
 
-// Step dispatches the single next event, merging the main calendar with the
-// shard sub-calendars under the one eventLess total order. It returns false
-// when both are empty or the next event is beyond horizon.
+// peekLive returns the next live event, discarding any tombstones that have
+// surfaced, or nil when the calendar is empty.
+func (e *Engine) peekLive() *Event {
+	for e.calendar.Len() > 0 {
+		next := e.calendar.peek()
+		if !next.canceled {
+			return next
+		}
+		e.calendar.pop()
+		e.dead--
+		e.recycle(next)
+	}
+	return nil
+}
+
+// Step dispatches the single next event. It returns false when the calendar
+// is empty or the next event is beyond horizon.
 func (e *Engine) Step(horizon Time) bool {
 	next := e.peekLive()
-	if e.shardCal.Len() > 0 {
-		if sh := e.shardCal.peek(); next == nil || eventLess(sh, next) {
-			if sh.at > horizon {
-				return false
-			}
-			e.shardCal.pop()
-			e.shardEv[sh.shard] = nil
-			e.dispatch(sh)
-			return true
-		}
-	}
 	if next == nil || next.at > horizon {
 		return false
 	}
 	e.calendar.pop()
-	e.dispatch(next)
-	return true
-}
-
-func (e *Engine) dispatch(next *Event) {
 	e.now = next.at
 	e.curPrio = next.prio
 	e.executed++
@@ -396,6 +374,7 @@ func (e *Engine) dispatch(next *Event) {
 		fn(e.now)
 	}
 	e.recycle(next)
+	return true
 }
 
 // Run dispatches events in timestamp order until the calendar drains or the

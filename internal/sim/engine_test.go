@@ -331,6 +331,336 @@ func TestEngineCompactionDifferential(t *testing.T) {
 	}
 }
 
+// tieScriptBooking is one pre-generated booking of the tie-order property
+// test: a calendar key plus an optional immediate cancel-and-rebook (which
+// leaves a tombstone on the calendar).
+type tieScriptBooking struct {
+	at, prio Time
+	tie      TieKey
+	hasTie   bool
+	rebook   bool
+	alt      *tieScriptBooking
+}
+
+// genTieScript generates per-chain booking sequences over shared "buckets":
+// instants where several chains collide with equal (at, prio) and tie keys
+// that differ only in genealogy. Keys follow the machine's invariants — one
+// quantum per bucket, anchors that are strictly short slices (Pre > Anchor-Q),
+// globally unique stamps — under which tieLess is a total order.
+func genTieScript(g *RNG, chains, perChain int) [][]tieScriptBooking {
+	type bucket struct {
+		at, prio, q Time
+	}
+	nBuckets := perChain*3 + 8
+	buckets := make([]bucket, nBuckets)
+	at := Time(10)
+	for b := range buckets {
+		// Buckets advance by more than the largest priority offset, so a
+		// successor booked at one bucket's instant always lies at a later
+		// instant with a later priority, as in the DPN model. Same-instant
+		// collisions come from chains sharing a bucket.
+		at += Time(4 + g.Intn(4))
+		q := Time(2 + g.Intn(3))
+		buckets[b] = bucket{at: at, prio: at - Time(1+g.Intn(3)), q: q}
+	}
+	var stamp uint64
+	member := func(b bucket) tieScriptBooking {
+		m := tieScriptBooking{at: b.at}
+		if g.Intn(8) == 0 {
+			// An untied booking: keep its prio clear of the bucket's tie
+			// events (mixing tied and untied events at one (at, prio) has
+			// no model counterpart and no total order).
+			p := b.prio - Time(4+g.Intn(3))
+			if p < 0 {
+				p = 0
+			}
+			m.prio = p
+			return m
+		}
+		m.prio = b.prio
+		m.hasTie = true
+		k := Time(g.Intn(3))
+		anchor := b.prio - k*b.q
+		// Short-slice anchor: Anchor-Q < Pre < Anchor, as in real chains.
+		pre := anchor - b.q + 1 + Time(g.Intn(int(b.q)-1))
+		stamp++
+		m.tie = TieKey{Q: b.q, Anchor: anchor, Pre: pre, Stamp: stamp}
+		return m
+	}
+	script := make([][]tieScriptBooking, chains)
+	for s := range script {
+		script[s] = make([]tieScriptBooking, perChain)
+		b := g.Intn(3)
+		for k := 0; k < perChain; k++ {
+			m := member(buckets[b])
+			if g.Intn(6) == 0 {
+				alt := member(buckets[b])
+				m.rebook = true
+				m.alt = &alt
+			}
+			script[s][k] = m
+			b += 1 + g.Intn(2)
+		}
+	}
+	return script
+}
+
+// playTieScript books every chain on the engine (each handler booking its
+// successor, as the DPN model does) and returns the dispatch order as
+// chain*perChain+index codes.
+func playTieScript(script [][]tieScriptBooking) []int {
+	e := NewEngine()
+	perChain := len(script[0])
+	var order []int
+	book := func(m *tieScriptBooking, fn Handler) *Event {
+		if m.hasTie {
+			return e.ScheduleAtTie(m.at, m.prio, m.tie, fn)
+		}
+		return e.ScheduleAtPrio(m.at, m.prio, fn)
+	}
+	var handler func(s, k int) Handler
+	handler = func(s, k int) Handler {
+		return func(Time) {
+			order = append(order, s*perChain+k)
+			if k+1 >= perChain {
+				return
+			}
+			next := &script[s][k+1]
+			ev := book(next, handler(s, k+1))
+			if next.rebook {
+				ev.Cancel()
+				book(next.alt, handler(s, k+1))
+			}
+		}
+	}
+	for s := range script {
+		book(&script[s][0], handler(s, 0))
+	}
+	e.Run(Time(1) << 50)
+	return order
+}
+
+// refEntry is one booking on the reference calendar.
+type refEntry struct {
+	at, prio Time
+	tie      TieKey
+	hasTie   bool
+	seq      uint64
+	code     int
+}
+
+func refLess(a, b *refEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	if a.hasTie && b.hasTie {
+		if l, ok := tieLess(a.prio, &a.tie, &b.tie); ok {
+			return l
+		}
+	}
+	return a.seq < b.seq
+}
+
+// playTieReference replays the script on a naive calendar: an unordered
+// slice scanned in full for the (time, prio, tie, seq) minimum at every
+// dispatch. It has no heap to corrupt, so it is the order the heap must pop.
+func playTieReference(script [][]tieScriptBooking) []int {
+	perChain := len(script[0])
+	var pending []*refEntry
+	var seq uint64
+	book := func(code int, m *tieScriptBooking) {
+		seq++
+		pending = append(pending, &refEntry{at: m.at, prio: m.prio, tie: m.tie, hasTie: m.hasTie, seq: seq, code: code})
+	}
+	for s := range script {
+		book(s*perChain, &script[s][0])
+	}
+	var order []int
+	for len(pending) > 0 {
+		best := 0
+		for i := 1; i < len(pending); i++ {
+			if refLess(pending[i], pending[best]) {
+				best = i
+			}
+		}
+		ev := pending[best]
+		pending = append(pending[:best], pending[best+1:]...)
+		order = append(order, ev.code)
+		s, k := ev.code/perChain, ev.code%perChain
+		if k+1 >= perChain {
+			continue
+		}
+		next := &script[s][k+1]
+		book(ev.code+1, next)
+		if next.rebook {
+			pending = pending[:len(pending)-1] // canceled: its seq stays spent
+			book(ev.code+1, next.alt)
+		}
+	}
+	return order
+}
+
+// TestMergedCalendarTieOrderMatchesReference is the calendar's tie-order
+// property test: randomized same-instant ties (including keys identical up
+// to the dispatch stamp, the case that once regressed when tie keys were
+// patched in after the heap sift) must dispatch in exactly the order a
+// linear-scan calendar over the same key produces.
+func TestMergedCalendarTieOrderMatchesReference(t *testing.T) {
+	const chains, perChain = 6, 300
+	for trial := 0; trial < 25; trial++ {
+		g := NewRNG(int64(9000 + trial))
+		script := genTieScript(g, chains, perChain)
+		want := playTieReference(script)
+		got := playTieScript(script)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: dispatched %d events, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: dispatch[%d] = chain %d event %d, reference had chain %d event %d",
+					trial, i, got[i]/perChain, got[i]%perChain, want[i]/perChain, want[i]%perChain)
+			}
+		}
+	}
+}
+
+// TestEngineCompactionMidDispatch forces tombstone compaction from inside a
+// running handler — the calendar is rebuilt while the engine is mid-Step —
+// and checks that the surviving dispatch order and Executed() come through
+// unscathed.
+func TestEngineCompactionMidDispatch(t *testing.T) {
+	e := NewEngine()
+	const n = 400
+	events := make([]*Event, n)
+	var fired []int
+	for i := 0; i < n; i++ {
+		i := i
+		events[i] = e.Schedule(Time(i+10)*Millisecond, func(Time) { fired = append(fired, i) })
+	}
+	// The first event cancels events 1..n-2 from inside its handler; that
+	// puts ~n-2 tombstones on a calendar of n live-or-dead entries, well
+	// past the dead >= 64 && dead*2 > Len() threshold, so maybeCompact
+	// rebuilds the heap during this very dispatch.
+	pendingBefore := 0
+	e.Schedule(Millisecond, func(Time) {
+		for i := 1; i < n-1; i++ {
+			events[i].Cancel()
+		}
+		pendingBefore = e.Pending()
+	})
+	e.Run(Second)
+	if pendingBefore >= n {
+		t.Fatalf("compaction did not run mid-dispatch: %d pending right after the cancels", pendingBefore)
+	}
+	if want := []int{0, n - 1}; len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	// 1 canceler + 2 survivors.
+	if e.Executed() != 3 {
+		t.Errorf("Executed = %d, want 3", e.Executed())
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after run, want 0", e.Pending())
+	}
+}
+
+// TestEngineExecutedUnderHeavyLazyDeletion cancels interleaved events from
+// inside handlers so the calendar is thick with tombstones while it drains,
+// and checks that Executed() stays dense — every handler observes exactly
+// the count of live dispatches so far, with canceled events never counted.
+// Tie-key stamps are derived from Executed(), so a gap here would corrupt
+// genealogy keys silently.
+func TestEngineExecutedUnderHeavyLazyDeletion(t *testing.T) {
+	e := NewEngine()
+	const n = 900
+	events := make([]*Event, n)
+	fired := 0
+	for i := 0; i < n; i++ {
+		i := i
+		events[i] = e.Schedule(Time(i+1)*Millisecond, func(Time) {
+			fired++
+			if got := e.Executed(); got != uint64(fired) {
+				t.Fatalf("handler %d: Executed = %d, want %d", i, got, fired)
+			}
+			// Cancel the next two still-pending survivors, so roughly two
+			// thirds of the calendar dies as tombstones mid-drain.
+			for j, killed := i+1, 0; j < n && killed < 2; j++ {
+				if events[j] != nil && !events[j].Canceled() {
+					events[j].Cancel()
+					killed++
+				}
+			}
+		})
+	}
+	e.Run(Second)
+	if fired != (n+2)/3 {
+		t.Fatalf("fired %d of %d, want every third (%d)", fired, n, (n+2)/3)
+	}
+	if e.Executed() != uint64(fired) {
+		t.Errorf("Executed = %d, want %d", e.Executed(), fired)
+	}
+}
+
+// TestEngineSteadyStateAllocFree pins the allocation audit at the engine
+// layer: a warmed engine running self-rebooking tie-keyed chains with
+// cancel-and-rebook churn, a recurring payload event and a recurring plain
+// event must dispatch with zero allocations per event.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine()
+	const chains = 4
+	handlers := make([]Handler, chains)
+	fires := make([]int, chains)
+	for s := 0; s < chains; s++ {
+		s := s
+		handlers[s] = func(now Time) {
+			fires[s]++
+			at := now + Time(s+1)*Millisecond
+			tie := TieKey{Q: Millisecond, Anchor: now, Pre: now - 1, Stamp: e.Executed()}
+			ev := e.ScheduleAtTie(at, now, tie, handlers[s])
+			if fires[s]%7 == 0 {
+				// Cancel-and-rebook: the canceled booking stays as a
+				// tombstone, the replacement comes off the event free list.
+				ev.Cancel()
+				e.ScheduleAtTie(at+Millisecond, now, tie, handlers[s])
+			}
+		}
+	}
+	var tick func(now Time)
+	ticks := 0
+	tick = func(now Time) {
+		ticks++
+		e.Schedule(5*Millisecond, tick)
+	}
+	payloads := 0
+	var onPayload PayloadHandler
+	onPayload = func(now Time, arg any) {
+		payloads++
+		e.SchedulePayload(3*Millisecond, onPayload, arg)
+	}
+	for s := 0; s < chains; s++ {
+		e.ScheduleAtPrio(Time(s+1)*Millisecond, 0, handlers[s])
+	}
+	e.Schedule(5*Millisecond, tick)
+	e.SchedulePayload(3*Millisecond, onPayload, &fires)
+	// Warm the free lists and heap capacity.
+	horizon := Time(0)
+	step := func() {
+		horizon += 50 * Millisecond
+		for e.Step(horizon) {
+		}
+	}
+	step()
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Fatalf("steady-state allocations: %v per 50ms window, want 0", avg)
+	}
+	if ticks == 0 || payloads == 0 || fires[0] == 0 {
+		t.Fatal("steady-state loop did not actually run")
+	}
+}
+
 func TestRNGDeterminismAndStreams(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
