@@ -567,7 +567,8 @@ func RunSimBatch(cfg Config, scheduler string, params Params, batch [][]Step) (S
 	}
 	sum := m.RunClosed(cfg.Duration)
 	if m.InFlight() != 0 {
-		return sum, fmt.Errorf("batchsched: sim %s batch: %d transactions still in flight at horizon", scheduler, m.InFlight())
+		return sum, fmt.Errorf("batchsched: sim %s batch: %d transactions still in flight at horizon: %s",
+			scheduler, m.InFlight(), m.WaitReport())
 	}
 	return sum, nil
 }

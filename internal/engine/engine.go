@@ -1,10 +1,14 @@
-// Package engine defines the execution-backend abstraction the scheduler
-// core runs on. The schedulers (package sched) speak a pure decision
-// protocol — Admit, Request (grant/block/delay/abort), Validate, Committed,
-// Aborted — with no notion of how time passes or where cohorts run. A
-// Backend supplies that half: it owns a clock, accepts transaction
-// submissions, drives the scheduler protocol in control-node order, executes
-// granted steps on data-processing nodes, and emits a metrics.Summary.
+// Package engine holds what the two execution backends share: the
+// backend contract, file placement, the decision log of differential
+// tests, and the control node itself (cn.go, cnservice.go). The schedulers
+// (package sched) speak a pure decision protocol — Admit, Request
+// (grant/block/delay/abort), Validate, Committed, Aborted — with no notion
+// of how time passes or where cohorts run. The control-node core drives that
+// protocol: admission with the MPL guard and the park queue, lock requests
+// and the wait queues, step dispatch, commit, restart after delay, and the
+// service-mode admission epoch, all on one FCFS job queue. A backend
+// supplies a Host — a clock, a way to serve a job's CPU time, the
+// data-processing nodes and a timer — and emits a metrics.Summary.
 //
 // Two backends exist:
 //
@@ -14,9 +18,9 @@
 //     an in-memory partitioned store, Go channels for CN<->DPN messaging,
 //     and the wall clock (goroutine-parallel, timing nondeterministic).
 //
-// Both drive the identical scheduler objects through the identical
-// control-node queue discipline, which is what makes differential testing
-// between them meaningful (see DESIGN.md §12).
+// Both run the same CN core, so they drive the scheduler through the same
+// sequence of protocol calls for the same order of completions, which is
+// what makes differential testing between them meaningful (DESIGN.md §12).
 package engine
 
 import (
@@ -43,6 +47,23 @@ type Observer interface {
 	// Restarted fires when a rollback (optimistic validation failure or
 	// deadlock abort) discards the transaction's current attempt.
 	Restarted(t *model.Txn, at sim.Time)
+}
+
+// FaultObserver is an optional extension of Observer: observers that also
+// implement it (trace.Writer does) additionally receive fault-injection
+// events. Checked by type assertion so other observers keep working.
+type FaultObserver interface {
+	// Fault fires for a machine-level fault transition: kind is "crash",
+	// "restore", "slow", "slowend" or "msgloss"; node is the affected
+	// data-processing node.
+	Fault(kind string, node int, at sim.Time)
+	// AbortedTxn fires when a fault aborts a transaction; reason is
+	// "crash" (lost cohorts) or "timeout" (message retries exhausted).
+	// The control node also fires the regular Restarted for these aborts.
+	AbortedTxn(t *model.Txn, reason string, at sim.Time)
+	// Retried fires when the control node re-dispatches a step after a
+	// message timeout; attempt is 1-based.
+	Retried(t *model.Txn, attempt int, at sim.Time)
 }
 
 // Generator produces the declared steps of successive transactions

@@ -25,14 +25,14 @@ func TestPlacementHome(t *testing.T) {
 
 func TestPlacementNodesWrap(t *testing.T) {
 	p := engine.Placement{NumNodes: 4, DD: 3}
-	got := p.Nodes(3) // home 3, wraps to 0, 1
+	got := p.NodesInto(3, nil) // home 3, wraps to 0, 1
 	want := []int{3, 0, 1}
 	if len(got) != len(want) {
-		t.Fatalf("Nodes(3) = %v, want %v", got, want)
+		t.Fatalf("NodesInto(3) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Nodes(3) = %v, want %v", got, want)
+			t.Fatalf("NodesInto(3) = %v, want %v", got, want)
 		}
 	}
 }

@@ -7,13 +7,12 @@
 //
 // The control node is one goroutine owning the scheduler, the metrics
 // collector and every observer, so all of those stay single-threaded
-// exactly as under simulation. It processes an internal FIFO job queue
-// (admissions, lock requests, step completions, commits) with the same
-// queue discipline as machine.controlNode, and — critically — drains that
-// queue fully before consuming the next DPN completion. That discipline is
-// what pins the scheduler-call order of the initial admission sweep and its
-// grant/wake cascades to the simulator's, making sim-vs-live decision logs
-// comparable (DESIGN.md §12).
+// exactly as under simulation. It runs the simulator's control-node core
+// (engine.CN) — the same job queue, protocol and wait queues — and drains
+// that queue fully before consuming the next DPN completion. That
+// discipline is what pins the scheduler-call order of the initial admission
+// sweep and its grant/wake cascades to the simulator's, making sim-vs-live
+// decision logs comparable (DESIGN.md §12).
 //
 // A live run is a closed batch: Submit every transaction, then Run drives
 // the batch to commit and summarizes at the makespan. There is no arrival
@@ -22,10 +21,9 @@ package live
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
-
-	"strconv"
 
 	"batchsched/internal/admit"
 	"batchsched/internal/engine"
@@ -134,43 +132,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// liveOp codes the CN's internal jobs (the live analogue of machine's
-// op-coded cnJob).
-type liveOp int
-
-const (
-	opAdmit liveOp = iota
-	opRequest
-	opStepDone
-	opCommit
-)
-
-type liveJob struct {
-	op  liveOp
-	e   *texec
-	run *liveRun
-}
-
-// texec is the runtime wrapper around one transaction (live analogue of
-// machine.exec).
-type texec struct {
-	txn      *model.Txn
-	admitted bool
-	class    admit.Class // service class (service mode only)
-	run      *liveRun
-
-	txnSpan    obs.SpanID
-	admitSpan  obs.SpanID
-	waitSpan   obs.SpanID
-	stepSpan   obs.SpanID
-	commitSpan obs.SpanID
-	waitSince  sim.Time
-}
-
 // liveRun is one step dispatch: DD cohorts in flight, counted down by
 // completions.
 type liveRun struct {
-	e       *texec
+	e       *engine.Exec
 	pending int
 }
 
@@ -179,70 +144,38 @@ type liveRun struct {
 // the CN); only the DPN workers run concurrently.
 type Backend struct {
 	cfg   Config
-	sch   sched.Scheduler
 	met   *metrics.Collector
 	clk   *wallClock
 	place engine.Placement
+	cn    *engine.CN
 
-	dpns []*dpnWorker
-	comp chan completion
-	wg   sync.WaitGroup
+	dpns     []*dpnWorker
+	comp     chan completion
+	wg       sync.WaitGroup
+	nodesBuf []int
 
-	restartQ       chan *texec
+	restartQ       chan *engine.Exec
 	restartPending int
-	restartRNG     *sim.RNG
 
-	obs engine.Observer
-
-	ob          *obs.Observer
-	obsGrant    *obs.Counter
-	obsBlock    *obs.Counter
-	obsDelay    *obs.Counter
-	obsRestart  *obs.Counter
-	obsCommit   *obs.Counter
-	obsLockWait *obs.Histogram
-	obsRetries  *obs.Histogram
-	lastSample  sim.Time
+	ob         *obs.Observer
+	lastSample sim.Time
 
 	// Streaming instruments (telemetry for the /metrics endpoint). All nil
-	// when telemetry is off; every update below is nil-receiver safe and the
-	// rest are guarded on b.stream, so the disabled cost is one pointer test.
-	stream      *stream.Set
-	strGrants   *stream.Rate
-	strBlocks   *stream.Rate
-	strRestarts *stream.Rate
-	strCommits  *stream.Rate
-	strRT       *stream.Sketch
-	strActive   *stream.Gauge
-	strWaiting  *stream.Gauge
-
-	// Service-mode state (service.go); svc is nil outside service mode.
-	svc           *admit.Service
-	window        int // popped from the queue, not yet committed or evicted
-	epochNum      int
-	epochStart    sim.Time
-	epochPrev     admit.Stats
-	epochRTs      []sim.Time
-	epochHook     func(admit.EpochStats)
-	strSheds      *stream.Rate
+	// when telemetry is off; the CN-updated ones live in cn.Stream, and
+	// every update is nil-receiver safe or guarded on stream.
+	stream        *stream.Set
+	strWaiting    *stream.Gauge
 	strQueueDepth *stream.Gauge
 	strSojournUS  *stream.Gauge
 
-	txns    []*texec
-	jobs    []liveJob
-	admitQ  []*texec
-	blocked map[model.FileID][]*texec
-	delayed []*texec
+	txns []*model.Txn
 
 	// workPool backs the scheduler's parallel decision engine when the
 	// scheduler implements sched.DecisionParallel with DecisionWorkers > 1
-	// (nil otherwise); screenBuf is fillWindowLive's prescreen batch.
-	workPool  *pool.Pool
-	screenBuf []*model.Txn
+	// (nil otherwise).
+	workPool *pool.Pool
 
 	nextID     int64
-	active     int
-	completed  int
 	checksum   uint64
 	violations int
 	cnBusy     time.Duration
@@ -252,6 +185,41 @@ type Backend struct {
 
 // Backend is an execution backend.
 var _ engine.Backend = (*Backend)(nil)
+
+// cnHost is the live side of the control-node core: wall time, CN CPU
+// measured rather than charged (the loop drains the queue at once, see
+// serve), cohorts sent to the DPN goroutines, restart timers on the wall
+// clock.
+type cnHost struct{ *Backend }
+
+// Charge does nothing: the CN loop drains the queue right away.
+func (cnHost) Charge(sim.Time) {}
+
+// Dispatch sends the granted step as DD cohorts to the file's nodes. The
+// per-node inbox is sized for every active transaction, so these sends
+// never block.
+func (h cnHost) Dispatch(e *engine.Exec, _ int) {
+	st := e.Txn.CurrentStep()
+	run := &liveRun{e: e}
+	h.nodesBuf = h.place.NodesInto(st.File, h.nodesBuf)
+	run.pending = len(h.nodesBuf)
+	rows := int(st.Cost*float64(h.cfg.RowsPerObject)/float64(h.cfg.DD) + 0.5)
+	if rows < 1 {
+		rows = 1
+	}
+	for _, node := range h.nodesBuf {
+		h.dpns[node].in <- &liveCohort{
+			run: run, txn: e.Txn.ID, file: st.File,
+			mode: st.LockMode, write: st.Write, rows: rows,
+		}
+	}
+}
+
+// RestartAfter hands e back to the CN's select loop after d of wall time.
+func (h cnHost) RestartAfter(e *engine.Exec, d sim.Time) {
+	h.restartPending++
+	time.AfterFunc(time.Duration(d)*time.Microsecond, func() { h.restartQ <- e })
+}
 
 // New builds a live backend. The scheduler must be fresh (one per run).
 func New(cfg Config, s sched.Scheduler) (*Backend, error) {
@@ -265,14 +233,18 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 		cfg.Deadline = 30 * time.Second
 	}
 	b := &Backend{
-		cfg:        cfg,
-		sch:        s,
-		met:        metrics.NewCollector(cfg.NumNodes, 0),
-		clk:        newWallClock(),
-		place:      engine.Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
-		blocked:    make(map[model.FileID][]*texec),
-		restartRNG: sim.NewRNG(1).Stream("restart"),
+		cfg:   cfg,
+		met:   metrics.NewCollector(cfg.NumNodes, 0),
+		clk:   newWallClock(),
+		place: engine.Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
 	}
+	// The CN's CPU is the wall clock, so it charges no modelled CPU times;
+	// a sub-microsecond restart delay rounds up to one microsecond.
+	b.cn = engine.NewCN(engine.CNConfig{
+		MPL:           cfg.MPL,
+		RestartDelay:  sim.Time((cfg.RestartDelay + time.Microsecond - 1) / time.Microsecond),
+		RestartJitter: cfg.RestartJitter,
+	}, cnHost{b}, s, b.met, sim.NewRNG(1).Stream("restart"))
 	// The CN goroutine owns the scheduler either way; a decision lane only
 	// parallelizes the evaluation inside one scheduler call, so decisions
 	// stay byte-identical to the sequential path (DESIGN.md §17). Workers
@@ -284,14 +256,6 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 	return b, nil
 }
 
-// stopPool shuts the decision workers down (Run/RunService call it on exit
-// so a run leaves no goroutines behind).
-func (b *Backend) stopPool() {
-	if b.workPool != nil {
-		b.workPool.Stop()
-	}
-}
-
 // Now returns the wall time elapsed since New, in sim.Time microseconds
 // (engine.Clock).
 func (b *Backend) Now() sim.Time { return b.clk.Now() }
@@ -299,10 +263,10 @@ func (b *Backend) Now() sim.Time { return b.clk.Now() }
 // SetObserver installs an execution observer (history recorder etc.). It is
 // called only from the CN goroutine, so the same single-threaded recorders
 // work on both backends.
-func (b *Backend) SetObserver(o engine.Observer) { b.obs = o }
+func (b *Backend) SetObserver(o engine.Observer) { b.cn.SetObserver(o) }
 
-// SetObs attaches the observability layer, mirroring machine.SetObs:
-// lifecycle and cohort spans, decision counters, the lock-wait histogram,
+// SetObs attaches the observability layer, as machine.SetObs does:
+// lifecycle, CN-job and cohort spans, decision counters and histograms,
 // scheduler audit (stamped with the wall clock) and registry gauges sampled
 // on cfg.SampleEvery. Call before Run.
 func (b *Backend) SetObs(o *obs.Observer) {
@@ -310,28 +274,8 @@ func (b *Backend) SetObs(o *obs.Observer) {
 		return
 	}
 	b.ob = o
-	b.obsGrant = o.Counter("grants")
-	b.obsBlock = o.Counter("blocks")
-	b.obsDelay = o.Counter("delays")
-	b.obsRestart = o.Counter("restarts")
-	b.obsCommit = o.Counter("commits")
-	b.obsLockWait = o.Histogram("lock_wait_ms",
-		[]float64{1, 10, 100, 1_000, 10_000, 60_000, 300_000})
-	b.obsRetries = o.Histogram("restarts_per_txn",
-		[]float64{0, 1, 2, 5, 10})
-	o.Gauge("active_txns", func() float64 { return float64(b.active) })
-	o.Gauge("waiting_txns", func() float64 {
-		n := len(b.delayed)
-		for _, l := range b.blocked {
-			n += len(l)
-		}
-		return float64(n)
-	})
+	b.cn.SetObs(o)
 	o.Gauge("cn_busy_ms", func() float64 { return float64(b.cnBusy) / float64(time.Millisecond) })
-	o.Audit().SetClock(b.clk.Now)
-	if a, ok := b.sch.(sched.Audited); ok {
-		a.SetAudit(o.Audit())
-	}
 }
 
 // SetStream attaches the streaming telemetry registry: wall-clock decision
@@ -347,38 +291,19 @@ func (b *Backend) SetStream(set *stream.Set) {
 	}
 	b.stream = set
 	const win, slot = 10 * time.Second, time.Second
-	b.strGrants = set.Rate("live_grants", "Scheduler grant decisions.", win, slot)
-	b.strBlocks = set.Rate("live_blocks", "Scheduler block decisions.", win, slot)
-	b.strRestarts = set.Rate("live_restarts", "Transaction aborts and restarts.", win, slot)
-	b.strCommits = set.Rate("live_commits", "Committed transactions.", win, slot)
-	b.strRT = set.Sketch("live_rt_seconds", "Transaction response time in seconds.")
-	b.strActive = set.Gauge("live_active_txns", "Admitted and uncommitted transactions.")
+	b.cn.Stream = engine.CNStream{
+		Grants:   set.Rate("live_grants", "Scheduler grant decisions.", win, slot),
+		Blocks:   set.Rate("live_blocks", "Scheduler block decisions.", win, slot),
+		Restarts: set.Rate("live_restarts", "Transaction aborts and restarts.", win, slot),
+		Commits:  set.Rate("live_commits", "Committed transactions.", win, slot),
+		RT:       set.Sketch("live_rt_seconds", "Transaction response time in seconds."),
+		Active:   set.Gauge("live_active_txns", "Admitted and uncommitted transactions."),
+	}
 	b.strWaiting = set.Gauge("live_waiting_txns", "Blocked, policy-delayed, or admission-parked transactions.")
 	set.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps in the observability layer (span ends plus samples).", func() float64 {
 		ends, samples := b.ob.ClockClamps()
 		return float64(ends + samples)
 	})
-}
-
-// mark counts one event on a stream rate at the current wall clock.
-func (b *Backend) mark(r *stream.Rate) {
-	if r != nil {
-		r.Add(b.clk.Now(), 1)
-	}
-}
-
-// sampleStreamGauges refreshes the CN-owned point-in-time gauges. Called
-// from the CN loop so the scrape endpoint never reads CN fields directly.
-func (b *Backend) sampleStreamGauges() {
-	if b.stream == nil {
-		return
-	}
-	b.strActive.Set(int64(b.active))
-	n := len(b.delayed) + len(b.admitQ)
-	for _, l := range b.blocked {
-		n += len(l)
-	}
-	b.strWaiting.Set(int64(n))
 }
 
 // ClockClamps reports the attached observer's monotone clock-clamp
@@ -407,17 +332,18 @@ func (b *Backend) Snapshot() SLOSnapshot {
 	if b.stream == nil {
 		return SLOSnapshot{}
 	}
+	st := &b.cn.Stream
 	ends, samples := b.ClockClamps()
 	return SLOSnapshot{
-		ActiveTxns:    b.strActive.Value(),
+		ActiveTxns:    st.Active.Value(),
 		WaitingTxns:   b.strWaiting.Value(),
-		Commits:       b.strCommits.Total(),
-		CommitsPerSec: b.strCommits.RatePerSec(b.clk.Now()),
-		Grants:        b.strGrants.Total(),
-		Blocks:        b.strBlocks.Total(),
-		Restarts:      b.strRestarts.Total(),
-		P50RTSeconds:  b.strRT.Quantile(0.5),
-		P95RTSeconds:  b.strRT.Quantile(0.95),
+		Commits:       st.Commits.Total(),
+		CommitsPerSec: st.Commits.RatePerSec(b.clk.Now()),
+		Grants:        st.Grants.Total(),
+		Blocks:        st.Blocks.Total(),
+		Restarts:      st.Restarts.Total(),
+		P50RTSeconds:  st.RT.Quantile(0.5),
+		P95RTSeconds:  st.RT.Quantile(0.95),
 		ClockClamps:   ends + samples,
 	}
 }
@@ -429,15 +355,16 @@ func (b *Backend) Submit(steps []model.Step) *model.Txn {
 	}
 	b.nextID++
 	t := model.NewTxn(b.nextID, b.clk.Now(), steps)
-	b.txns = append(b.txns, &texec{txn: t})
+	b.txns = append(b.txns, t)
 	return t
 }
 
 // InFlight reports how many submitted transactions have not committed.
-func (b *Backend) InFlight() int { return int(b.nextID) - b.completed }
+func (b *Backend) InFlight() int { return int(b.nextID) - b.cn.Completed() }
 
-// Err reports whether the run stalled against its deadline (nil on a clean
-// drain).
+// Err reports why the run stopped short (nil on a clean drain): a batch
+// left with nothing that could ever wake it, or a stall against the
+// deadline. Either error lists who waits on what.
 func (b *Backend) Err() error { return b.err }
 
 // Violations returns the number of incompatible cohort co-residencies the
@@ -449,35 +376,26 @@ func (b *Backend) Violations() int { return b.violations }
 // really ran; also defeats dead-code elimination).
 func (b *Backend) Checksum() uint64 { return b.checksum }
 
-// Run executes the batch to commit and returns the summary, its window the
-// batch makespan. A stall (which would mean a protocol bug — see the
-// capacity argument below) is cut at cfg.Deadline and reported by Err.
-func (b *Backend) Run() metrics.Summary {
-	if b.ran {
-		panic("live: Run called twice")
-	}
-	b.ran = true
-	n := len(b.txns)
-
-	// Channel capacities make every send non-blocking, which is the
-	// deadlock-freedom argument: a transaction has at most one active step,
-	// so at most n cohorts can be resident (or queued) per node and at most
-	// n*NumNodes completions can be outstanding. Sized so, the CN never
-	// blocks sending a cohort and a DPN never blocks sending a completion,
-	// hence no send cycle exists to deadlock on.
-	b.comp = make(chan completion, n*b.cfg.NumNodes+1)
-	// At most one pending restart per transaction, so this capacity makes
-	// the delayed-restart timer sends non-blocking too.
-	b.restartQ = make(chan *texec, n+1)
+// start builds the channels and DPN workers for at most active
+// concurrently admitted transactions. The capacities make every send
+// non-blocking, which is the deadlock-freedom argument: a transaction has
+// at most one active step, so at most active cohorts can be resident (or
+// queued) per node and at most active*NumNodes completions outstanding,
+// and each transaction has at most one pending restart. Sized so, the CN
+// never blocks sending a cohort or a timer a restart, and a DPN never
+// blocks sending a completion, hence no send cycle exists to deadlock on.
+func (b *Backend) start(active int) {
+	b.comp = make(chan completion, active*b.cfg.NumNodes+1)
+	b.restartQ = make(chan *engine.Exec, active+1)
 	quantum := b.cfg.RowsPerObject / b.cfg.DD
 	if quantum < 1 {
 		quantum = 1
 	}
 	b.dpns = make([]*dpnWorker, b.cfg.NumNodes)
 	for i := range b.dpns {
-		b.dpns[i] = &dpnWorker{
+		d := &dpnWorker{
 			id:          i,
-			in:          make(chan *liveCohort, n+1),
+			in:          make(chan *liveCohort, active+1),
 			comp:        b.comp,
 			clk:         b.clk,
 			part:        make(map[model.FileID][]uint64),
@@ -489,7 +407,6 @@ func (b *Backend) Run() metrics.Summary {
 		}
 		if b.stream != nil {
 			node := strconv.Itoa(i)
-			d := b.dpns[i]
 			d.strQueue = b.stream.Gauge("live_dpn_queue_depth",
 				"Cohorts resident in the node's service ring.", "node", node)
 			d.strBusyUS = b.stream.Gauge("live_dpn_busy_us",
@@ -497,60 +414,43 @@ func (b *Backend) Run() metrics.Summary {
 			d.strRows = b.stream.Rate("live_dpn_rows_scanned",
 				"Rows scanned by the node.", 10*time.Second, time.Second, "node", node)
 		}
+		b.dpns[i] = d
 		b.wg.Add(1)
-		go b.dpns[i].loop()
+		go d.loop()
 	}
+}
 
-	for _, e := range b.txns {
-		b.met.Arrival(b.clk.Now())
-		if b.ob.Enabled() {
-			e.txnSpan = b.ob.Begin("txn", "txn", e.txn.ID, -1, -1, 0, b.clk.Now())
-		}
-		b.jobs = append(b.jobs, liveJob{op: opAdmit, e: e})
+// serve drains the CN's job queue and charges the wall time since t0 —
+// when the CN took up the event that queued the work — to the CN.
+func (b *Backend) serve(t0 time.Time) {
+	b.cn.Drain()
+	b.cnBusy += time.Since(t0)
+}
+
+// sample refreshes the CN-owned stream gauges (so the scrape endpoint never
+// reads CN fields directly) and takes a registry sample when one is due.
+func (b *Backend) sample() {
+	if b.stream != nil {
+		b.cn.Stream.Active.Set(int64(b.cn.Active()))
+		b.strWaiting.Set(int64(b.cn.Waiting()))
 	}
-
-	deadline := time.NewTimer(b.cfg.Deadline)
-	defer deadline.Stop()
-	for b.completed < n {
-		// Drain the internal queue fully before the next completion: the
-		// ordering discipline that matches the simulator's CN.
-		for len(b.jobs) > 0 {
-			j := b.jobs[0]
-			b.jobs = b.jobs[1:]
-			t0 := time.Now()
-			b.process(j)
-			b.cnBusy += time.Since(t0)
-		}
-		if b.completed >= n {
-			break
-		}
-		select {
-		case c := <-b.comp:
-			b.handleCompletion(c)
-		case e := <-b.restartQ:
-			b.restartPending--
-			b.jobs = append(b.jobs, liveJob{op: opAdmit, e: e})
-		case <-deadline.C:
-			b.err = fmt.Errorf("live: stalled after %v: %d/%d committed, %d jobs queued, active=%d blocked=%d delayed=%d admitQ=%d restarting=%d",
-				b.cfg.Deadline, b.completed, n, len(b.jobs), b.active, len(b.blocked), len(b.delayed), len(b.admitQ), b.restartPending)
-		}
-		if b.err != nil {
-			break
-		}
-		b.sampleStreamGauges()
-		if b.ob.Enabled() && b.cfg.SampleEvery > 0 {
-			if now := b.clk.Now(); now-b.lastSample >= sim.Time(b.cfg.SampleEvery/time.Microsecond) {
-				b.lastSample = now
-				b.ob.SampleNow(now)
-			}
+	if b.ob.Enabled() && b.cfg.SampleEvery > 0 {
+		if now := b.clk.Now(); now-b.lastSample >= sim.Time(b.cfg.SampleEvery/time.Microsecond) {
+			b.lastSample = now
+			b.ob.SampleNow(now)
 		}
 	}
+}
 
+// finish stops the DPN workers and the decision pool and digests the run.
+func (b *Backend) finish() metrics.Summary {
 	for _, d := range b.dpns {
 		close(d.in)
 	}
 	b.wg.Wait()
-	b.stopPool()
+	if b.workPool != nil {
+		b.workPool.Stop()
+	}
 	for _, d := range b.dpns {
 		b.met.DPNBusy(d.id, sim.Time(d.busy/time.Microsecond))
 		b.violations += d.violations
@@ -561,289 +461,66 @@ func (b *Backend) Run() metrics.Summary {
 	return b.met.Summarize(now)
 }
 
-// process runs one CN job: the scheduler call (the job body) and its
-// consequences (the continuation), exactly as machine.cnBody/cnFinish pair
-// them — with zero CPU charge, body and continuation are adjacent there
-// too, so inlining them preserves the scheduler-call order.
-func (b *Backend) process(j liveJob) {
-	switch j.op {
-	case opAdmit:
-		b.processAdmit(j.e)
-	case opRequest:
-		b.processRequest(j.e)
-	case opStepDone:
-		b.processStepDone(j.run)
-	case opCommit:
-		b.processCommit(j.e)
-	default:
-		panic(fmt.Sprintf("live: unknown CN op %d", j.op))
+// Run executes the batch to commit and returns the summary, its window the
+// batch makespan. A batch that can no longer progress — every uncommitted
+// transaction waiting, nothing in flight — stops at once; a stall of any
+// other kind (a protocol bug: see start's capacity argument) is cut at
+// cfg.Deadline. Err reports either.
+func (b *Backend) Run() metrics.Summary {
+	if b.ran {
+		panic("live: Run called twice")
 	}
-}
+	b.ran = true
+	n := len(b.txns)
+	b.start(n)
 
-func (b *Backend) processAdmit(e *texec) {
-	if b.cfg.MPL > 0 && b.active >= b.cfg.MPL && !e.admitted {
-		b.parkAdmit(e)
-		return
+	t0 := time.Now()
+	for _, t := range b.txns {
+		b.cn.Arrive(t, admit.Batch)
 	}
-	ok, _ := b.sch.Admit(e.txn)
-	if !ok {
-		b.met.AdmissionReject()
-		e.txn.AdmissionTries++
-		b.parkAdmit(e)
-		return
-	}
-	if !e.admitted {
-		e.admitted = true
-		b.active++
-	}
-	e.txn.Status = model.Active
-	if e.admitSpan != 0 {
-		b.ob.End(e.admitSpan, b.clk.Now())
-		e.admitSpan = 0
-	}
-	b.nextStep(e)
-}
+	b.serve(t0)
 
-func (b *Backend) parkAdmit(e *texec) {
-	if b.ob.Enabled() && e.admitSpan == 0 {
-		e.admitSpan = b.ob.Begin("admit-wait", "txn", e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
-	}
-	b.admitQ = append(b.admitQ, e)
-}
-
-func (b *Backend) nextStep(e *texec) {
-	if e.txn.Done() {
-		if b.ob.Enabled() {
-			e.commitSpan = b.ob.Begin("commit", "txn", e.txn.ID, -1, -1, e.txnSpan, b.clk.Now())
+	deadline := time.NewTimer(b.cfg.Deadline)
+	defer deadline.Stop()
+	for b.cn.Completed() < n {
+		if left := n - b.cn.Completed(); b.cn.Quiescent(left) {
+			b.err = fmt.Errorf("live: batch stuck with %d/%d committed and nothing in flight: %s",
+				n-left, n, b.cn.WaitReport())
+			break
 		}
-		b.jobs = append(b.jobs, liveJob{op: opCommit, e: e})
-		return
-	}
-	b.jobs = append(b.jobs, liveJob{op: opRequest, e: e})
-}
-
-func (b *Backend) processRequest(e *texec) {
-	out := b.sch.Request(e.txn)
-	switch out.Decision {
-	case sched.Grant:
-		b.met.Granted()
-		b.obsGrant.Inc()
-		b.mark(b.strGrants)
-		b.endWait(e)
-		if b.ob.Enabled() {
-			e.stepSpan = b.ob.Begin("execute", "txn", e.txn.ID, -1,
-				e.txn.StepIndex, e.txnSpan, b.clk.Now())
+		select {
+		case c := <-b.comp:
+			t0 := time.Now()
+			b.handleCompletion(c)
+			b.serve(t0)
+		case e := <-b.restartQ:
+			t0 := time.Now()
+			b.restartPending--
+			b.cn.Readmit(e)
+			b.serve(t0)
+		case <-deadline.C:
+			b.err = fmt.Errorf("live: stalled after %v: %d/%d committed, active=%d restarting=%d: %s",
+				b.cfg.Deadline, b.cn.Completed(), n, b.cn.Active(), b.restartPending, b.cn.WaitReport())
 		}
-		b.executeStep(e)
-		b.wakeDelayed() // a grant changes the scheduling state
-	case sched.Block:
-		b.met.Block()
-		b.obsBlock.Inc()
-		b.mark(b.strBlocks)
-		b.beginWait(e)
-		file := e.txn.CurrentStep().File
-		b.blocked[file] = append(b.blocked[file], e)
-	case sched.Delay:
-		b.met.Delay()
-		b.obsDelay.Inc()
-		b.beginWait(e)
-		b.delayed = append(b.delayed, e)
-	case sched.Abort:
-		// Deadlock victim (strict 2PL): roll back, release, restart. No
-		// cohorts are in flight — the decision happened at request time.
-		b.met.Restart()
-		b.obsRestart.Inc()
-		b.mark(b.strRestarts)
-		e.txn.Restarts++
-		b.endWait(e)
-		b.sch.Aborted(e.txn)
-		e.txn.StepIndex = 0
-		if b.obs != nil {
-			b.obs.Restarted(e.txn, b.clk.Now())
+		if b.err != nil {
+			break
 		}
-		b.wakeCommit(e.txn) // its released locks may unblock others
-		b.restartAfterDelay(e)
-	default:
-		panic(fmt.Sprintf("live: unexpected request decision %v", out.Decision))
+		b.sample()
 	}
+	return b.finish()
 }
 
-func (b *Backend) beginWait(e *texec) {
-	if !b.ob.Enabled() || e.waitSpan != 0 {
-		return
-	}
-	e.waitSince = b.clk.Now()
-	e.waitSpan = b.ob.Begin("lock-wait", "txn", e.txn.ID, -1,
-		e.txn.StepIndex, e.txnSpan, e.waitSince)
-}
-
-func (b *Backend) endWait(e *texec) {
-	if e.waitSpan == 0 {
-		return
-	}
-	now := b.clk.Now()
-	b.ob.End(e.waitSpan, now)
-	d := now - e.waitSince
-	if d < 0 {
-		d = 0
-	}
-	b.obsLockWait.Observe(d.Milliseconds())
-	e.waitSpan = 0
-}
-
-// executeStep dispatches the granted step as DD cohorts to the file's
-// nodes. The per-node inbox is sized for the whole batch, so these sends
-// never block.
-func (b *Backend) executeStep(e *texec) {
-	st := e.txn.CurrentStep()
-	run := &liveRun{e: e}
-	e.run = run
-	nodes := b.place.Nodes(st.File)
-	run.pending = len(nodes)
-	rows := int(st.Cost*float64(b.cfg.RowsPerObject)/float64(b.cfg.DD) + 0.5)
-	if rows < 1 {
-		rows = 1
-	}
-	for _, node := range nodes {
-		b.dpns[node].in <- &liveCohort{
-			run: run, txn: e.txn.ID, file: st.File,
-			mode: st.LockMode, write: st.Write, rows: rows,
-		}
-	}
-}
-
+// handleCompletion lands one cohort's completion; the last one of a step
+// hands the step back to the CN.
 func (b *Backend) handleCompletion(c completion) {
+	e := c.run.e
 	if b.ob.Enabled() {
-		sp := b.ob.Begin("cohort", "io", c.run.e.txn.ID, c.node,
-			c.run.e.txn.StepIndex, c.run.e.stepSpan, c.start)
+		sp := b.ob.Begin("cohort", "io", e.Txn.ID, c.node, e.Txn.StepIndex, e.StepSpan(), c.start)
 		b.ob.End(sp, c.end)
 	}
 	b.checksum += c.sum
 	c.run.pending--
 	if c.run.pending == 0 {
-		b.jobs = append(b.jobs, liveJob{op: opStepDone, e: c.run.e, run: c.run})
-	}
-}
-
-func (b *Backend) processStepDone(run *liveRun) {
-	e := run.e
-	e.run = nil
-	if e.stepSpan != 0 {
-		b.ob.End(e.stepSpan, b.clk.Now())
-		e.stepSpan = 0
-	}
-	b.met.StepExecuted()
-	step := e.txn.StepIndex
-	e.txn.StepIndex++
-	if b.obs != nil {
-		b.obs.StepDone(e.txn, step, b.clk.Now())
-	}
-	b.nextStep(e)
-}
-
-func (b *Backend) processCommit(e *texec) {
-	ok, _ := b.sch.Validate(e.txn)
-	if !ok {
-		// OPT certification failure: roll back and re-admit (restamps the
-		// attempt), mirroring machine's contCommitFail.
-		b.met.Restart()
-		b.obsRestart.Inc()
-		b.mark(b.strRestarts)
-		e.txn.Restarts++
-		if e.commitSpan != 0 {
-			b.ob.End(e.commitSpan, b.clk.Now())
-			e.commitSpan = 0
-		}
-		b.sch.Aborted(e.txn)
-		e.txn.StepIndex = 0
-		if b.obs != nil {
-			b.obs.Restarted(e.txn, b.clk.Now())
-		}
-		b.restartAfterDelay(e)
-		return
-	}
-	b.sch.Committed(e.txn)
-	e.txn.Status = model.Committed
-	b.active--
-	b.completed++
-	now := b.clk.Now()
-	rt := now - e.txn.Arrival
-	if rt < 0 {
-		rt = 0
-	}
-	b.met.Completion(now, rt)
-	if b.svc != nil {
-		b.window--
-		b.epochRTs = append(b.epochRTs, rt)
-	}
-	if b.strCommits != nil {
-		b.strCommits.Add(now, 1)
-		b.strRT.Observe(float64(rt) / 1e6) // sim.Time microseconds -> seconds
-		b.strActive.Set(int64(b.active))
-	}
-	if b.ob.Enabled() {
-		b.ob.End(e.commitSpan, now)
-		e.commitSpan = 0
-		b.ob.End(e.txnSpan, now)
-		b.obsCommit.Inc()
-		b.obsRetries.Observe(float64(e.txn.Restarts))
-	}
-	if b.obs != nil {
-		b.obs.Committed(e.txn, now)
-	}
-	b.wakeCommit(e.txn)
-}
-
-// restartAfterDelay re-admits an aborted transaction, after the configured
-// restart delay if one is set (machine.restartAfterDelay's contract on the
-// wall clock: a timer hands the transaction back to the CN's select loop).
-func (b *Backend) restartAfterDelay(e *texec) {
-	if b.cfg.RestartDelay <= 0 {
-		b.jobs = append(b.jobs, liveJob{op: opAdmit, e: e})
-		return
-	}
-	b.restartPending++
-	d := b.cfg.RestartDelay
-	if b.cfg.RestartJitter {
-		d = time.Duration(float64(d) * (0.5 + b.restartRNG.Float64()))
-	}
-	time.AfterFunc(d, func() { b.restartQ <- e })
-}
-
-// wakeCommit reconsiders everything a commit (or rollback release) can
-// unblock, in machine.wakeCommit's order: requests blocked on the released
-// files (ascending file order), every policy-delayed request, then the
-// pending admissions FIFO.
-func (b *Backend) wakeCommit(t *model.Txn) {
-	files, _ := t.LockNeedSorted()
-	for _, f := range files {
-		list := b.blocked[f]
-		if len(list) == 0 {
-			continue
-		}
-		delete(b.blocked, f)
-		for _, e := range list {
-			b.jobs = append(b.jobs, liveJob{op: opRequest, e: e})
-		}
-	}
-	b.wakeDelayed()
-	if len(b.admitQ) > 0 {
-		q := b.admitQ
-		b.admitQ = nil
-		for _, e := range q {
-			b.jobs = append(b.jobs, liveJob{op: opAdmit, e: e})
-		}
-	}
-}
-
-// wakeDelayed resubmits every policy-delayed request.
-func (b *Backend) wakeDelayed() {
-	if len(b.delayed) == 0 {
-		return
-	}
-	q := b.delayed
-	b.delayed = nil
-	for _, e := range q {
-		b.jobs = append(b.jobs, liveJob{op: opRequest, e: e})
+		b.cn.StepReturned(e)
 	}
 }

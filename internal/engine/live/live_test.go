@@ -1,6 +1,8 @@
 package live_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,3 +234,50 @@ func TestLivePacing(t *testing.T) {
 
 // Backend must satisfy the execution-backend interface.
 var _ engine.Backend = (*live.Backend)(nil)
+
+// delayAll admits everything and policy-delays every lock request, so no
+// step ever runs and no commit ever comes to wake anyone.
+type delayAll struct{}
+
+func (delayAll) Name() string                         { return "delay-all" }
+func (delayAll) Admit(*model.Txn) (bool, sim.Time)    { return true, 0 }
+func (delayAll) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }
+func (delayAll) Committed(*model.Txn)                 {}
+func (delayAll) Aborted(*model.Txn)                   {}
+func (delayAll) Request(*model.Txn) sched.Outcome {
+	return sched.Outcome{Decision: sched.Delay}
+}
+
+// TestLiveQuiescentBatchFailsFast: a batch that can no longer progress —
+// every transaction policy-delayed, nothing in flight — must return its
+// error at once instead of waiting out the deadline, and the error must name
+// every waiter.
+func TestLiveQuiescentBatchFailsFast(t *testing.T) {
+	cfg := liveConfig(4, 1)
+	cfg.Deadline = 20 * time.Second
+	b, err := live.New(cfg, delayAll{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for _, steps := range exp1Batch(3, 4, n) {
+		b.Submit(steps)
+	}
+	start := time.Now()
+	sum := b.Run()
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("quiescent batch took %v to fail", el)
+	}
+	if sum.Completions != 0 {
+		t.Fatalf("completions = %d, want 0", sum.Completions)
+	}
+	if b.Err() == nil {
+		t.Fatal("no error for a batch that cannot finish")
+	}
+	msg := b.Err().Error()
+	for i := 1; i <= n; i++ {
+		if want := fmt.Sprintf("T%d delayed at step 0", i); !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
+	}
+}

@@ -23,19 +23,9 @@ func (p Placement) Home(f model.FileID) int {
 	return n
 }
 
-// Nodes returns the nodes holding partitions of file f, home node first.
-func (p Placement) Nodes(f model.FileID) []int {
-	out := make([]int, p.DD)
-	home := p.Home(f)
-	for i := range out {
-		out[i] = (home + i) % p.NumNodes
-	}
-	return out
-}
-
-// NodesInto is Nodes with a caller-provided buffer, for allocation-free hot
-// paths: buf is truncated, filled with the partition nodes (home first) and
-// returned.
+// NodesInto returns the nodes holding partitions of file f, home node
+// first, in buf (truncated first, so hot paths can reuse it
+// allocation-free).
 func (p Placement) NodesInto(f model.FileID, buf []int) []int {
 	buf = buf[:0]
 	home := p.Home(f)

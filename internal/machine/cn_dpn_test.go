@@ -1,96 +1,138 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"batchsched/internal/metrics"
+	"batchsched/internal/model"
+	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
 
+// costSched grants every request and charges per-transaction CPU: admission
+// tests cost admitCPU[t.ID] and lock requests reqCPU[t.ID] (0 when absent).
+// It logs each admission and request with the virtual time it ran at — the
+// moment its CN job started service.
+type costSched struct {
+	eng      *sim.Engine
+	admitCPU map[int64]sim.Time
+	reqCPU   map[int64]sim.Time
+	log      []string
+}
+
+func (s *costSched) Name() string { return "cost" }
+
+func (s *costSched) Admit(t *model.Txn) (bool, sim.Time) {
+	s.log = append(s.log, fmt.Sprintf("admit T%d @%gms", t.ID, s.eng.Now().Milliseconds()))
+	return true, s.admitCPU[t.ID]
+}
+
+func (s *costSched) Request(t *model.Txn) sched.Outcome {
+	s.log = append(s.log, fmt.Sprintf("request T%d @%gms", t.ID, s.eng.Now().Milliseconds()))
+	return sched.Outcome{Decision: sched.Grant, CPU: s.reqCPU[t.ID]}
+}
+
+func (s *costSched) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }
+func (s *costSched) Committed(*model.Txn)                 {}
+func (s *costSched) Aborted(*model.Txn)                   {}
+
+// stepTimes records when each transaction's steps completed.
+type stepTimes map[int64]sim.Time
+
+func (st stepTimes) StepDone(t *model.Txn, _ int, at sim.Time) { st[t.ID] = at }
+func (stepTimes) Committed(*model.Txn, sim.Time)               {}
+func (stepTimes) Restarted(*model.Txn, sim.Time)               {}
+
+// cnMachine is a machine whose only CN CPU is the scheduler's: message,
+// startup and commit costs are zero, and one object takes 100 ms.
+func cnMachine(t *testing.T, s *costSched) *Machine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.ArrivalRate = 0
+	cfg.MsgTime, cfg.SOTTime, cfg.COTTime = 0, 0, 0
+	cfg.ObjTime = 100 * sim.Millisecond
+	cfg.Duration = 100 * sim.Second
+	m, err := New(cfg, s, nil, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.eng = m.eng
+	return m
+}
+
+func oneStep(f model.FileID) []model.Step {
+	return []model.Step{{File: f, LockMode: model.X, Cost: 1, DeclaredCost: 1}}
+}
+
+// TestControlNodeFIFOAndBusyTime: the CN is one FCFS server. A job body runs
+// when its service starts, so T2's admission test waits out T1's 10 ms, and
+// T1's request — queued by T1's continuation at 10 ms — waits out T2's 5 ms.
+// The CPU is busy the whole 15 ms.
 func TestControlNodeFIFOAndBusyTime(t *testing.T) {
-	eng := sim.NewEngine()
-	met := metrics.NewCollector(0, 0)
-	cn := newControlNode(eng, met)
-
-	var order []string
-	var tASeen, tBSeen sim.Time
-	cn.submit(cnJob{fn: func() (sim.Time, func()) {
-		order = append(order, "a-start")
-		return 10 * sim.Millisecond, func() {
-			tASeen = eng.Now()
-			order = append(order, "a-done")
-		}
-	}})
-	cn.submit(cnJob{fn: func() (sim.Time, func()) {
-		order = append(order, "b-start")
-		return 5 * sim.Millisecond, func() {
-			tBSeen = eng.Now()
-			order = append(order, "b-done")
-		}
-	}})
-	if cn.queueLen() != 1 {
-		t.Errorf("queueLen = %d, want 1 (one running, one queued)", cn.queueLen())
+	s := &costSched{admitCPU: map[int64]sim.Time{1: 10 * sim.Millisecond, 2: 5 * sim.Millisecond}}
+	m := cnMachine(t, s)
+	m.Submit(oneStep(0))
+	m.Submit(oneStep(1))
+	m.RunClosed(m.cfg.Duration)
+	want := "[admit T1 @0ms admit T2 @10ms request T1 @15ms request T2 @15ms]"
+	if got := fmt.Sprint(s.log); got != want {
+		t.Fatalf("scheduler calls = %s, want %s", got, want)
 	}
-	eng.Run(sim.Second)
-	want := []string{"a-start", "a-done", "b-start", "b-done"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if tASeen != 10*sim.Millisecond || tBSeen != 15*sim.Millisecond {
-		t.Errorf("completion times %v %v, want 10ms and 15ms (FIFO single server)", tASeen, tBSeen)
-	}
-	s := met.Summarize(15 * sim.Millisecond)
-	if s.CNUtilization != 1.0 {
-		t.Errorf("CN utilization = %v, want 1.0", s.CNUtilization)
+	if u := m.met.Summarize(15 * sim.Millisecond).CNUtilization; u != 1.0 {
+		t.Errorf("CN utilization = %v, want 1.0", u)
 	}
 }
 
+// TestControlNodeZeroCostJobs: thousands of zero-CPU jobs all run without
+// advancing the clock.
 func TestControlNodeZeroCostJobs(t *testing.T) {
-	eng := sim.NewEngine()
-	cn := newControlNode(eng, metrics.NewCollector(0, 0))
-	ran := 0
-	for i := 0; i < 2000; i++ {
-		cn.submit(cnJob{fn: func() (sim.Time, func()) { return 0, func() { ran++ } }})
+	s := &costSched{}
+	m := cnMachine(t, s)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		m.Submit(oneStep(model.FileID(i % 16)))
 	}
-	eng.Run(sim.Second)
-	if ran != 2000 {
-		t.Fatalf("ran = %d, want 2000", ran)
+	for m.eng.Step(0) {
 	}
-	if eng.Now() != 0 {
-		t.Errorf("zero-cost jobs advanced the clock to %v", eng.Now())
+	if len(s.log) != 2*n {
+		t.Fatalf("ran %d scheduler calls, want %d", len(s.log), 2*n)
+	}
+	if m.eng.Now() != 0 {
+		t.Errorf("zero-cost jobs advanced the clock to %v", m.eng.Now())
 	}
 }
 
+// TestControlNodeJobsSubmittedDuringService: a continuation that submits a
+// job starts it right after its own CPU time, and that job's continuation
+// runs after the new job's CPU: T1 is admitted by 4 ms, its request costs
+// 6 ms, so its step is dispatched at 10 ms and its 100 ms scan ends at 110.
 func TestControlNodeJobsSubmittedDuringService(t *testing.T) {
-	eng := sim.NewEngine()
-	cn := newControlNode(eng, metrics.NewCollector(0, 0))
-	var done []sim.Time
-	cn.submit(cnJob{fn: func() (sim.Time, func()) {
-		return 4 * sim.Millisecond, func() {
-			done = append(done, eng.Now())
-			cn.submit(cnJob{fn: func() (sim.Time, func()) {
-				return 6 * sim.Millisecond, func() { done = append(done, eng.Now()) }
-			}})
-		}
-	}})
-	eng.Run(sim.Second)
-	if len(done) != 2 || done[0] != 4*sim.Millisecond || done[1] != 10*sim.Millisecond {
-		t.Errorf("done = %v, want [4ms 10ms]", done)
+	s := &costSched{
+		admitCPU: map[int64]sim.Time{1: 4 * sim.Millisecond},
+		reqCPU:   map[int64]sim.Time{1: 6 * sim.Millisecond},
+	}
+	m := cnMachine(t, s)
+	done := stepTimes{}
+	m.SetObserver(done)
+	m.Submit(oneStep(0))
+	m.RunClosed(m.cfg.Duration)
+	if got := fmt.Sprint(s.log); got != "[admit T1 @0ms request T1 @4ms]" {
+		t.Errorf("scheduler calls = %s", got)
+	}
+	if done[1] != 110*sim.Millisecond {
+		t.Errorf("step done at %v, want 110ms", done[1])
 	}
 }
 
 func TestControlNodePanicsOnNegativeCPU(t *testing.T) {
-	eng := sim.NewEngine()
-	cn := newControlNode(eng, metrics.NewCollector(0, 0))
+	m := cnMachine(t, &costSched{admitCPU: map[int64]sim.Time{1: -1}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	cn.submit(cnJob{fn: func() (sim.Time, func()) { return -1, nil }})
-	eng.Run(sim.Second)
+	m.Submit(oneStep(0))
 }
 
 func TestDPNSingleCohort(t *testing.T) {

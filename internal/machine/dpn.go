@@ -131,9 +131,9 @@ func (d *dpn) add(c *cohort) {
 	}
 	d.sync()
 	if d.ob.Enabled() && c.run != nil {
-		t := c.run.e.txn
+		t := c.run.e.Txn
 		c.span = d.ob.Begin("cohort", "io", t.ID, d.id, t.StepIndex,
-			c.run.e.stepSpan, d.eng.Now())
+			c.run.e.StepSpan(), d.eng.Now())
 	}
 	d.ring = append(d.ring, c)
 	if d.stepped {

@@ -1,34 +1,17 @@
 package machine
 
 import (
+	"batchsched/internal/engine"
 	"batchsched/internal/fault"
-	"batchsched/internal/model"
 	"batchsched/internal/sim"
 )
-
-// FaultObserver is an optional extension of Observer: observers that also
-// implement it (trace.Writer does) additionally receive fault-injection
-// events. Checked by type assertion so existing observers keep working.
-type FaultObserver interface {
-	// Fault fires for a machine-level fault transition: kind is "crash",
-	// "restore", "slow", "slowend" or "msgloss"; node is the affected
-	// data-processing node.
-	Fault(kind string, node int, at sim.Time)
-	// AbortedTxn fires when a fault aborts a transaction; reason is
-	// "crash" (lost cohorts) or "timeout" (message retries exhausted).
-	// The machine also fires the regular Restarted for these aborts.
-	AbortedTxn(t *model.Txn, reason string, at sim.Time)
-	// Retried fires when the control node re-dispatches a step after a
-	// message timeout; attempt is 1-based.
-	Retried(t *model.Txn, attempt int, at sim.Time)
-}
 
 // stepRun tracks one dispatch attempt of one granted step: its cohorts and
 // whether the attempt has been invalidated by a fault. A fresh stepRun is
 // made per retry so stale timers and cohort completions of a superseded
 // attempt are ignored via the dead flag.
 type stepRun struct {
-	e       *exec
+	e       *engine.Exec
 	home    int // the step file's home node (fault attribution)
 	attempt int // 0-based dispatch attempt
 	pending int // cohorts not yet completed
@@ -59,7 +42,7 @@ func (m *Machine) wireFaults(rng *sim.RNG) error {
 }
 
 func (m *Machine) faultEvent(kind string, node int) {
-	if fo, ok := m.obs.(FaultObserver); ok {
+	if fo, ok := m.obs.(engine.FaultObserver); ok {
 		fo.Fault(kind, node, m.eng.Now())
 	}
 }
@@ -121,14 +104,14 @@ func (m *Machine) stepTimeout(run *stepRun) {
 	e := run.e
 	if run.attempt >= m.inj.Retries() {
 		m.met.MsgAbort()
-		m.abortTxn(e, "timeout")
+		m.cn.Abort(e, "timeout")
 		return
 	}
 	m.met.MsgRetry()
-	if fo, ok := m.obs.(FaultObserver); ok {
-		fo.Retried(e.txn, run.attempt+1, m.eng.Now())
+	if fo, ok := m.obs.(engine.FaultObserver); ok {
+		fo.Retried(e.Txn, run.attempt+1, m.eng.Now())
 	}
-	m.dispatchStep(e, run.attempt+1)
+	m.cn.Redispatch(e, run.attempt+1)
 }
 
 // abortRun invalidates a dispatch attempt killed by a node crash and aborts
@@ -140,7 +123,7 @@ func (m *Machine) abortRun(run *stepRun, reason string) {
 	run.dead = true
 	m.killCohorts(run)
 	m.met.CrashAbort()
-	m.abortTxn(run.e, reason)
+	m.cn.Abort(run.e, reason)
 }
 
 // killCohorts marks every cohort of a retired dispatch attempt dead, then
@@ -166,31 +149,4 @@ func (m *Machine) killCohorts(run *stepRun) {
 			c.node.deadMarked()
 		}
 	}
-}
-
-// abortTxn rolls a running transaction back after a fault: the scheduler
-// releases its locks (and WTPG node where applicable), the observer sees
-// the rollback, waiters on its files are reconsidered, and the transaction
-// is resubmitted after RestartDelay — the same recovery contract as the
-// deadlock-victim and validation-failure paths.
-func (m *Machine) abortTxn(e *exec, reason string) {
-	e.run = nil
-	if e.stepSpan != 0 {
-		m.ob.End(e.stepSpan, m.eng.Now())
-		e.stepSpan = 0
-	}
-	m.endWait(e)
-	m.met.Restart()
-	m.obsRestart.Inc()
-	e.txn.Restarts++
-	m.sch.Aborted(e.txn)
-	e.txn.StepIndex = 0
-	if m.obs != nil {
-		m.obs.Restarted(e.txn, m.eng.Now())
-	}
-	if fo, ok := m.obs.(FaultObserver); ok {
-		fo.AbortedTxn(e.txn, reason, m.eng.Now())
-	}
-	m.wakeCommit(e.txn) // its released locks may unblock others
-	m.restartAfterDelay(e)
 }

@@ -28,38 +28,6 @@ type Observer = engine.Observer
 // Machine is one execution backend (the virtual-clock simulator).
 var _ engine.Backend = (*Machine)(nil)
 
-// txnPhase is the lifecycle position of a transaction inside the machine.
-type txnPhase int
-
-const (
-	phAtCN     txnPhase = iota // a CN job for it is queued or running
-	phAdmit                    // waiting to be admitted
-	phBlocked                  // waiting on a file's lock release
-	phDelayed                  // policy-delayed lock request
-	phRunning                  // cohorts executing at DPNs
-	phFinished                 // committed (or shed/evicted in service mode)
-	phQueued                   // in the service-mode admission queue
-)
-
-// exec is the runtime wrapper around one transaction.
-type exec struct {
-	txn          *model.Txn
-	phase        txnPhase
-	admitCharged bool
-	admitted     bool
-	class        admit.Class // service class (service mode only)
-	run          *stepRun    // current step dispatch, while phRunning
-
-	// Observability state (all zero when the observer is disabled): the
-	// transaction's lifecycle span and its currently open phase spans.
-	txnSpan    obs.SpanID
-	admitSpan  obs.SpanID
-	waitSpan   obs.SpanID
-	stepSpan   obs.SpanID
-	commitSpan obs.SpanID
-	waitSince  sim.Time // start of the open lock-wait span
-}
-
 // Machine is one Shared-Nothing machine simulation run: engine, control
 // node, DPNs, scheduler and workload wired together. Create with New, then
 // call Run once.
@@ -67,86 +35,72 @@ type Machine struct {
 	cfg   Config
 	eng   *sim.Engine
 	met   *metrics.Collector
-	sch   sched.Scheduler
 	gen   Generator
-	place Placement
-	cn    *controlNode
+	place engine.Placement
+	cn    *engine.CN
 	dpns  []*dpn
 	obs   Observer
 	inj   *fault.Injector // nil on the failure-free path
 
 	// ob is the observability layer; nil (the default) disables it, and
-	// every hook below is nil-receiver safe so the disabled path costs
-	// one pointer check and no allocation. The derived instruments are
-	// nil exactly when ob is nil.
-	ob          *obs.Observer
-	obsGrant    *obs.Counter
-	obsBlock    *obs.Counter
-	obsDelay    *obs.Counter
-	obsRestart  *obs.Counter
-	obsCommit   *obs.Counter
-	obsLockWait *obs.Histogram
-	obsReqCPU   *obs.Histogram
-	obsRetries  *obs.Histogram
+	// every hook is nil-receiver safe so the disabled path costs one
+	// pointer check and no allocation.
+	ob *obs.Observer
 
 	arrivalRNG  *sim.RNG
 	workloadRNG *sim.RNG
-	restartRNG  *sim.RNG
+	classRNG    *sim.RNG          // service classes (service mode only)
 	arrivals    workload.Arrivals // nil when no arrival process is configured
 
-	// Service-mode state (service.go); svc is nil outside service mode.
-	svc        *admit.Service
-	classRNG   *sim.RNG
-	window     int // popped from the queue, not yet committed or evicted
-	epochNum   int
-	epochStart sim.Time
-	epochPrev  admit.Stats
-	epochRTs   []sim.Time
-	epochHook  func(admit.EpochStats)
-	onEpoch    sim.Handler
-
-	nextID    int64
-	active    int // admitted, uncommitted (machine-level MPL accounting)
-	completed int
-	admitQ    []*exec
-	blocked   map[model.FileID][]*exec
-	delayed   []*exec
-	// admitSpare/delayedSpare double-buffer the wake queues: a wake-up swaps
-	// the live queue for the (emptied) spare and iterates the old backing
-	// array, so re-parks during the sweep cannot alias the slice being
-	// iterated and neither side reallocates at steady state.
-	admitSpare   []*exec
-	delayedSpare []*exec
+	nextID int64
 
 	// workPool serves the scheduler's decision fan-out (DESIGN.md §17); nil
 	// unless the scheduler asks for more than one decision worker. Its
 	// goroutines start lazily and Run/RunClosed stop them on exit.
 	workPool *pool.Pool
 
-	// Service-mode batch-admission buffers (service.go): fillWindow pops the
-	// epoch's batch here so AdmitScreener schedulers can prescreen it.
-	fillBuf   []*exec
-	screenBuf []*model.Txn
+	// cnCPU is the CPU time of the CN job in service: the CN is a single
+	// server, so one completion event (onCNDone) is outstanding at a time.
+	cnCPU sim.Time
 
 	// Hot-path free lists (zero steady-state allocations per event): spent
-	// stepRuns and their cohorts are recycled when a step completes cleanly,
-	// committed execs when their transaction retires; fault-retired objects
-	// are deliberately leaked to the GC (a stale timer may still reference
-	// them). cohortSlab batch-allocates cohorts; nodesBuf backs
-	// Placement.NodesInto.
+	// stepRuns and their cohorts are recycled when a step completes cleanly;
+	// fault-retired ones are deliberately leaked to the GC (a stale timer may
+	// still reference them). cohortSlab batch-allocates cohorts; nodesBuf
+	// backs Placement.NodesInto.
 	runPool    []*stepRun
 	cohortPool []*cohort
 	cohortSlab []cohort
-	execPool   []*exec
 	nodesBuf   []int
 
 	// Pre-bound event handlers: recurring events carry their state in a
 	// pointer payload instead of a per-event closure.
 	onArrival    sim.Handler
+	onEpoch      sim.Handler
+	onCNDone     sim.Handler
 	onDeliver    sim.PayloadHandler // arg: *cohort
 	onStepReturn sim.PayloadHandler // arg: *stepRun
-	onRetryAdmit sim.PayloadHandler // arg: *exec
+	onRetryAdmit sim.PayloadHandler // arg: *engine.Exec
 	onTimeout    sim.PayloadHandler // arg: *stepRun
+}
+
+// cnHost is the simulator side of the control-node core: virtual time, CN
+// CPU served on the calendar, cohorts placed on the simulated DPNs, restart
+// timers as calendar events.
+type cnHost struct{ *Machine }
+
+// Charge books the end of the job's CPU time on the calendar.
+func (h cnHost) Charge(cpu sim.Time) {
+	h.cnCPU = cpu
+	h.eng.Schedule(cpu, h.onCNDone)
+}
+
+// Dispatch places the granted step's cohorts (placeStep).
+func (h cnHost) Dispatch(e *engine.Exec, attempt int) { h.placeStep(e, attempt) }
+
+// RestartAfter books the re-admission d from now.
+func (h cnHost) RestartAfter(e *engine.Exec, d sim.Time) {
+	h.eng.SchedulePayload(d, h.onRetryAdmit, e)
 }
 
 // New builds a machine. The scheduler must be fresh (one per run); rng
@@ -164,16 +118,21 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 		cfg:         cfg,
 		eng:         eng,
 		met:         met,
-		sch:         s,
 		gen:         gen,
-		place:       Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
-		cn:          newControlNode(eng, met),
+		place:       engine.Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
 		arrivalRNG:  rng.Stream("arrivals"),
 		workloadRNG: rng.Stream("workload"),
-		restartRNG:  rng.Stream("restart"),
-		blocked:     make(map[model.FileID][]*exec),
 	}
-	m.cn.m = m
+	m.cn = engine.NewCN(engine.CNConfig{
+		MPL:            cfg.MPL,
+		MsgTime:        cfg.MsgTime,
+		SOTTime:        cfg.SOTTime,
+		COTTime:        cfg.COTTime,
+		ChargeRetryCPU: cfg.ChargeRetryCPU,
+		NoWakeOnGrant:  cfg.NoWakeOnGrant,
+		RestartDelay:   cfg.RestartDelay,
+		RestartJitter:  cfg.RestartJitter,
+	}, cnHost{m}, s, met, rng.Stream("restart"))
 	m.arrivals = cfg.Arrivals
 	if m.arrivals == nil && cfg.ArrivalRate > 0 {
 		m.arrivals = workload.Poisson{Rate: cfg.ArrivalRate}
@@ -183,13 +142,12 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 		if err != nil {
 			return nil, err
 		}
-		m.svc = svc
+		m.cn.EnableService(svc)
 		m.classRNG = rng.Stream("class")
-		// The window bound doubles as the machine MPL so the closed-path
-		// admission guard agrees with the service accounting (Validate
-		// required Config.MPL == 0; m.cfg is the machine's own copy).
-		m.cfg.MPL = cfg.Service.MPL
-		m.onEpoch = func(now sim.Time) { m.runEpoch(now) }
+		m.onEpoch = func(now sim.Time) {
+			m.cn.Epoch(now)
+			m.eng.Schedule(svc.Policy().Epoch, m.onEpoch)
+		}
 	}
 	m.dpns = make([]*dpn, cfg.NumNodes)
 	for i := range m.dpns {
@@ -202,9 +160,13 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 		m.Submit(steps)
 		m.scheduleNextArrival()
 	}
+	m.onCNDone = func(sim.Time) {
+		m.met.CNBusy(m.cnCPU)
+		m.cn.JobDone()
+	}
 	m.onDeliver = func(_ sim.Time, arg any) { m.deliverCohort(arg.(*cohort)) }
 	m.onStepReturn = func(_ sim.Time, arg any) { m.stepReturn(arg.(*stepRun)) }
-	m.onRetryAdmit = func(_ sim.Time, arg any) { m.tryAdmit(arg.(*exec)) }
+	m.onRetryAdmit = func(_ sim.Time, arg any) { m.cn.Readmit(arg.(*engine.Exec)) }
 	m.onTimeout = func(_ sim.Time, arg any) {
 		run := arg.(*stepRun)
 		if run.dead {
@@ -236,21 +198,9 @@ func (m *Machine) fileLoad(f model.FileID) float64 {
 	return float64(total) / float64(len(m.nodesBuf))
 }
 
-// newExec wraps a transaction, reusing a retired exec when one is pooled.
-func (m *Machine) newExec(t *model.Txn) *exec {
-	if n := len(m.execPool); n > 0 {
-		e := m.execPool[n-1]
-		m.execPool[n-1] = nil
-		m.execPool = m.execPool[:n-1]
-		*e = exec{txn: t}
-		return e
-	}
-	return &exec{txn: t}
-}
-
 // newStepRun starts a dispatch attempt, reusing a cleanly-retired stepRun
 // (and its cohorts slice) when one is pooled.
-func (m *Machine) newStepRun(e *exec, home, attempt int) *stepRun {
+func (m *Machine) newStepRun(e *engine.Exec, home, attempt int) *stepRun {
 	if n := len(m.runPool); n > 0 {
 		r := m.runPool[n-1]
 		m.runPool[n-1] = nil
@@ -278,11 +228,12 @@ func (m *Machine) newCohort() *cohort {
 	return c
 }
 
-// retireRun recycles a dispatch attempt that completed cleanly (stepDone).
-// Such a run provably has no timer or in-flight event referencing it: retry
-// timers are armed only when a message was lost, and a lost message always
-// retires its attempt through the timeout path instead. Fault-retired runs
-// are left to the GC.
+// retireRun recycles a dispatch attempt whose completion reached the CN
+// (stepReturn). Such a run provably has no timer, cohort or in-flight event
+// referencing it: every cohort has left its node's ring, retry timers are
+// armed only when a message was lost, and a lost message always retires
+// its attempt through the timeout path instead. Fault-retired runs are left
+// to the GC.
 func (m *Machine) retireRun(run *stepRun) {
 	for i, c := range run.cohorts {
 		run.cohorts[i] = nil
@@ -294,7 +245,10 @@ func (m *Machine) retireRun(run *stepRun) {
 }
 
 // SetObserver installs an execution observer (history recorder etc.).
-func (m *Machine) SetObserver(o Observer) { m.obs = o }
+func (m *Machine) SetObserver(o Observer) {
+	m.obs = o
+	m.cn.SetObserver(o)
+}
 
 // SetObs attaches the virtual-time observability layer: spans over the
 // transaction lifecycle, control-node jobs and DPN cohorts; counters,
@@ -308,36 +262,10 @@ func (m *Machine) SetObs(o *obs.Observer) {
 		return
 	}
 	m.ob = o
-	m.cn.ob = o
+	m.cn.SetObs(o)
 	for _, d := range m.dpns {
 		d.ob = o
 	}
-	m.obsGrant = o.Counter("grants")
-	m.obsBlock = o.Counter("blocks")
-	m.obsDelay = o.Counter("delays")
-	m.obsRestart = o.Counter("restarts")
-	m.obsCommit = o.Counter("commits")
-	m.obsLockWait = o.Histogram("lock_wait_ms",
-		[]float64{1, 10, 100, 1_000, 10_000, 60_000, 300_000})
-	m.obsReqCPU = o.Histogram("request_cpu_ms",
-		[]float64{0.5, 1, 2, 5, 10, 20, 50, 100})
-	m.obsRetries = o.Histogram("restarts_per_txn",
-		[]float64{0, 1, 2, 5, 10})
-	hCNQ := o.Histogram("cn_queue_depth",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64})
-	o.Gauge("cn_queue", func() float64 {
-		v := float64(m.cn.queueLen())
-		hCNQ.Observe(v)
-		return v
-	})
-	o.Gauge("active_txns", func() float64 { return float64(m.active) })
-	o.Gauge("waiting_txns", func() float64 {
-		n := len(m.delayed)
-		for _, l := range m.blocked {
-			n += len(l)
-		}
-		return float64(n)
-	})
 	o.Gauge("cn_busy_ms", func() float64 { return m.met.CNBusyTime().Milliseconds() })
 	for i := range m.dpns {
 		i := i
@@ -346,10 +274,6 @@ func (m *Machine) SetObs(o *obs.Observer) {
 			m.dpns[i].sync() // replay fast-forwarded boundaries into the collector
 			return m.met.DPNBusyTime(i).Milliseconds()
 		})
-	}
-	o.Audit().SetClock(m.eng.Now)
-	if a, ok := m.sch.(sched.Audited); ok {
-		a.SetAudit(o.Audit())
 	}
 }
 
@@ -364,7 +288,11 @@ func (m *Machine) Now() sim.Time { return m.eng.Now() }
 func (m *Machine) Submit(steps []model.Step) *model.Txn {
 	m.nextID++
 	t := model.NewTxn(m.nextID, m.eng.Now(), steps)
-	m.arrive(t)
+	var class admit.Class
+	if svc := m.cn.Service(); svc != nil {
+		class = svc.Policy().PickClass(m.classRNG)
+	}
+	m.cn.Arrive(t, class)
 	return t
 }
 
@@ -381,8 +309,8 @@ func (m *Machine) Run() metrics.Summary {
 		}
 		m.scheduleNextArrival()
 	}
-	if m.svc != nil {
-		m.eng.Schedule(m.svc.Policy().Epoch, m.onEpoch)
+	if svc := m.cn.Service(); svc != nil {
+		m.eng.Schedule(svc.Policy().Epoch, m.onEpoch)
 	}
 	m.ob.StartSampling(m.eng)
 	m.eng.RunUntil(m.cfg.Duration)
@@ -432,232 +360,16 @@ func (m *Machine) scheduleNextArrival() {
 	m.eng.Schedule(gap, m.onArrival)
 }
 
-func (m *Machine) arrive(t *model.Txn) {
-	m.met.Arrival(m.eng.Now())
-	e := m.newExec(t)
-	if m.ob.Enabled() {
-		e.txnSpan = m.ob.Begin("txn", "txn", t.ID, -1, -1, 0, m.eng.Now())
-	}
-	if m.svc != nil {
-		m.svcArrive(e)
-		return
-	}
-	m.tryAdmit(e)
-}
-
-// tryAdmit queues an admission attempt on the CN. Failed attempts park the
-// transaction; it is retried after the next commit.
-func (m *Machine) tryAdmit(e *exec) {
-	e.phase = phAtCN
-	m.cn.submit(cnJob{op: opAdmit, e: e})
-}
-
-// admitBody is the opAdmit job body.
-func (m *Machine) admitBody(e *exec) (sim.Time, cnCont) {
-	if m.cfg.MPL > 0 && m.active >= m.cfg.MPL && !e.admitted {
-		return 0, cnCont{op: contPark, e: e}
-	}
-	ok, cpu := m.sch.Admit(e.txn)
-	if e.admitCharged && !m.cfg.ChargeRetryCPU {
-		// Retried admission tests are batch-evaluated for free (see
-		// DESIGN.md substitution notes); only the first attempt pays.
-		cpu = 0
-	}
-	e.admitCharged = true
-	if !ok {
-		m.met.AdmissionReject()
-		e.txn.AdmissionTries++
-		return cpu, cnCont{op: contPark, e: e}
-	}
-	if !e.admitted {
-		e.admitted = true
-		m.active++
-	}
-	e.txn.Status = model.Active
-	return cpu + m.cfg.SOTTime, cnCont{op: contStart, e: e}
-}
-
-func (m *Machine) parkAdmit(e *exec) {
-	e.phase = phAdmit
-	if m.ob.Enabled() && e.admitSpan == 0 {
-		e.admitSpan = m.ob.Begin("admit-wait", "txn", e.txn.ID, -1, -1, e.txnSpan, m.eng.Now())
-	}
-	m.admitQ = append(m.admitQ, e)
-}
-
-// nextStep routes the transaction to its next lock request or to commit.
-func (m *Machine) nextStep(e *exec) {
-	if e.txn.Done() {
-		m.commit(e)
-		return
-	}
-	m.requestLock(e)
-}
-
-func (m *Machine) requestLock(e *exec) {
-	e.phase = phAtCN
-	m.cn.submit(cnJob{op: opRequest, e: e})
-}
-
-// requestBody is the opRequest job body. The continuations re-read the
-// current step where needed: the CN is serial, so no other job body or
-// continuation (the only mutators of StepIndex) can run in between.
-func (m *Machine) requestBody(e *exec) (sim.Time, cnCont) {
-	out := m.sch.Request(e.txn)
-	m.obsReqCPU.Observe(out.CPU.Milliseconds())
-	switch out.Decision {
-	case sched.Grant:
-		m.met.Granted()
-		m.obsGrant.Inc()
-		return out.CPU, cnCont{op: contExec, e: e}
-	case sched.Block:
-		m.met.Block()
-		m.obsBlock.Inc()
-		return out.CPU, cnCont{op: contBlock, e: e}
-	case sched.Delay:
-		m.met.Delay()
-		m.obsDelay.Inc()
-		return out.CPU, cnCont{op: contDelay, e: e}
-	case sched.Abort:
-		// Deadlock victim (strict 2PL): roll back, release, restart.
-		m.met.Restart()
-		m.obsRestart.Inc()
-		e.txn.Restarts++
-		return out.CPU, cnCont{op: contAbort, e: e}
-	default:
-		panic(fmt.Sprintf("machine: unexpected request decision %v", out.Decision))
-	}
-}
-
-// cnBody dispatches an op-coded control-node job body.
-func (m *Machine) cnBody(j cnJob) (sim.Time, cnCont) {
-	switch j.op {
-	case opAdmit:
-		return m.admitBody(j.e)
-	case opRequest:
-		return m.requestBody(j.e)
-	case opDispatch:
-		return m.cfg.MsgTime, cnCont{op: contDispatch, e: j.e, attempt: j.attempt}
-	case opStepDone:
-		return m.cfg.MsgTime, cnCont{op: contStepDone, e: j.e, run: j.run}
-	case opCommit:
-		return m.commitBody(j.e)
-	default:
-		panic(fmt.Sprintf("machine: unknown CN op %d", j.op))
-	}
-}
-
-// cnFinish dispatches an op-coded job continuation.
-func (m *Machine) cnFinish(c cnCont) {
-	switch c.op {
-	case contPark:
-		m.parkAdmit(c.e)
-	case contStart:
-		if c.e.admitSpan != 0 {
-			m.ob.End(c.e.admitSpan, m.eng.Now())
-			c.e.admitSpan = 0
-		}
-		m.nextStep(c.e)
-	case contExec:
-		e := c.e
-		m.endWait(e)
-		if m.ob.Enabled() {
-			e.stepSpan = m.ob.Begin("execute", "txn", e.txn.ID, -1,
-				e.txn.StepIndex, e.txnSpan, m.eng.Now())
-		}
-		m.executeStep(e)
-		if !m.cfg.NoWakeOnGrant {
-			m.wakeDelayed() // a grant changes the scheduling state
-		}
-	case contBlock:
-		e := c.e
-		e.phase = phBlocked
-		m.beginWait(e)
-		file := e.txn.CurrentStep().File
-		m.blocked[file] = append(m.blocked[file], e)
-	case contDelay:
-		c.e.phase = phDelayed
-		m.beginWait(c.e)
-		m.delayed = append(m.delayed, c.e)
-	case contAbort:
-		e := c.e
-		m.endWait(e)
-		m.sch.Aborted(e.txn)
-		e.txn.StepIndex = 0
-		if m.obs != nil {
-			m.obs.Restarted(e.txn, m.eng.Now())
-		}
-		m.wakeCommit(e.txn) // its released locks may unblock others
-		m.restartAfterDelay(e)
-	case contDispatch:
-		m.placeStep(c.e, c.attempt)
-	case contStepDone:
-		m.stepDone(c.run)
-	case contCommitOK:
-		m.commitFinish(c.e)
-	case contCommitFail:
-		e := c.e
-		if e.commitSpan != 0 {
-			m.ob.End(e.commitSpan, m.eng.Now())
-			e.commitSpan = 0
-		}
-		m.sch.Aborted(e.txn)
-		e.txn.StepIndex = 0
-		if m.obs != nil {
-			m.obs.Restarted(e.txn, m.eng.Now())
-		}
-		m.restartAfterDelay(e) // re-admission restamps the attempt
-	default:
-		panic(fmt.Sprintf("machine: unknown CN continuation %d", c.op))
-	}
-}
-
-// beginWait opens the transaction's lock-wait span (blocked or
-// policy-delayed both count as waiting for a lock); reentrant for a
-// transaction that bounces between the two without a grant in between.
-func (m *Machine) beginWait(e *exec) {
-	if !m.ob.Enabled() || e.waitSpan != 0 {
-		return
-	}
-	e.waitSince = m.eng.Now()
-	e.waitSpan = m.ob.Begin("lock-wait", "txn", e.txn.ID, -1,
-		e.txn.StepIndex, e.txnSpan, e.waitSince)
-}
-
-// endWait closes the open lock-wait span (if any) and feeds the lock-wait
-// histogram with its length.
-func (m *Machine) endWait(e *exec) {
-	if e.waitSpan == 0 {
-		return
-	}
-	now := m.eng.Now()
-	m.ob.End(e.waitSpan, now)
-	m.obsLockWait.Observe((now - e.waitSince).Milliseconds())
-	e.waitSpan = 0
-}
-
-// executeStep runs the granted step: the CN sends the transaction to the
-// file's home node (one message), the step runs as DD cohorts of C/DD
-// objects round-robin-interleaved at their nodes, and when the last cohort
-// finishes the transaction returns to the CN (one message).
-func (m *Machine) executeStep(e *exec) { m.dispatchStep(e, 0) }
-
-// dispatchStep is one dispatch attempt of the current step (attempt > 0
-// after message-timeout retries). With faults enabled, the request message
-// may be lost, deliveries pick up injected latency, and a crashed home or
-// partition node aborts the transaction; the failure-free path schedules
-// exactly the same events as before the fault subsystem existed.
-func (m *Machine) dispatchStep(e *exec, attempt int) {
-	m.cn.submit(cnJob{op: opDispatch, e: e, attempt: attempt})
-}
-
-// placeStep is the contDispatch continuation: the CN send is paid, the step
-// becomes cohorts on its nodes.
-func (m *Machine) placeStep(e *exec, attempt int) {
-	st := e.txn.CurrentStep()
-	e.phase = phRunning
+// placeStep dispatches one attempt of a granted step (attempt > 0 after
+// message-timeout retries), once the CN send is paid: the step runs as DD
+// cohorts of C/DD objects round-robin-interleaved at their nodes, and when
+// the last cohort finishes the transaction returns to the CN. With faults
+// enabled, the request message may be lost, deliveries pick up injected
+// latency, and a crashed node aborts the transaction; the failure-free path
+// schedules exactly the same events as before the fault subsystem existed.
+func (m *Machine) placeStep(e *engine.Exec, attempt int) {
+	st := e.Txn.CurrentStep()
 	run := m.newStepRun(e, m.place.Home(st.File), attempt)
-	e.run = run
 	if m.inj != nil && m.inj.MsgLost() {
 		// The CN->DPN request vanished; the retry timer is the only way
 		// forward.
@@ -731,171 +443,27 @@ func (m *Machine) stepReturn(run *stepRun) {
 		m.armTimeout(run)
 		return
 	}
-	m.cn.submit(cnJob{op: opStepDone, e: run.e, run: run})
-}
-
-// stepDone is the contStepDone continuation: the CN receive is paid, the
-// transaction advances to its next step (or commit).
-func (m *Machine) stepDone(run *stepRun) {
-	if run.dead {
-		return
-	}
 	e := run.e
-	e.run = nil
 	m.retireRun(run)
-	if e.stepSpan != 0 {
-		m.ob.End(e.stepSpan, m.eng.Now())
-		e.stepSpan = 0
-	}
-	m.met.StepExecuted()
-	step := e.txn.StepIndex
-	e.txn.StepIndex++
-	if m.obs != nil {
-		m.obs.StepDone(e.txn, step, m.eng.Now())
-	}
-	m.nextStep(e)
-}
-
-// commit coordinates two-phase commitment: validation (OPT certification),
-// then commit CPU, release, and a system-wide wake-up.
-func (m *Machine) commit(e *exec) {
-	e.phase = phAtCN
-	if m.ob.Enabled() {
-		e.commitSpan = m.ob.Begin("commit", "txn", e.txn.ID, -1, -1,
-			e.txnSpan, m.eng.Now())
-	}
-	m.cn.submit(cnJob{op: opCommit, e: e})
-}
-
-// commitBody is the opCommit job body: validation decides between the
-// commit and the restart continuation.
-func (m *Machine) commitBody(e *exec) (sim.Time, cnCont) {
-	ok, vcpu := m.sch.Validate(e.txn)
-	if !ok {
-		m.met.Restart()
-		m.obsRestart.Inc()
-		e.txn.Restarts++
-		return vcpu, cnCont{op: contCommitFail, e: e}
-	}
-	return vcpu + m.cfg.COTTime, cnCont{op: contCommitOK, e: e}
-}
-
-// commitFinish is the contCommitOK continuation.
-func (m *Machine) commitFinish(e *exec) {
-	m.sch.Committed(e.txn)
-	e.txn.Status = model.Committed
-	e.phase = phFinished
-	m.active--
-	m.completed++
-	now := m.eng.Now()
-	m.met.Completion(now, now-e.txn.Arrival)
-	if m.svc != nil {
-		m.window--
-		m.epochRTs = append(m.epochRTs, now-e.txn.Arrival)
-	}
-	if m.ob.Enabled() {
-		m.ob.End(e.commitSpan, now)
-		e.commitSpan = 0
-		m.ob.End(e.txnSpan, now)
-		m.obsCommit.Inc()
-		m.obsRetries.Observe(float64(e.txn.Restarts))
-	}
-	if m.obs != nil {
-		m.obs.Committed(e.txn, now)
-	}
-	m.wakeCommit(e.txn)
-	// The exec is fully retired (no queue, timer or event references a
-	// committed transaction's wrapper) — recycle it for a future arrival.
-	m.execPool = append(m.execPool, e)
-}
-
-// restartAfterDelay re-admits an aborted transaction, after the configured
-// restart delay if one is set.
-func (m *Machine) restartAfterDelay(e *exec) {
-	if m.cfg.RestartDelay <= 0 {
-		m.tryAdmit(e)
-		return
-	}
-	e.phase = phAdmit
-	d := m.cfg.RestartDelay
-	if m.cfg.RestartJitter {
-		d = sim.Time(float64(d) * (0.5 + m.restartRNG.Float64()))
-		if d < 1 {
-			d = 1
-		}
-	}
-	m.eng.SchedulePayload(d, m.onRetryAdmit, e)
-}
-
-// wakeCommit reconsiders everything a commit can unblock: requests blocked
-// on the released files, every policy-delayed request, and the pending
-// admissions (in FIFO order).
-func (m *Machine) wakeCommit(t *model.Txn) {
-	files, _ := t.LockNeedSorted()
-	for _, f := range files {
-		list := m.blocked[f]
-		if len(list) == 0 {
-			continue
-		}
-		// Keep the entry's backing array: re-blocks on this file reuse it
-		// (requestLock only queues a CN job, so nothing re-blocks while the
-		// old list is being walked).
-		m.blocked[f] = list[:0]
-		for i, e := range list {
-			list[i] = nil
-			m.requestLock(e)
-		}
-	}
-	m.wakeDelayed()
-	if len(m.admitQ) > 0 {
-		q := m.admitQ
-		m.admitQ = m.admitSpare[:0]
-		for i, e := range q {
-			q[i] = nil
-			m.tryAdmit(e)
-		}
-		m.admitSpare = q[:0]
-	}
-}
-
-// wakeDelayed resubmits every policy-delayed request.
-func (m *Machine) wakeDelayed() {
-	if len(m.delayed) == 0 {
-		return
-	}
-	q := m.delayed
-	m.delayed = m.delayedSpare[:0]
-	for i, e := range q {
-		q[i] = nil
-		m.requestLock(e)
-	}
-	m.delayedSpare = q[:0]
+	m.cn.StepReturned(e)
 }
 
 // InFlight reports how many submitted transactions have not yet committed
 // (including pending admissions).
 func (m *Machine) InFlight() int {
-	return int(m.nextID) - m.completed
+	return int(m.nextID) - m.cn.Completed()
 }
 
-// DebugDump prints the waiting structures (debugging aid for stall
-// diagnosis; not part of the public API).
-func (m *Machine) DebugDump() {
-	fmt.Printf("debug: admitQ=%d delayed=%d active=%d\n", len(m.admitQ), len(m.delayed), m.active)
-	for f, list := range m.blocked {
-		if len(list) == 0 {
-			continue
-		}
-		ids := make([]int64, len(list))
-		for i, e := range list {
-			ids[i] = e.txn.ID
-		}
-		fmt.Printf("debug: blocked on file %d: %v\n", f, ids)
-	}
-	for i, d := range m.dpns {
-		if d.queueLen() > 0 {
-			fmt.Printf("debug: dpn %d ring=%d\n", i, d.queueLen())
-		}
-	}
-	fmt.Printf("debug: cn queue=%d\n", m.cn.queueLen())
-}
+// SetEpochHook installs a per-epoch callback (service mode only; the hook
+// runs inside the epoch event, so it must not mutate the machine). Call
+// before Run.
+func (m *Machine) SetEpochHook(h func(admit.EpochStats)) { m.cn.SetEpochHook(h) }
+
+// Service exposes the admission service (nil outside service mode), for
+// end-of-run stats.
+func (m *Machine) Service() *admit.Service { return m.cn.Service() }
+
+// WaitReport lists who waits on what: every blocked or policy-delayed
+// transaction with its file and that file's lock holders, then the park
+// queue. It explains a run that stopped with transactions in flight.
+func (m *Machine) WaitReport() string { return m.cn.WaitReport() }

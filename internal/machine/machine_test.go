@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/model"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
@@ -61,15 +62,15 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPlacement(t *testing.T) {
-	p := Placement{NumNodes: 8, DD: 1}
+	p := engine.Placement{NumNodes: 8, DD: 1}
 	if p.Home(0) != 0 || p.Home(7) != 7 || p.Home(8) != 0 || p.Home(13) != 5 {
 		t.Error("home node must be fileID mod NumNodes")
 	}
-	if n := p.Nodes(3); len(n) != 1 || n[0] != 3 {
+	if n := p.NodesInto(3, nil); len(n) != 1 || n[0] != 3 {
 		t.Errorf("DD=1 nodes = %v", n)
 	}
 	p.DD = 4
-	if n := p.Nodes(6); len(n) != 4 || n[0] != 6 || n[1] != 7 || n[2] != 0 || n[3] != 1 {
+	if n := p.NodesInto(6, nil); len(n) != 4 || n[0] != 6 || n[1] != 7 || n[2] != 0 || n[3] != 1 {
 		t.Errorf("DD=4 nodes of file 6 = %v, want [6 7 0 1] (wrapping)", n)
 	}
 }

@@ -111,17 +111,17 @@ func (r *Recorder) Restarted(txn *model.Txn, at sim.Time) {
 	r.record(restartEvent(txn, at))
 }
 
-// Fault implements machine.FaultObserver.
+// Fault implements engine.FaultObserver.
 func (r *Recorder) Fault(kind string, node int, at sim.Time) {
 	r.record(faultEvent(kind, node, at))
 }
 
-// AbortedTxn implements machine.FaultObserver.
+// AbortedTxn implements engine.FaultObserver.
 func (r *Recorder) AbortedTxn(txn *model.Txn, reason string, at sim.Time) {
 	r.record(abortEvent(txn, reason, at))
 }
 
-// Retried implements machine.FaultObserver.
+// Retried implements engine.FaultObserver.
 func (r *Recorder) Retried(txn *model.Txn, attempt int, at sim.Time) {
 	r.record(retryEvent(txn, attempt, at))
 }

@@ -127,17 +127,17 @@ func (t *Writer) Restarted(txn *model.Txn, at sim.Time) {
 	t.emit(restartEvent(txn, at))
 }
 
-// Fault implements machine.FaultObserver.
+// Fault implements engine.FaultObserver.
 func (t *Writer) Fault(kind string, node int, at sim.Time) {
 	t.emit(faultEvent(kind, node, at))
 }
 
-// AbortedTxn implements machine.FaultObserver.
+// AbortedTxn implements engine.FaultObserver.
 func (t *Writer) AbortedTxn(txn *model.Txn, reason string, at sim.Time) {
 	t.emit(abortEvent(txn, reason, at))
 }
 
-// Retried implements machine.FaultObserver.
+// Retried implements engine.FaultObserver.
 func (t *Writer) Retried(txn *model.Txn, attempt int, at sim.Time) {
 	t.emit(retryEvent(txn, attempt, at))
 }
@@ -204,7 +204,7 @@ func (m Multi) Restarted(t *model.Txn, at sim.Time) {
 	}
 }
 
-// faultObserver is the subset of machine.FaultObserver trace needs
+// faultObserver is the subset of engine.FaultObserver trace needs
 // (redeclared for the same layering reason as observer).
 type faultObserver interface {
 	Fault(kind string, node int, at sim.Time)
@@ -212,7 +212,7 @@ type faultObserver interface {
 	Retried(t *model.Txn, attempt int, at sim.Time)
 }
 
-// Fault implements machine.FaultObserver, forwarding to the members that
+// Fault implements engine.FaultObserver, forwarding to the members that
 // understand fault events.
 func (m Multi) Fault(kind string, node int, at sim.Time) {
 	for _, o := range m {
@@ -222,7 +222,7 @@ func (m Multi) Fault(kind string, node int, at sim.Time) {
 	}
 }
 
-// AbortedTxn implements machine.FaultObserver.
+// AbortedTxn implements engine.FaultObserver.
 func (m Multi) AbortedTxn(t *model.Txn, reason string, at sim.Time) {
 	for _, o := range m {
 		if fo, ok := o.(faultObserver); ok {
@@ -231,7 +231,7 @@ func (m Multi) AbortedTxn(t *model.Txn, reason string, at sim.Time) {
 	}
 }
 
-// Retried implements machine.FaultObserver.
+// Retried implements engine.FaultObserver.
 func (m Multi) Retried(t *model.Txn, attempt int, at sim.Time) {
 	for _, o := range m {
 		if fo, ok := o.(faultObserver); ok {
