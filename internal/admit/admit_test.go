@@ -3,6 +3,8 @@ package admit
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"batchsched/internal/obs/sli"
@@ -233,26 +235,71 @@ func TestOverloadQueueFullTrigger(t *testing.T) {
 	}
 }
 
+// p95Reference is the obviously correct oracle for the sorted window: the
+// live samples are the last w clamped observations; copy, sort, index.
+func p95Reference(observed []sim.Time, w int) (sorted []sim.Time, p95 sim.Time) {
+	sorted = slices.Clone(observed[max(0, len(observed)-w):])
+	for i, d := range sorted {
+		sorted[i] = max(d, 0)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	if n := len(sorted); n > 0 {
+		p95 = sorted[(n*95+99)/100-1]
+	}
+	return sorted, p95
+}
+
 func TestP95SojournNearestRank(t *testing.T) {
-	p := testPolicy()
-	p.SojournWindow = 100
-	s := mustService(t, p)
-	if got := s.P95Sojourn(); got != 0 {
-		t.Fatalf("empty p95: %v", got)
-	}
-	// Sojourns 1..100 seconds: nearest-rank p95 is the 95th value.
+	// Sojourns 1..100 s, then 50 samples of 200 s that wrap the ring.
+	var ramp []sim.Time
 	for i := 1; i <= 100; i++ {
-		s.observeSojourn(sim.Time(i) * sim.Second)
+		ramp = append(ramp, sim.Time(i)*sim.Second)
 	}
-	if got := s.P95Sojourn(); got != 95*sim.Second {
-		t.Fatalf("p95 of 1..100s: %v", got)
-	}
-	// Ring wrap: 50 more samples of 200s shift the p95 up.
 	for i := 0; i < 50; i++ {
-		s.observeSojourn(200 * sim.Second)
+		ramp = append(ramp, 200*sim.Second)
 	}
-	if got := s.P95Sojourn(); got != 200*sim.Second {
-		t.Fatalf("p95 after wrap: %v", got)
+	type sojournCase struct {
+		name   string
+		window int
+		seq    []sim.Time
+		want   map[int]sim.Time // p95 after this many observations
+	}
+	cases := []sojournCase{
+		{"ramp-then-wrap", 100, ramp, map[int]sim.Time{100: 95 * sim.Second, 150: 200 * sim.Second}},
+	}
+	// Random sequences four windows long (the ring wraps three times), drawn
+	// from nine values: many ties, and a third zero or negative (clamped).
+	for _, w := range []int{1, 2, 7, 100, 128} {
+		rng := sim.NewRNG(int64(w)).Stream("sojourn")
+		seq := make([]sim.Time, 4*w+3)
+		for i := range seq {
+			seq[i] = sim.Time(rng.Intn(9)-3) * sim.Second
+		}
+		cases = append(cases, sojournCase{fmt.Sprintf("random-w%d", w), w, seq, nil})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testPolicy()
+			p.SojournWindow = tc.window
+			s := mustService(t, p)
+			if got := s.P95Sojourn(); got != 0 {
+				t.Fatalf("empty p95: %v", got)
+			}
+			for k := 1; k <= len(tc.seq); k++ {
+				s.observeSojourn(tc.seq[k-1])
+				sorted, p95 := p95Reference(tc.seq[:k], tc.window)
+				if got := s.P95Sojourn(); got != p95 {
+					t.Fatalf("after %d samples: p95 %v, reference %v", k, got, p95)
+				}
+				if !slices.Equal(s.sorted, sorted) {
+					t.Fatalf("after %d samples: window %v, reference %v", k, s.sorted, sorted)
+				}
+				if want, ok := tc.want[k]; ok && s.P95Sojourn() != want {
+					t.Fatalf("after %d samples: p95 %v, want %v", k, s.P95Sojourn(), want)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package admit
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"batchsched/internal/sim"
 )
@@ -17,11 +17,12 @@ type Service struct {
 	seq   uint64
 	stats Stats
 
-	// Sliding admission-sojourn window (ring buffer) and its sort scratch.
-	soj      []sim.Time
-	sojNext  int
-	sojCount int
-	scratch  []sim.Time
+	// Sliding admission-sojourn window: the ring keeps arrival order (so
+	// the sample that leaves is known), sorted holds the same live samples
+	// in ascending order for an O(1) nearest-rank read.
+	soj     []sim.Time
+	sojNext int
+	sorted  []sim.Time
 
 	overload bool
 }
@@ -35,9 +36,9 @@ func NewService(pol Policy) (*Service, error) {
 		pol.SojournWindow = 128
 	}
 	return &Service{
-		pol:     pol,
-		soj:     make([]sim.Time, pol.SojournWindow),
-		scratch: make([]sim.Time, 0, pol.SojournWindow),
+		pol:    pol,
+		soj:    make([]sim.Time, pol.SojournWindow),
+		sorted: make([]sim.Time, 0, pol.SojournWindow),
 	}, nil
 }
 
@@ -152,28 +153,29 @@ func (s *Service) EndEpoch(now sim.Time) {
 // P95Sojourn returns the nearest-rank p95 of the sliding admission-sojourn
 // window (0 with no samples).
 func (s *Service) P95Sojourn() sim.Time {
-	n := s.sojCount
+	n := len(s.sorted)
 	if n == 0 {
 		return 0
 	}
-	s.scratch = append(s.scratch[:0], s.soj[:n]...)
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
-	idx := (n*95+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s.scratch[idx]
+	return s.sorted[(n*95+99)/100-1]
 }
 
+// observeSojourn records one admission sojourn (negative values clamp to
+// 0). Once the window is full the ring's oldest sample leaves, and the
+// sorted copy trades it for the new one in place: O(log W + W), no
+// allocation (sorted never outgrows its preallocated capacity).
 func (s *Service) observeSojourn(d sim.Time) {
 	if d < 0 {
 		d = 0
 	}
+	if len(s.sorted) == len(s.soj) {
+		i, _ := slices.BinarySearch(s.sorted, s.soj[s.sojNext])
+		s.sorted = slices.Delete(s.sorted, i, i+1)
+	}
 	s.soj[s.sojNext] = d
 	s.sojNext = (s.sojNext + 1) % len(s.soj)
-	if s.sojCount < len(s.soj) {
-		s.sojCount++
-	}
+	i, _ := slices.BinarySearch(s.sorted, d)
+	s.sorted = slices.Insert(s.sorted, i, d)
 }
 
 func (s *Service) shed(it *Item, reason ShedReason) {

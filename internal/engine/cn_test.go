@@ -117,3 +117,32 @@ func TestServiceEpochEvictsSmallestWaiter(t *testing.T) {
 		t.Errorf("waiters after evicting T1: %s", rep)
 	}
 }
+
+// TestServiceEpochAllocFree: once the sojourn window holds samples, an
+// epoch boundary (expiry, overload check, refill, digest) allocates nothing.
+func TestServiceEpochAllocFree(t *testing.T) {
+	h := newCalendarHost()
+	pol := admit.DefaultPolicy()
+	svc, err := admit.NewService(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.cn.EnableService(svc)
+	for i := 1; i <= 200; i++ {
+		h.cn.Arrive(model.NewTxn(int64(i), 0, oneStep), admit.Batch)
+	}
+	epoch := func() {
+		now := h.eng.Now() + pol.Epoch
+		h.eng.Run(now)
+		h.cn.Epoch(now)
+	}
+	for i := 0; i < 4; i++ {
+		epoch()
+	}
+	if svc.P95Sojourn() <= 0 {
+		t.Fatalf("p95 sojourn = %v after four epochs, want > 0", svc.P95Sojourn())
+	}
+	if avg := testing.AllocsPerRun(100, epoch); avg != 0 {
+		t.Fatalf("%.1f allocs per epoch, want 0", avg)
+	}
+}

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"batchsched/internal/admit"
 	"batchsched/internal/model"
@@ -228,7 +228,7 @@ func (c *CN) emitEpoch(now sim.Time) {
 		Cum:         cum,
 	}
 	if n := len(c.epochRTs); n > 0 {
-		sort.Slice(c.epochRTs, func(i, j int) bool { return c.epochRTs[i] < c.epochRTs[j] })
+		slices.Sort(c.epochRTs)
 		var sum sim.Time
 		for _, rt := range c.epochRTs {
 			sum += rt
