@@ -12,7 +12,7 @@
 // existing file, and whenever both a "pre" and a "post" snapshot are present
 // recomputes the speedup section (time and allocation ratios pre/post).
 // When a benchmark appears several times (go test -count N), the line with
-// the median ns/op is recorded.
+// the median ns/op is recorded, with the minimum and maximum ns/op beside it.
 //
 // Compare mode gates performance regressions instead of recording:
 //
@@ -36,8 +36,13 @@ import (
 )
 
 type benchResult struct {
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Iterations int     `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsPerOpMin and NsPerOpMax are the fastest and slowest of a benchmark
+	// repeated under go test -count N (N > 1), recorded next to the median
+	// line so a snapshot shows its own spread. -compare ignores them.
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// EventsPerOp is the simulator's own work metric — calendar events
@@ -146,7 +151,11 @@ func parseBench(r *bufio.Scanner) (map[string]benchResult, int, error) {
 	out := make(map[string]benchResult, len(runs))
 	for name, rs := range runs {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
-		out[name] = rs[(len(rs)-1)/2]
+		med := rs[(len(rs)-1)/2]
+		if len(rs) > 1 {
+			med.NsPerOpMin, med.NsPerOpMax = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp
+		}
+		out[name] = med
 	}
 	return out, gomaxprocs, r.Err()
 }

@@ -146,3 +146,48 @@ func TestServiceEpochAllocFree(t *testing.T) {
 		t.Fatalf("%.1f allocs per epoch, want 0", avg)
 	}
 }
+
+// drainHost is a live-style host: Charge returns at once and the test
+// drains the CN queue itself; Now counts its reads, and dispatched steps
+// wait in a list until the test returns them.
+type drainHost struct {
+	cn      *engine.CN
+	reads   int
+	pending []*engine.Exec
+}
+
+func (h *drainHost) Now() sim.Time                       { h.reads++; return 0 }
+func (h *drainHost) Charge(sim.Time)                     {}
+func (h *drainHost) Dispatch(e *engine.Exec, _ int)      { h.pending = append(h.pending, e) }
+func (h *drainHost) RestartAfter(*engine.Exec, sim.Time) {}
+
+// TestCNJobsReadNoClock: with observability off, the control node reads
+// the host clock only where the protocol stamps a time — once per arrival
+// and once per commit — and never per job. Every transaction X-locks the
+// same file under ASL, so each commit re-runs the admission test for every
+// parked transaction: n(n-1)/2 refused retries.
+func TestCNJobsReadNoClock(t *testing.T) {
+	const n = 32
+	h := &drainHost{}
+	met := metrics.NewCollector(0, 0)
+	h.cn = engine.NewCN(engine.CNConfig{}, h, sched.NewASL(), met, sim.NewRNG(1))
+	for i := 1; i <= n; i++ {
+		h.cn.Arrive(model.NewTxn(int64(i), 0, oneStep), 0)
+	}
+	h.cn.Drain()
+	for len(h.pending) > 0 {
+		e := h.pending[0]
+		h.pending = h.pending[1:]
+		h.cn.StepReturned(e)
+		h.cn.Drain()
+	}
+	if h.cn.Completed() != n {
+		t.Fatalf("committed %d of %d", h.cn.Completed(), n)
+	}
+	if got := met.Summarize(0).AdmissionRejects; got != n*(n-1)/2 {
+		t.Fatalf("%d refused admissions, want %d", got, n*(n-1)/2)
+	}
+	if h.reads != 2*n {
+		t.Fatalf("%d clock reads for %d arrivals and %d commits, want %d", h.reads, n, n, 2*n)
+	}
+}

@@ -5,7 +5,7 @@ package lock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"batchsched/internal/model"
 )
@@ -20,7 +20,8 @@ type holders struct {
 }
 
 func (h *holders) find(txn int64) int {
-	return sort.Search(len(h.ids), func(i int) bool { return h.ids[i] >= txn })
+	i, _ := slices.BinarySearch(h.ids, txn)
+	return i
 }
 
 func (h *holders) insert(txn int64, mode model.Mode) {
@@ -53,7 +54,8 @@ type heldFiles struct {
 }
 
 func (h *heldFiles) find(file model.FileID) int {
-	return sort.Search(len(h.files), func(i int) bool { return h.files[i] >= file })
+	i, _ := slices.BinarySearch(h.files, file)
+	return i
 }
 
 func (h *heldFiles) insert(file model.FileID, mode model.Mode) {
@@ -73,10 +75,10 @@ func (h *heldFiles) insert(file model.FileID, mode model.Mode) {
 // Table maps each file to its current lock holders. The zero value is not
 // usable; call NewTable.
 //
-// Holders, HeldBy and ReleaseAll return slices owned by the table, always in
-// ascending order: they are valid until the table's next mutation and must
-// not be modified. Callers that need to retain results across Grant/Release
-// calls must copy.
+// Holders, HolderModes, HeldBy and ReleaseAll return slices owned by the
+// table, always in ascending order: they are valid until the table's next
+// mutation and must not be modified. Callers that need to retain results
+// across Grant/Release calls must copy.
 type Table struct {
 	files  map[model.FileID]*holders
 	held   map[int64]*heldFiles
@@ -115,6 +117,17 @@ func (t *Table) Holders(file model.FileID) []int64 {
 	return h.ids
 }
 
+// HolderModes returns the holders of file and the mode each holds, as
+// parallel slices in ascending ID order. Both are owned by the table; see
+// the Table contract.
+func (t *Table) HolderModes(file model.FileID) ([]int64, []model.Mode) {
+	h, ok := t.files[file]
+	if !ok {
+		return nil, nil
+	}
+	return h.ids, h.modes
+}
+
 // HeldBy returns the files transaction txn holds locks on, ascending. The
 // slice is owned by the table; see the Table contract.
 func (t *Table) HeldBy(txn int64) []model.FileID {
@@ -128,22 +141,17 @@ func (t *Table) HeldBy(txn int64) []model.FileID {
 // CanGrant reports whether txn could be granted mode on file right now:
 // every other holder's mode must be compatible, and an upgrade from S to X
 // is possible only for a sole holder. A request for a mode already covered
-// by the held mode is always grantable (idempotent re-request).
+// by the held mode is always grantable (idempotent re-request): holders are
+// pairwise compatible, so an X holder holds alone and an S holder shares
+// only with S holders. The test is one holder-set lookup and one pass over
+// that sorted slice.
 func (t *Table) CanGrant(txn int64, file model.FileID, mode model.Mode) bool {
-	if cur, ok := t.Holds(txn, file); ok {
-		if cur == model.X || mode == model.S {
-			return true // already strong enough
-		}
-	}
 	h, ok := t.files[file]
 	if !ok {
 		return true
 	}
 	for i, id := range h.ids {
-		if id == txn {
-			continue
-		}
-		if !h.modes[i].Compatible(mode) {
+		if id != txn && !h.modes[i].Compatible(mode) {
 			return false
 		}
 	}
@@ -208,28 +216,24 @@ func (t *Table) ReleaseAll(txn int64) []model.FileID {
 	return files[:len(files):len(files)]
 }
 
-// CanGrantAll reports whether every (file, mode) need could be granted to
-// txn simultaneously — the ASL admission test.
-func (t *Table) CanGrantAll(txn int64, need map[model.FileID]model.Mode) bool {
-	for f, m := range need {
-		if !t.CanGrant(txn, f, m) {
+// CanGrantAll reports whether every need could be granted to txn
+// simultaneously — the ASL admission test. files and modes are parallel
+// slices, as model.Txn.LockNeedSorted returns them.
+func (t *Table) CanGrantAll(txn int64, files []model.FileID, modes []model.Mode) bool {
+	for i, f := range files {
+		if !t.CanGrant(txn, f, modes[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// GrantAll grants every (file, mode) need to txn. Callers must have checked
-// CanGrantAll.
-func (t *Table) GrantAll(txn int64, need map[model.FileID]model.Mode) {
-	// Deterministic order for reproducibility of any panic messages.
-	files := make([]model.FileID, 0, len(need))
-	for f := range need {
-		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
-	for _, f := range files {
-		t.Grant(txn, f, need[f])
+// GrantAll grants every need to txn, in the order given (ascending file
+// order from LockNeedSorted, so any panic message is reproducible). Callers
+// must have checked CanGrantAll.
+func (t *Table) GrantAll(txn int64, files []model.FileID, modes []model.Mode) {
+	for i, f := range files {
+		t.Grant(txn, f, modes[i])
 	}
 }
 

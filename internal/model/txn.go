@@ -9,7 +9,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"batchsched/internal/sim"
@@ -127,8 +127,7 @@ type Txn struct {
 
 	// Lazily computed caches over the (immutable) declaration. Valid
 	// because Steps never change after construction.
-	need      map[FileID]Mode
-	needFiles []FileID // LockNeed as parallel slices sorted by file
+	needFiles []FileID // LockNeedSorted: parallel slices sorted by file
 	needModes []Mode
 	readSet   map[FileID]bool
 	writeSet  map[FileID]bool
@@ -180,49 +179,40 @@ func (t *Txn) DeclaredRemaining(from int) float64 {
 	return sum
 }
 
-// LockNeed returns the strongest lock mode the transaction's declaration
-// requests on each file it touches (X dominates S). The returned map is a
-// cache shared across calls — callers must not modify it.
-func (t *Txn) LockNeed() map[FileID]Mode {
-	if t.need == nil {
-		need := make(map[FileID]Mode, len(t.Steps))
-		for _, s := range t.Steps {
-			if cur, ok := need[s.File]; !ok || (cur == S && s.LockMode == X) {
-				need[s.File] = s.LockMode
-			}
-		}
-		t.need = need
-	}
-	return t.need
-}
-
-// LockNeedSorted returns LockNeed as parallel slices sorted ascending by
-// file ID, for allocation-free deterministic iteration. The slices are a
-// cache shared across calls — callers must not modify them.
+// LockNeedSorted returns the strongest lock mode the transaction's
+// declaration requests on each file it touches (X dominates S), as parallel
+// slices sorted ascending by file ID: allocation-free, deterministic
+// iteration and binary-search lookup. The slices are a cache shared across
+// calls — callers must not modify them.
 func (t *Txn) LockNeedSorted() ([]FileID, []Mode) {
 	if t.needFiles == nil {
-		need := t.LockNeed()
-		files := make([]FileID, 0, len(need))
-		for f := range need {
-			files = append(files, f)
-		}
-		sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
-		modes := make([]Mode, len(files))
-		for i, f := range files {
-			modes[i] = need[f]
-		}
-		t.needFiles, t.needModes = files, modes
+		t.buildNeed()
 	}
 	return t.needFiles, t.needModes
 }
 
+// buildNeed fills the LockNeedSorted cache from Steps.
+func (t *Txn) buildNeed() {
+	files := make([]FileID, 0, len(t.Steps))
+	modes := make([]Mode, 0, len(t.Steps))
+	for _, s := range t.Steps {
+		i, ok := slices.BinarySearch(files, s.File)
+		switch {
+		case !ok:
+			files = slices.Insert(files, i, s.File)
+			modes = slices.Insert(modes, i, s.LockMode)
+		case s.LockMode == X:
+			modes[i] = X
+		}
+	}
+	t.needFiles, t.needModes = files, modes
+}
+
 // NeedMode returns the strongest declared lock mode on f, if the
-// declaration touches f at all (binary search over the sorted need list —
-// cheaper than a map lookup on the scheduler hot paths).
+// declaration touches f at all (a binary search over LockNeedSorted).
 func (t *Txn) NeedMode(f FileID) (Mode, bool) {
 	files, modes := t.LockNeedSorted()
-	i := sort.Search(len(files), func(i int) bool { return files[i] >= f })
-	if i < len(files) && files[i] == f {
+	if i, ok := slices.BinarySearch(files, f); ok {
 		return modes[i], true
 	}
 	return 0, false
@@ -270,13 +260,8 @@ func Conflicts(a, b *Txn) bool {
 // such a step exists. This is the step at which `of` would be blocked by
 // `with`, the anchor of the WTPG weight w(with -> of).
 func FirstConflictStep(of, with *Txn) (int, bool) {
-	need := with.LockNeed()
 	for i, s := range of.Steps {
-		m, ok := need[s.File]
-		if !ok {
-			continue
-		}
-		if !s.LockMode.Compatible(m) {
+		if m, ok := with.NeedMode(s.File); ok && !s.LockMode.Compatible(m) {
 			return i, true
 		}
 	}

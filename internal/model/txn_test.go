@@ -1,6 +1,8 @@
 package model
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,9 +107,15 @@ func TestLockNeedXDominates(t *testing.T) {
 	p := MustParsePattern("Xr(F1:1)->Xr(F2:5)->w(F1:0.2)->w(F2:1)")
 	steps := mustSteps(p, map[string]FileID{"F1": 3, "F2": 9})
 	txn := NewTxn(1, 0, steps)
-	need := txn.LockNeed()
-	if len(need) != 2 || need[3] != X || need[9] != X {
-		t.Errorf("LockNeed = %v, want X on files 3 and 9", need)
+	files, modes := txn.LockNeedSorted()
+	if !reflect.DeepEqual(files, []FileID{3, 9}) || !reflect.DeepEqual(modes, []Mode{X, X}) {
+		t.Errorf("LockNeedSorted = %v %v, want X on files 3 and 9", files, modes)
+	}
+	if m, ok := txn.NeedMode(9); !ok || m != X {
+		t.Errorf("NeedMode(9) = %v %v, want X true", m, ok)
+	}
+	if _, ok := txn.NeedMode(4); ok {
+		t.Error("NeedMode(4) reports a file the declaration never touches")
 	}
 	if got := txn.TotalCost(); got != 7.2 {
 		t.Errorf("TotalCost = %g, want 7.2", got)
@@ -121,8 +129,11 @@ func TestLockNeedXDominates(t *testing.T) {
 func TestLockNeedUpgrade(t *testing.T) {
 	p := MustParsePattern("r(A:1)->w(A:1)")
 	txn := NewTxn(1, 0, mustSteps(p, map[string]FileID{"A": 0}))
-	if txn.LockNeed()[0] != X {
+	if m, ok := txn.NeedMode(0); !ok || m != X {
 		t.Error("S followed by X on same file must need X overall")
+	}
+	if files, _ := txn.LockNeedSorted(); len(files) != 1 {
+		t.Errorf("need files = %v, want one entry for the upgraded file", files)
 	}
 	if txn.Steps[0].LockMode != S {
 		t.Error("first step itself still requests S")
@@ -194,4 +205,36 @@ func mkStep(file uint8, write bool, cost float64) Step {
 		m = X
 	}
 	return Step{File: FileID(file % 4), Write: write, LockMode: m, Cost: cost, DeclaredCost: cost}
+}
+
+// Property: LockNeedSorted holds each touched file once, ascending, with the
+// strongest mode any step requests on it — the map a scan of the steps
+// builds.
+func TestLockNeedSortedMatchesSteps(t *testing.T) {
+	prop := func(raw []struct {
+		File uint8
+		X    bool
+	}) bool {
+		steps := make([]Step, len(raw))
+		ref := map[FileID]Mode{}
+		for i, r := range raw {
+			steps[i] = mkStep(r.File, r.X, 1)
+			if r.X || ref[steps[i].File] != X {
+				ref[steps[i].File] = steps[i].LockMode
+			}
+		}
+		files, modes := NewTxn(1, 0, steps).LockNeedSorted()
+		if len(files) != len(ref) || !slices.IsSorted(files) {
+			return false
+		}
+		for i, f := range files {
+			if ref[f] != modes[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -24,11 +24,11 @@ func (s *asl) Name() string { return "ASL" }
 
 // Admit starts t only when its whole declared lock set is grantable at once.
 func (s *asl) Admit(t *model.Txn) (bool, sim.Time) {
-	need := t.LockNeed()
-	if !s.locks.CanGrantAll(t.ID, need) {
+	files, modes := t.LockNeedSorted()
+	if !s.locks.CanGrantAll(t.ID, files, modes) {
 		return false, 0
 	}
-	s.locks.GrantAll(t.ID, need)
+	s.locks.GrantAll(t.ID, files, modes)
 	return true, 0
 }
 

@@ -26,20 +26,32 @@ type c2pl struct {
 	p      Params
 	mpl    int
 	locks  *lock.Table
-	active map[int64]*model.Txn
+	active map[int64]*activeTxn
 	name   string
+
+	// The deadlock test's DFS stack, reused across calls, and its pass
+	// number: a node is visited in this pass when its seen stamp equals
+	// pass, so the visited set needs neither clearing nor a map of its own.
+	stack []int64
+	pass  uint64
+}
+
+// activeTxn is an admitted transaction with its deadlock-DFS visit stamp.
+type activeTxn struct {
+	t    *model.Txn
+	seen uint64
 }
 
 // NewC2PL returns a cautious two-phase locking scheduler with an unlimited
 // multiprogramming level.
 func NewC2PL(p Params) Scheduler {
-	return &c2pl{p: p, locks: lock.NewTable(), active: make(map[int64]*model.Txn), name: "C2PL"}
+	return &c2pl{p: p, locks: lock.NewTable(), active: make(map[int64]*activeTxn), name: "C2PL"}
 }
 
 // NewC2PLM returns C2PL+M: cautious two-phase locking that admits at most
 // mpl concurrent transactions (mpl <= 0 means unlimited).
 func NewC2PLM(p Params, mpl int) Scheduler {
-	return &c2pl{p: p, mpl: mpl, locks: lock.NewTable(), active: make(map[int64]*model.Txn), name: "C2PL+M"}
+	return &c2pl{p: p, mpl: mpl, locks: lock.NewTable(), active: make(map[int64]*activeTxn), name: "C2PL+M"}
 }
 
 func (s *c2pl) Name() string { return s.name }
@@ -48,7 +60,7 @@ func (s *c2pl) Admit(t *model.Txn) (bool, sim.Time) {
 	if s.mpl > 0 && len(s.active) >= s.mpl {
 		return false, 0
 	}
-	s.active[t.ID] = t
+	s.active[t.ID] = &activeTxn{t: t}
 	return true, 0
 }
 
@@ -72,61 +84,46 @@ func (s *c2pl) Request(t *model.Txn) Outcome {
 // in the needs-versus-holdings digraph. Any new cycle must pass through t
 // (the grant only adds a holding of t), so a DFS from t back to t suffices.
 func (s *c2pl) wouldDeadlock(t *model.Txn, f model.FileID, m model.Mode) bool {
-	// heldHypo reports the mode x would hold on file g after the grant.
-	heldHypo := func(x int64, g model.FileID) (model.Mode, bool) {
-		if x == t.ID && g == f {
-			if cur, ok := s.locks.Holds(x, g); ok && cur == model.X {
-				return model.X, true
-			}
-			return m, true
-		}
-		return s.locks.Holds(x, g)
-	}
-	// successors: u -> every incompatible holder of a file u still needs.
-	successors := func(u *model.Txn) []int64 {
-		var out []int64
-		for g, need := range u.LockNeed() {
-			if cur, ok := heldHypo(u.ID, g); ok && (cur == model.X || need == model.S) {
-				continue // already satisfied
-			}
-			if u.ID != t.ID && g == f {
-				// t is about to hold f; u's incompatible need waits on t.
-				if !m.Compatible(need) {
-					out = append(out, t.ID)
-				}
-			}
-			for _, h := range s.locks.Holders(g) {
-				if h == u.ID {
-					continue
-				}
-				hm, _ := heldHypo(h, g)
-				if !hm.Compatible(need) {
-					out = append(out, h)
-				}
-			}
-		}
-		return out
-	}
-	// DFS from t looking for a path back to t.
-	visited := make(map[int64]bool)
-	stack := successors(t)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	s.pass++
+	s.stack = s.stack[:0]
+	s.pushWaitsFor(t, t, f, m)
+	for len(s.stack) > 0 {
+		v := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		if v == t.ID {
 			return true
 		}
-		if visited[v] {
-			continue
+		if a, ok := s.active[v]; ok && a.seen != s.pass {
+			a.seen = s.pass
+			s.pushWaitsFor(a.t, t, f, m)
 		}
-		visited[v] = true
-		u, ok := s.active[v]
-		if !ok {
-			continue
-		}
-		stack = append(stack, successors(u)...)
 	}
 	return false
+}
+
+// pushWaitsFor pushes u's successors in the digraph as it would be after
+// granting t mode m on f: every holder whose mode is incompatible with a
+// need of u, and t itself where u's need on f conflicts with m.
+//
+// Request asks only when t holds no lock covering (f, m) and CanGrant(t, f,
+// m) holds, and the table's holders are pairwise compatible. Under those
+// conditions a need u already covers has no incompatible other holder, so
+// it needs no test of its own, and t's mode on f after the grant is m, which
+// the first check compares with u's need.
+func (s *c2pl) pushWaitsFor(u, t *model.Txn, f model.FileID, m model.Mode) {
+	files, needs := u.LockNeedSorted()
+	for i, g := range files {
+		need := needs[i]
+		if g == f && u.ID != t.ID && !m.Compatible(need) {
+			s.stack = append(s.stack, t.ID)
+		}
+		ids, modes := s.locks.HolderModes(g)
+		for k, h := range ids {
+			if h != u.ID && !modes[k].Compatible(need) {
+				s.stack = append(s.stack, h)
+			}
+		}
+	}
 }
 
 func (s *c2pl) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }

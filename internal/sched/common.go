@@ -31,12 +31,9 @@ func seedHolderOrder(g *wtpg.Graph, locks *lock.Table, t *model.Txn) {
 	files, modes := t.LockNeedSorted()
 	var pairs [][2]int64
 	for i, f := range files {
-		for _, h := range locks.Holders(f) {
-			if h == t.ID || !g.Has(h) {
-				continue
-			}
-			hm, _ := locks.Holds(h, f)
-			if !hm.Compatible(modes[i]) {
+		ids, held := locks.HolderModes(f)
+		for j, h := range ids {
+			if h != t.ID && g.Has(h) && !held[j].Compatible(modes[i]) {
 				pairs = append(pairs, [2]int64{h, t.ID})
 			}
 		}
@@ -46,19 +43,28 @@ func seedHolderOrder(g *wtpg.Graph, locks *lock.Table, t *model.Txn) {
 	}
 }
 
-// conflictersOn lists the active transactions (in the graph) other than t
-// whose declared need on file f is incompatible with mode m — the set C(q)
-// of the paper's Fig. 7, in deterministic (insertion) order.
-func conflictersOn(g *wtpg.Graph, t *model.Txn, f model.FileID, m model.Mode) []*model.Txn {
-	var out []*model.Txn
+// conflictsOn reports u's declared need on file f when u is a transaction
+// other than t and that need is incompatible with mode m: whether u belongs
+// to the set C(q) of the paper's Fig. 7 for t's access (f, m). Ranging it
+// over g.Txns() walks C(q) in the graph's deterministic insertion order.
+func conflictsOn(u, t *model.Txn, f model.FileID, m model.Mode) (model.Mode, bool) {
+	if u.ID == t.ID {
+		return 0, false
+	}
+	um, ok := u.NeedMode(f)
+	return um, ok && !um.Compatible(m)
+}
+
+// countConflicters counts C(q) for t's access (f, m) over the graph's
+// transactions, stopping once the count exceeds limit.
+func countConflicters(g *wtpg.Graph, t *model.Txn, f model.FileID, m model.Mode, limit int) int {
+	n := 0
 	for _, u := range g.Txns() {
-		if u.ID == t.ID {
-			continue
-		}
-		um, ok := u.LockNeed()[f]
-		if ok && !um.Compatible(m) {
-			out = append(out, u)
+		if _, ok := conflictsOn(u, t, f, m); ok {
+			if n++; n > limit {
+				break
+			}
 		}
 	}
-	return out
+	return n
 }

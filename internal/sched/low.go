@@ -149,19 +149,20 @@ func (s *low) Admit(t *model.Txn) (bool, sim.Time) {
 
 // admitBlocked is the K-bound admission test, read-only on the graph: t is
 // refused when some file's conflicting-declaration set — t's own, or that of
-// a transaction t would join — would exceed K.
+// a transaction t would join — would exceed K. It counts those sets with an
+// early exit instead of listing them, and keeps no scratch on s: the
+// prescreen runs it for many candidates at once.
 func (s *low) admitBlocked(t *model.Txn) bool {
-	need := t.LockNeed()
-	for f, m := range need {
-		cs := conflictersOn(s.graph, t, f, m)
-		if len(cs) > s.p.K {
+	files, modes := t.LockNeedSorted()
+	for i, f := range files {
+		if countConflicters(s.graph, t, f, modes[i], s.p.K) > s.p.K {
 			return true
 		}
-		for _, u := range cs {
-			um := u.LockNeed()[f]
+		for _, u := range s.graph.Txns() {
 			// u's conflict set on f after t joins: current conflicters of
 			// u's access plus t itself.
-			if len(conflictersOn(s.graph, u, f, um))+1 > s.p.K {
+			um, ok := conflictsOn(u, t, f, modes[i])
+			if ok && countConflicters(s.graph, u, f, um, s.p.K-1)+1 > s.p.K {
 				return true
 			}
 		}
@@ -246,9 +247,13 @@ func (s *low) Request(t *model.Txn) Outcome {
 	// declaration p in C(q). Each E(p) costs another kwtpgtime.
 	var cands []int64
 	var eps []float64
-	for _, u := range conflictersOn(s.graph, t, st.File, st.LockMode) {
+	for _, u := range s.graph.Txns() {
+		um, ok := conflictsOn(u, t, st.File, st.LockMode)
+		if !ok {
+			continue
+		}
 		cpu += s.p.KWTPGTime
-		ep := wtpg.Evaluate(s.graph, u, st.File, u.LockNeed()[st.File], s.w0)
+		ep := wtpg.Evaluate(s.graph, u, st.File, um, s.w0)
 		if s.audit != nil {
 			cands = append(cands, u.ID)
 			eps = append(eps, ep)
@@ -277,12 +282,13 @@ func (s *low) Request(t *model.Txn) Outcome {
 // value is simply never consulted, so outputs are unchanged.
 func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
 	cpu := s.p.KWTPGTime
-	confs := conflictersOn(s.graph, t, st.File, st.LockMode)
 	s.evalTxns = append(s.evalTxns[:0], t)
 	s.evalModes = append(s.evalModes[:0], st.LockMode)
-	for _, u := range confs {
-		s.evalTxns = append(s.evalTxns, u)
-		s.evalModes = append(s.evalModes, u.LockNeed()[st.File])
+	for _, u := range s.graph.Txns() {
+		if um, ok := conflictsOn(u, t, st.File, st.LockMode); ok {
+			s.evalTxns = append(s.evalTxns, u)
+			s.evalModes = append(s.evalModes, um)
+		}
 	}
 	s.evalFile = st.File
 	if n := len(s.evalTxns); cap(s.evalRes) < n {
@@ -310,7 +316,7 @@ func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
 	}
 	var cands []int64
 	var eps []float64
-	for i, u := range confs {
+	for i, u := range s.evalTxns[1:] {
 		cpu += s.p.KWTPGTime
 		ep := s.evalRes[i+1]
 		if s.audit != nil {

@@ -18,7 +18,7 @@ func mkTxn(id int64, pattern string, binding map[string]model.FileID) *model.Txn
 	return model.NewTxn(id, 0, steps)
 }
 
-func mustAdmit(t *testing.T, s Scheduler, txn *model.Txn) {
+func mustAdmit(t testing.TB, s Scheduler, txn *model.Txn) {
 	t.Helper()
 	ok, _ := s.Admit(txn)
 	if !ok {

@@ -15,11 +15,11 @@ func (g *Graph) WriteDOT(w io.Writer, w0 T0Weight) error {
 	b.WriteString("digraph wtpg {\n")
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  T0 [shape=doublecircle];\n")
-	for _, id := range g.order {
-		fmt.Fprintf(&b, "  T%d [shape=circle];\n", id)
+	for _, t := range g.order {
+		fmt.Fprintf(&b, "  T%d [shape=circle];\n", t.ID)
 	}
-	for _, id := range g.order {
-		fmt.Fprintf(&b, "  T0 -> T%d [label=\"%g\", color=gray];\n", id, w0(g.txns[id]))
+	for _, t := range g.order {
+		fmt.Fprintf(&b, "  T0 -> T%d [label=\"%g\", color=gray];\n", t.ID, w0(t))
 	}
 	// edgeSet is already sorted by (a, b).
 	for _, e := range g.edgeSet() {

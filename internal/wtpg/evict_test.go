@@ -24,8 +24,8 @@ import (
 func rebuildSurvivors(t *testing.T, g *Graph) *Graph {
 	t.Helper()
 	fresh := New()
-	for _, id := range g.order {
-		fresh.Add(g.txns[id])
+	for _, u := range g.order {
+		fresh.Add(u)
 	}
 	var pairs [][2]int64
 	for _, e := range g.edgeSet() {
@@ -60,13 +60,13 @@ func edgeFacts(g *Graph) map[[2]int64]edgeFact {
 func reachFacts(g *Graph) map[[2]int64]bool {
 	out := make(map[[2]int64]bool)
 	for _, x := range g.order {
-		row := g.reach[g.slots[x]]
+		row := g.reach[g.slots[x.ID]]
 		for _, y := range g.order {
 			if x == y {
 				continue
 			}
-			if bitGet(row, g.slots[y]) {
-				out[[2]int64{x, y}] = true
+			if bitGet(row, g.slots[y.ID]) {
+				out[[2]int64{x.ID, y.ID}] = true
 			}
 		}
 	}
@@ -237,15 +237,15 @@ func TestEvictionDifferentialRandom(t *testing.T) {
 				case c < 4 && g.Len() < maxPopulation: // admit
 					admit()
 				case c < 7 && g.Len() > 1: // evict a random survivor
-					victim := g.order[r.Intn(len(g.order))]
+					victim := g.order[r.Intn(len(g.order))].ID
 					g.Remove(victim)
 					checkAgainstRebuild(t, g)
 				default: // orient a random joined pair
 					if g.Len() < 2 {
 						continue
 					}
-					x := g.order[r.Intn(len(g.order))]
-					y := g.order[r.Intn(len(g.order))]
+					x := g.order[r.Intn(len(g.order))].ID
+					y := g.order[r.Intn(len(g.order))].ID
 					if x == y {
 						continue
 					}

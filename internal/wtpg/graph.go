@@ -25,6 +25,7 @@ package wtpg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"batchsched/internal/model"
@@ -103,7 +104,7 @@ type Graph struct {
 	txnAt []*model.Txn  // slot -> transaction (nil when not live)
 	live  []bool
 	freed []int
-	order []int64 // insertion order, for deterministic iteration
+	order []*model.Txn // insertion order, for deterministic iteration
 
 	// nbrs[s] holds the edges incident to slot s, sorted ascending by the
 	// other endpoint's transaction ID, so per-request iteration needs no
@@ -163,14 +164,11 @@ func (g *Graph) Has(id int64) bool { _, ok := g.txns[id]; return ok }
 // Txn returns the transaction with the given id, or nil.
 func (g *Graph) Txn(id int64) *model.Txn { return g.txns[id] }
 
-// Txns returns the transactions in insertion order.
-func (g *Graph) Txns() []*model.Txn {
-	out := make([]*model.Txn, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.txns[id])
-	}
-	return out
-}
+// Txns returns the transactions in insertion order. The slice is owned by
+// the graph: it is valid until the next Add or Remove and must not be
+// modified. Evaluation and orientation leave it untouched, so a caller may
+// evaluate candidates while ranging over it.
+func (g *Graph) Txns() []*model.Txn { return g.order }
 
 func bitGet(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitPut(row []uint64, i int)      { row[i>>6] |= 1 << (uint(i) & 63) }
@@ -265,9 +263,8 @@ func (g *Graph) Add(t *model.Txn) {
 	s := g.allocSlot(t.ID)
 	g.txns[t.ID] = t
 	g.txnAt[s] = t
-	g.order = append(g.order, t.ID)
-	for _, id := range g.order[:len(g.order)-1] {
-		u := g.txns[id]
+	g.order = append(g.order, t)
+	for _, u := range g.order[:len(g.order)-1] {
 		files := conflictFiles(t, u)
 		if len(files) == 0 {
 			continue
@@ -369,8 +366,8 @@ func (g *Graph) Remove(id int64) {
 	g.live[s] = false
 	g.freed = append(g.freed, s)
 	for i, x := range g.order {
-		if x == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
+		if x.ID == id {
+			g.order = slices.Delete(g.order, i, i+1)
 			break
 		}
 	}
@@ -430,11 +427,11 @@ func (g *Graph) pushSuccessors(s int) {
 // (Evaluate) speculates on the live graph instead.
 func (g *Graph) Clone() *Graph {
 	c := New()
-	for _, id := range g.order {
-		s := c.allocSlot(id)
-		c.txns[id] = g.txns[id]
-		c.txnAt[s] = g.txns[id]
-		c.order = append(c.order, id)
+	for _, t := range g.order {
+		s := c.allocSlot(t.ID)
+		c.txns[t.ID] = t
+		c.txnAt[s] = t
+		c.order = append(c.order, t)
 	}
 	for _, e := range g.edgeSet() {
 		ce := &edge{a: e.a, b: e.b, sa: c.slots[e.a], sb: c.slots[e.b],
@@ -671,9 +668,9 @@ func (g *Graph) edgeSet() []*edge {
 		return g.edges
 	}
 	g.edges = g.edges[:0]
-	for _, id := range g.order {
-		for _, e := range g.nbrs[g.slots[id]] {
-			if e.a == id { // emit from the low endpoint only
+	for _, t := range g.order {
+		for _, e := range g.nbrs[g.slots[t.ID]] {
+			if e.a == t.ID { // emit from the low endpoint only
 				g.edges = append(g.edges, e)
 			}
 		}

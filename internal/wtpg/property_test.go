@@ -24,9 +24,9 @@ func randTxn(r *rand.Rand, id int64, files ...model.FileID) *model.Txn {
 // (low, high) id pair.
 func dirSnapshot(g *Graph) map[[2]int64]Dir {
 	out := make(map[[2]int64]Dir)
-	ids := g.order
-	for i, x := range ids {
-		for _, y := range ids[i+1:] {
+	for i, tx := range g.order {
+		for _, ty := range g.order[i+1:] {
+			x, y := tx.ID, ty.ID
 			if from, _, d, ok := g.EdgeDir(x, y); ok {
 				_ = from
 				a, b := pairKey(x, y)
