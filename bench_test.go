@@ -2,7 +2,6 @@ package batchsched
 
 import (
 	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"batchsched/internal/machine"
 	"batchsched/internal/model"
 	"batchsched/internal/obs/sli"
-	"batchsched/internal/pool"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
@@ -144,35 +142,10 @@ func BenchmarkRunC2PL(b *testing.B) { benchOneRun(b, "C2PL", 0.08) }
 // restart churn).
 func BenchmarkRunOPT(b *testing.B) { benchOneRun(b, "OPT", 0.05) }
 
-// Decision-engine benchmarks: the latency of one GOW/LOW lock-request
-// decision at a contended steady state (DESIGN.md §17). Both scenarios are
-// built so the scheduler answers Delay, which leaves the WTPG untouched —
-// the identical decision can then be re-taken every iteration. Set
-// BENCH_DECISION_WORKERS=N to fan candidate scoring over N workers
-// (Params.DecisionWorkers); the decisions are byte-identical either way, so
-// the pre/post decision_ns_per_op ratio in BENCH_core.json is a pure
-// wall-clock comparison of the two paths.
-
-// benchDecisionWorkers reads BENCH_DECISION_WORKERS (0, the sequential
-// path, when unset or malformed).
-func benchDecisionWorkers() int {
-	n, err := strconv.Atoi(os.Getenv("BENCH_DECISION_WORKERS"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// benchLane injects a decision lane per Params.DecisionWorkers, returning
-// the pool to stop (nil on the sequential path).
-func benchLane(s sched.Scheduler, p sched.Params) *pool.Pool {
-	if p.DecisionWorkers <= 1 {
-		return nil
-	}
-	pl := pool.New("bench", p.DecisionWorkers)
-	s.(sched.DecisionParallel).SetDecisionLane(pl.Lane("decision"))
-	return pl
-}
+// Decision benchmarks: the latency of one GOW/LOW lock-request decision at
+// a contended steady state. Both scenarios are built so the scheduler
+// answers Delay, which leaves the WTPG untouched — the identical decision
+// can then be re-taken every iteration.
 
 func benchWriteStep(f int, cost float64) model.Step {
 	return model.Step{File: model.FileID(f), Write: true, LockMode: model.X,
@@ -184,9 +157,8 @@ func benchWriteStep(f int, cost float64) model.Step {
 // component whose members share file 0. The perpetual requester is the pair
 // member the optimized order W places second — its request is consistently
 // delayed in Phase 3 — and swap picks which member plays that role.
-func newDecisionGOW(p sched.Params, chains, chainLen int, swap bool) (sched.Scheduler, *model.Txn, *pool.Pool) {
+func newDecisionGOW(p sched.Params, chains, chainLen int, swap bool) (sched.Scheduler, *model.Txn) {
 	s := sched.MustNew("GOW", p)
-	pl := benchLane(s, p)
 	id := int64(1)
 	admit := func(steps ...model.Step) *model.Txn {
 		t := model.NewTxn(id, 0, steps)
@@ -216,27 +188,23 @@ func newDecisionGOW(p sched.Params, chains, chainLen int, swap bool) (sched.Sche
 			admit(steps...)
 		}
 	}
-	return s, c, pl
+	return s, c
 }
 
 // BenchmarkDecisionGOW measures one GOW lock-request decision — Phases 1-3
 // with the full Phase-2 optimized order over every chain component — at a
 // steady Delay point. decision_ns_per_op duplicates ns/op under the metric
-// name the benchjson gate tracks across worker counts.
+// name the benchjson gate tracks.
 func BenchmarkDecisionGOW(b *testing.B) {
 	p := sched.DefaultParams()
-	p.DecisionWorkers = benchDecisionWorkers()
-	s, req, pl := newDecisionGOW(p, 64, 8, false)
+	s, req := newDecisionGOW(p, 64, 8, false)
 	if out := s.Request(req); out.Decision != sched.Delay {
 		// W ordered the pair the other way: the roles are swapped, and that
 		// first Grant mutated the graph, so rebuild from scratch.
-		s, req, pl = newDecisionGOW(p, 64, 8, true)
+		s, req = newDecisionGOW(p, 64, 8, true)
 		if out := s.Request(req); out.Decision != sched.Delay {
 			b.Fatalf("no stable Delay requester (got %v)", out.Decision)
 		}
-	}
-	if pl != nil {
-		defer pl.Stop()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -252,18 +220,13 @@ func BenchmarkDecisionGOW(b *testing.B) {
 // BenchmarkDecisionLOW measures one LOW lock-request decision — E(q) plus
 // the E(p) scan over every conflicting declaration on a hot file — at a
 // steady Delay point: the conflicters are ordered so the one beating E(q)
-// comes last, which makes the sequential path walk the entire candidate
-// list before delaying (the worst, and parallel-relevant, case).
+// comes last, which makes the decision walk the entire candidate list
+// before delaying (the worst case).
 func BenchmarkDecisionLOW(b *testing.B) {
 	const residents = 16
 	p := sched.DefaultParams()
 	p.K = residents
-	p.DecisionWorkers = benchDecisionWorkers()
 	s := sched.MustNew("LOW", p)
-	pl := benchLane(s, p)
-	if pl != nil {
-		defer pl.Stop()
-	}
 	id := int64(1)
 	admit := func(steps ...model.Step) *model.Txn {
 		t := model.NewTxn(id, 0, steps)

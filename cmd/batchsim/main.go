@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"batchsched"
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "LOW", "scheduler: NODC, ASL, GOW, LOW, C2PL, C2PL+M, OPT")
+		schedName = flag.String("sched", "LOW", "scheduler: "+strings.Join(batchsched.Schedulers(), ", "))
 		lambda    = flag.Float64("lambda", 0.6, "arrival rate (transactions per second)")
 		numFiles  = flag.Int("numfiles", 16, "number of files (Experiment 1)")
 		numNodes  = flag.Int("numnodes", 8, "number of data-processing nodes")
@@ -41,7 +42,6 @@ func main() {
 		mpl       = flag.Int("mpl", 0, "C2PL+M admission limit (0 = unlimited)")
 		k         = flag.Int("k", 2, "LOW conflict bound K")
 		check     = flag.Bool("check", false, "verify conflict-serializability of the run")
-		decisionW = flag.Int("decision-workers", 0, "GOW/LOW parallel decision engine: N>1 fans candidate scoring over N workers (results byte-identical; see DESIGN.md §17)")
 		progress  = flag.Bool("progress", false, "print engine execution stats after the run: calendar events dispatched and events/sec")
 		backend   = flag.String("backend", "sim", "execution backend: sim (virtual clock) or live (real goroutine-per-DPN execution)")
 		txns      = flag.Int("txns", 64, "closed-batch size for -backend live and -compare")
@@ -128,6 +128,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
 		os.Exit(2)
 	}
+	if err := validateRunFlags(*wl, *numFiles, *heavytail, *txns, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := batchsched.DefaultConfig()
 	cfg.ArrivalRate = *lambda
@@ -169,7 +173,6 @@ func main() {
 	params := batchsched.DefaultParams()
 	params.MPL = *mpl
 	params.K = *k
-	params.DecisionWorkers = *decisionW
 
 	var gen batchsched.Generator
 	switch *wl {

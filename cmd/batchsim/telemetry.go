@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -11,26 +10,6 @@ import (
 	"batchsched/internal/obs/serve"
 	"batchsched/internal/obs/sli"
 )
-
-// validateTelemetryFlags rejects telemetry flags on execution modes whose
-// clock the endpoint would misrepresent: -serve scrapes wall-clock
-// streaming instruments, so it requires the live backend and a single real
-// run — the virtual-clock simulator finishes in milliseconds of wall time
-// and -compare interleaves many runs, so a scrape of either would lie.
-func validateTelemetryFlags(serveAddr, sliLedger, backend string, compare bool) error {
-	if serveAddr != "" {
-		if compare {
-			return errors.New("-serve is incompatible with -compare (it interleaves many short runs)")
-		}
-		if backend != "live" {
-			return fmt.Errorf("-serve requires -backend live: the %q backend runs on the virtual clock, not in wall time", backend)
-		}
-	}
-	if sliLedger != "" && compare {
-		return errors.New("-sli-ledger is incompatible with -compare")
-	}
-	return nil
-}
 
 // telemetryOpts carries the telemetry flags into the live run.
 type telemetryOpts struct {

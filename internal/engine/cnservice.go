@@ -4,8 +4,6 @@ import (
 	"slices"
 
 	"batchsched/internal/admit"
-	"batchsched/internal/model"
-	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
 
@@ -30,11 +28,6 @@ type svcState struct {
 	epochPrev  admit.Stats
 	epochRTs   []sim.Time
 	epochHook  func(admit.EpochStats)
-
-	// fillWindow pops the epoch's batch into fillBuf so AdmitScreener
-	// schedulers can prescreen it (screenBuf) before the Admit calls.
-	fillBuf   []*Exec
-	screenBuf []*model.Txn
 }
 
 // EnableService switches the control node into service mode. The window
@@ -113,32 +106,15 @@ func (c *CN) CloseService(now sim.Time) {
 // or the queue empties. window counts transactions that left the queue and
 // have not committed or been evicted — including scheduler-refused
 // admissions in the park queue — so the MPL cap holds across retries.
-//
-// The epoch's batch is popped first and only then offered to tryAdmit, so
-// AdmitScreener schedulers can prescreen all candidates before the
-// one-by-one Admit calls.
 func (c *CN) fillWindow(now sim.Time) {
-	batch := c.fillBuf[:0]
 	for c.window < c.svc.Policy().MPL {
 		it, ok := c.svc.Pop(now)
 		if !ok {
 			break
 		}
 		c.window++
-		batch = append(batch, it.Payload.(*Exec))
+		c.tryAdmit(it.Payload.(*Exec))
 	}
-	if as, ok := c.sch.(sched.AdmitScreener); ok && len(batch) > 1 {
-		c.screenBuf = c.screenBuf[:0]
-		for _, e := range batch {
-			c.screenBuf = append(c.screenBuf, e.Txn)
-		}
-		as.PrescreenAdmits(c.screenBuf)
-	}
-	for i, e := range batch {
-		batch[i] = nil // don't pin retired execs through the buffer
-		c.tryAdmit(e)
-	}
-	c.fillBuf = batch[:0]
 }
 
 // evictOne removes the blocked or policy-delayed batch-class transaction

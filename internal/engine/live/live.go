@@ -31,7 +31,6 @@ import (
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
 	"batchsched/internal/obs/stream"
-	"batchsched/internal/pool"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
@@ -170,11 +169,6 @@ type Backend struct {
 
 	txns []*model.Txn
 
-	// workPool backs the scheduler's parallel decision engine when the
-	// scheduler implements sched.DecisionParallel with DecisionWorkers > 1
-	// (nil otherwise).
-	workPool *pool.Pool
-
 	nextID     int64
 	checksum   uint64
 	violations int
@@ -245,14 +239,6 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 		RestartDelay:  sim.Time((cfg.RestartDelay + time.Microsecond - 1) / time.Microsecond),
 		RestartJitter: cfg.RestartJitter,
 	}, cnHost{b}, s, b.met, sim.NewRNG(1).Stream("restart"))
-	// The CN goroutine owns the scheduler either way; a decision lane only
-	// parallelizes the evaluation inside one scheduler call, so decisions
-	// stay byte-identical to the sequential path (DESIGN.md §17). Workers
-	// start lazily, so a pool that never fans out costs nothing.
-	if dp, ok := s.(sched.DecisionParallel); ok && dp.DecisionWorkers() > 1 {
-		b.workPool = pool.New("live", dp.DecisionWorkers())
-		dp.SetDecisionLane(b.workPool.Lane("decision"))
-	}
 	return b, nil
 }
 
@@ -442,15 +428,12 @@ func (b *Backend) sample() {
 	}
 }
 
-// finish stops the DPN workers and the decision pool and digests the run.
+// finish stops the DPN workers and digests the run.
 func (b *Backend) finish() metrics.Summary {
 	for _, d := range b.dpns {
 		close(d.in)
 	}
 	b.wg.Wait()
-	if b.workPool != nil {
-		b.workPool.Stop()
-	}
 	for _, d := range b.dpns {
 		b.met.DPNBusy(d.id, sim.Time(d.busy/time.Microsecond))
 		b.violations += d.violations

@@ -9,7 +9,6 @@ import (
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/pool"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/workload"
@@ -53,11 +52,6 @@ type Machine struct {
 	arrivals    workload.Arrivals // nil when no arrival process is configured
 
 	nextID int64
-
-	// workPool serves the scheduler's decision fan-out (DESIGN.md §17); nil
-	// unless the scheduler asks for more than one decision worker. Its
-	// goroutines start lazily and Run/RunClosed stop them on exit.
-	workPool *pool.Pool
 
 	// cnCPU is the CPU time of the CN job in service: the CN is a single
 	// server, so one completion event (onCNDone) is outstanding at a time.
@@ -177,10 +171,6 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 	if la, ok := s.(sched.LoadAware); ok {
 		la.SetLoadProbe(m.fileLoad)
 	}
-	if dp, ok := s.(sched.DecisionParallel); ok && dp.DecisionWorkers() > 1 {
-		m.workPool = pool.New("machine", dp.DecisionWorkers())
-		dp.SetDecisionLane(m.workPool.Lane("decision"))
-	}
 	if err := m.wireFaults(rng); err != nil {
 		return nil, err
 	}
@@ -299,7 +289,6 @@ func (m *Machine) Submit(steps []model.Step) *model.Txn {
 // Run executes the configured workload for cfg.Duration and returns the
 // metrics summary.
 func (m *Machine) Run() metrics.Summary {
-	defer m.stopPool()
 	if m.inj != nil {
 		m.inj.Start()
 	}
@@ -332,7 +321,6 @@ func (m *Machine) Run() metrics.Summary {
 // runs, which are all closed batches (the live backend has no arrival
 // process).
 func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
-	defer m.stopPool()
 	if m.inj != nil {
 		m.inj.Start()
 	}
@@ -345,14 +333,6 @@ func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
 	}
 	m.ob.Finish(now)
 	return m.met.Summarize(now)
-}
-
-// stopPool shuts the decision worker pool down, so a finished run leaves no
-// goroutines behind.
-func (m *Machine) stopPool() {
-	if m.workPool != nil {
-		m.workPool.Stop()
-	}
 }
 
 func (m *Machine) scheduleNextArrival() {

@@ -6,7 +6,6 @@ import (
 	"batchsched/internal/lock"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/pool"
 	"batchsched/internal/sim"
 	"batchsched/internal/wtpg"
 )
@@ -27,16 +26,6 @@ type gow struct {
 	// critical path |W| of the previous audited plan (for the delta).
 	audit  *obs.Audit
 	lastCP float64
-
-	// Parallel decision engine (parallel.go): the injected pool lane fans
-	// Phase 2's per-component chain optimization out; screen caches
-	// monotone admission rejections from PrescreenAdmits, with screenTxns/
-	// screenRej/screenCk its fan-out job table and per-worker scratch.
-	lane       *pool.Lane
-	screen     map[int64]bool
-	screenTxns []*model.Txn
-	screenRej  []bool
-	screenCk   []wtpg.AddCheck
 }
 
 // NewGOW returns a Globally-Optimized WTPG scheduler.
@@ -77,61 +66,12 @@ func (s *gow) record(t *model.Txn, d Decision, pairs [][2]int64, cp float64, hav
 // Admit is Phase 0: the chain-form test (cost: toptime). A transaction that
 // would break chain form is not started; the control node retries it later.
 func (s *gow) Admit(t *model.Txn) (bool, sim.Time) {
-	if s.screen[t.ID] {
-		// Cached monotone rejection from the epoch's prescreen: the graph
-		// has only grown since, so the full test would reject too, at the
-		// same TopTime charge.
-		return false, s.p.TopTime
-	}
 	if !s.graph.ChainFormAfterAdd(t) {
 		return false, s.p.TopTime
 	}
 	s.graph.Add(t)
 	seedHolderOrder(s.graph, s.locks, t)
 	return true, s.p.TopTime
-}
-
-// DecisionWorkers implements DecisionParallel.
-func (s *gow) DecisionWorkers() int { return s.p.DecisionWorkers }
-
-// SetDecisionLane implements DecisionParallel.
-func (s *gow) SetDecisionLane(l *pool.Lane) { s.lane = l }
-
-// PrescreenAdmits implements AdmitScreener: run the chain-form test for
-// every candidate concurrently (each worker with private AddCheck scratch)
-// against the sweep-start graph and cache the rejections for Admit.
-// Rejections are monotone while the graph only grows — degrees grow and
-// components only merge — and Committed/Aborted drop the cache.
-func (s *gow) PrescreenAdmits(ts []*model.Txn) {
-	clear(s.screen)
-	if w := decisionWorkers(s.p, s.lane); w > 1 && len(ts) > 1 {
-		s.screenTxns = append(s.screenTxns[:0], ts...)
-		if cap(s.screenRej) < len(ts) {
-			s.screenRej = make([]bool, len(ts))
-		} else {
-			s.screenRej = s.screenRej[:len(ts)] // workers write every index
-		}
-		if nw := s.lane.Workers(); len(s.screenCk) < nw {
-			s.screenCk = append(s.screenCk, make([]wtpg.AddCheck, nw-len(s.screenCk))...)
-		}
-		s.lane.Run((*gowScreenRun)(s), len(ts), w)
-		if s.screen == nil {
-			s.screen = make(map[int64]bool)
-		}
-		for i, t := range ts {
-			if s.screenRej[i] {
-				s.screen[t.ID] = true
-			}
-		}
-	}
-}
-
-// gowScreenRun is gow's prescreen fan-out entry point (pool.Runner).
-type gowScreenRun gow
-
-func (r *gowScreenRun) RunTask(worker, i int) {
-	s := (*gow)(r)
-	s.screenRej[i] = !s.graph.ChainFormAfterAddWith(s.screenTxns[i], &s.screenCk[worker])
 }
 
 func (s *gow) Request(t *model.Txn) Outcome {
@@ -175,15 +115,7 @@ func (s *gow) Request(t *model.Txn) Outcome {
 	cp, haveCP := 0.0, false
 	if len(pairs) > 0 {
 		plan := &s.plan
-		// Phase 2 fans per-component solving over the decision lane when one
-		// is injected; the plan is byte-identical either way.
-		var err error
-		if w := decisionWorkers(s.p, s.lane); w > 1 {
-			err = s.graph.OptimalChainOrientationParallelInto(wtpg.RemainingDemand, plan, s.lane, w)
-		} else {
-			err = s.graph.OptimalChainOrientationInto(wtpg.RemainingDemand, plan)
-		}
-		if err != nil {
+		if err := s.graph.OptimalChainOrientationInto(wtpg.RemainingDemand, plan); err != nil {
 			panic(fmt.Sprintf("sched: GOW graph lost chain form: %v", err))
 		}
 		cp, haveCP = plan.Value, true
@@ -212,7 +144,6 @@ func (s *gow) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }
 func (s *gow) Committed(t *model.Txn) {
 	s.graph.Remove(t.ID)
 	s.locks.ReleaseAll(t.ID)
-	clear(s.screen) // removals invalidate cached monotone rejections
 }
 
 // Aborted removes the transaction's WTPG node (its precedence edges go with
@@ -221,7 +152,6 @@ func (s *gow) Committed(t *model.Txn) {
 func (s *gow) Aborted(t *model.Txn) {
 	s.graph.Remove(t.ID)
 	s.locks.ReleaseAll(t.ID)
-	clear(s.screen) // removals invalidate cached monotone rejections
 }
 
 // Locks exposes the lock table for invariant checks in tests.

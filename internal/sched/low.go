@@ -6,7 +6,6 @@ import (
 	"batchsched/internal/lock"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/pool"
 	"batchsched/internal/sim"
 	"batchsched/internal/wtpg"
 )
@@ -28,23 +27,6 @@ type low struct {
 	// audit, when set, records every lock-request decision with C(q) and
 	// the E(q)/E(p) estimates the grant test compared.
 	audit *obs.Audit
-
-	// Parallel decision engine (parallel.go): the injected pool lane,
-	// per-worker overlay arenas, the per-decision frozen base, and the job
-	// table of one fan-out (evalRes[0] = E(q), evalRes[i+1] = E(p_i)).
-	lane      *pool.Lane
-	ovl       []*wtpg.Overlay
-	base      wtpg.EvalBase
-	evalTxns  []*model.Txn
-	evalModes []model.Mode
-	evalRes   []float64
-	evalFile  model.FileID
-
-	// screen caches monotone admission rejections from PrescreenAdmits;
-	// screenTxns/screenRej are its fan-out job table.
-	screen     map[int64]bool
-	screenTxns []*model.Txn
-	screenRej  []bool
 }
 
 // NewLOW returns a Locally-Optimized WTPG scheduler with conflict bound p.K.
@@ -133,12 +115,6 @@ func (s *low) record(t *model.Txn, d Decision, cands []int64, eq float64, haveEQ
 // on that file and the conflict sets of the transactions it joins must stay
 // at size <= K.
 func (s *low) Admit(t *model.Txn) (bool, sim.Time) {
-	if s.screen[t.ID] {
-		// Cached monotone rejection from the epoch's prescreen: the graph
-		// has only grown since, so the full test would reject too, at the
-		// same (zero) CPU charge.
-		return false, 0
-	}
 	if s.admitBlocked(t) {
 		return false, 0
 	}
@@ -150,8 +126,8 @@ func (s *low) Admit(t *model.Txn) (bool, sim.Time) {
 // admitBlocked is the K-bound admission test, read-only on the graph: t is
 // refused when some file's conflicting-declaration set — t's own, or that of
 // a transaction t would join — would exceed K. It counts those sets with an
-// early exit instead of listing them, and keeps no scratch on s: the
-// prescreen runs it for many candidates at once.
+// early exit instead of listing them, so a refused admission allocates
+// nothing.
 func (s *low) admitBlocked(t *model.Txn) bool {
 	files, modes := t.LockNeedSorted()
 	for i, f := range files {
@@ -170,58 +146,6 @@ func (s *low) admitBlocked(t *model.Txn) bool {
 	return false
 }
 
-// DecisionWorkers implements DecisionParallel.
-func (s *low) DecisionWorkers() int { return s.p.DecisionWorkers }
-
-// SetDecisionLane implements DecisionParallel.
-func (s *low) SetDecisionLane(l *pool.Lane) { s.lane = l }
-
-// PrescreenAdmits implements AdmitScreener: run the admission test for every
-// candidate concurrently against the sweep-start graph and cache the
-// rejections for Admit. Rejections are monotone while the graph only grows;
-// Committed/Aborted (the only removal paths) drop the cache.
-func (s *low) PrescreenAdmits(ts []*model.Txn) {
-	clear(s.screen)
-	if w := decisionWorkers(s.p, s.lane); w > 1 && len(ts) > 1 {
-		s.screenTxns = append(s.screenTxns[:0], ts...)
-		if cap(s.screenRej) < len(ts) {
-			s.screenRej = make([]bool, len(ts))
-		} else {
-			s.screenRej = s.screenRej[:len(ts)] // workers write every index
-		}
-		s.lane.Run((*lowScreenRun)(s), len(ts), w)
-		if s.screen == nil {
-			s.screen = make(map[int64]bool)
-		}
-		for i, t := range ts {
-			if s.screenRej[i] {
-				s.screen[t.ID] = true
-			}
-		}
-	}
-}
-
-// lowScreenRun is low's prescreen fan-out entry point (pool.Runner).
-type lowScreenRun low
-
-func (r *lowScreenRun) RunTask(worker, i int) {
-	s := (*low)(r)
-	s.screenRej[i] = s.admitBlocked(s.screenTxns[i])
-}
-
-// lowEvalRun is low's E(q)/E(p) fan-out entry point (pool.Runner): job i
-// scores evalTxns[i] with worker w's private overlay against the frozen
-// base.
-type lowEvalRun low
-
-func (r *lowEvalRun) RunTask(worker, i int) {
-	s := (*low)(r)
-	if s.ovl[worker] == nil {
-		s.ovl[worker] = new(wtpg.Overlay)
-	}
-	s.evalRes[i] = s.ovl[worker].Evaluate(&s.base, s.evalTxns[i], s.evalFile, s.evalModes[i])
-}
-
 func (s *low) Request(t *model.Txn) Outcome {
 	if holdsSufficient(s.locks, t) {
 		s.record(t, Grant, nil, 0, false, nil, "holds sufficient lock")
@@ -232,9 +156,6 @@ func (s *low) Request(t *model.Txn) Outcome {
 	if !s.locks.CanGrant(t.ID, st.File, st.LockMode) {
 		s.record(t, Block, nil, 0, false, nil, "conflicting lock holder")
 		return Outcome{Decision: Block}
-	}
-	if decisionWorkers(s.p, s.lane) > 1 {
-		return s.requestParallel(t, st)
 	}
 	// Phase 2: E(q); a deadlock evaluates to +Inf and q is delayed.
 	cpu := s.p.KWTPGTime
@@ -273,76 +194,11 @@ func (s *low) Request(t *model.Txn) Outcome {
 	return Outcome{Decision: Grant, CPU: cpu}
 }
 
-// requestParallel is Phases 2–4 with E(q) and every E(p) scored concurrently
-// through per-worker overlays, then the sequential decision walk replayed
-// over the precomputed values: the same candidate order, the same early
-// exit, the same per-candidate KWTPGTime charge up to and including the
-// deciding comparison, the same audit entries. A candidate the sequential
-// path would never have evaluated may be scored speculatively here; its
-// value is simply never consulted, so outputs are unchanged.
-func (s *low) requestParallel(t *model.Txn, st model.Step) Outcome {
-	cpu := s.p.KWTPGTime
-	s.evalTxns = append(s.evalTxns[:0], t)
-	s.evalModes = append(s.evalModes[:0], st.LockMode)
-	for _, u := range s.graph.Txns() {
-		if um, ok := conflictsOn(u, t, st.File, st.LockMode); ok {
-			s.evalTxns = append(s.evalTxns, u)
-			s.evalModes = append(s.evalModes, um)
-		}
-	}
-	s.evalFile = st.File
-	if n := len(s.evalTxns); cap(s.evalRes) < n {
-		s.evalRes = make([]float64, n)
-	} else {
-		s.evalRes = s.evalRes[:n] // workers write every index
-	}
-	if nw := s.lane.Workers(); len(s.ovl) < nw {
-		s.ovl = append(s.ovl, make([]*wtpg.Overlay, nw-len(s.ovl))...)
-	}
-	if err := s.graph.BuildEvalBase(s.w0, &s.base); err != nil {
-		// A cyclic base graph is impossible after consistent grants, but the
-		// sequential path would evaluate E(q) to +Inf; mirror it.
-		s.record(t, Delay, nil, math.Inf(1), true, nil, "")
-		return Outcome{Decision: Delay, CPU: cpu}
-	}
-	s.lane.Run((*lowEvalRun)(s), len(s.evalTxns), s.p.DecisionWorkers)
-	if testCorruptEvalOrder != nil {
-		testCorruptEvalOrder(s.evalRes)
-	}
-	eq := s.evalRes[0]
-	if math.IsInf(eq, 1) {
-		s.record(t, Delay, nil, eq, true, nil, "")
-		return Outcome{Decision: Delay, CPU: cpu}
-	}
-	var cands []int64
-	var eps []float64
-	for i, u := range s.evalTxns[1:] {
-		cpu += s.p.KWTPGTime
-		ep := s.evalRes[i+1]
-		if s.audit != nil {
-			cands = append(cands, u.ID)
-			eps = append(eps, ep)
-		}
-		if eq > ep {
-			s.record(t, Delay, cands, eq, true, eps, "E(q) > E(p)")
-			return Outcome{Decision: Delay, CPU: cpu}
-		}
-	}
-	if err := s.graph.Grant(t, st.File, st.LockMode); err != nil {
-		s.record(t, Delay, cands, eq, true, eps, err.Error())
-		return Outcome{Decision: Delay, CPU: cpu}
-	}
-	s.locks.Grant(t.ID, st.File, st.LockMode)
-	s.record(t, Grant, cands, eq, true, eps, "")
-	return Outcome{Decision: Grant, CPU: cpu}
-}
-
 func (s *low) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }
 
 func (s *low) Committed(t *model.Txn) {
 	s.graph.Remove(t.ID)
 	s.locks.ReleaseAll(t.ID)
-	clear(s.screen) // removals invalidate cached monotone rejections
 }
 
 // Aborted removes the transaction's WTPG node (its precedence edges go with
@@ -351,7 +207,6 @@ func (s *low) Committed(t *model.Txn) {
 func (s *low) Aborted(t *model.Txn) {
 	s.graph.Remove(t.ID)
 	s.locks.ReleaseAll(t.ID)
-	clear(s.screen) // removals invalidate cached monotone rejections
 }
 
 // Locks exposes the lock table for invariant checks in tests.

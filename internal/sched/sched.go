@@ -110,13 +110,6 @@ type Params struct {
 	// and grant any request whose implied orientations are merely
 	// non-contradictory (first-come orientation instead of the optimal W).
 	GOWGreedy bool
-	// DecisionWorkers fans GOW/LOW candidate scoring out over the backend's
-	// worker pool (DESIGN.md §17). 0 or 1 keeps the sequential decision
-	// path; any value yields byte-identical decisions, CPU charges and audit
-	// streams — parallelism only changes wall-clock time. Takes effect only
-	// when the backend injects a pool lane (machine/engine-live do when the
-	// value is > 1).
-	DecisionWorkers int
 }
 
 // DefaultParams returns the values of the paper's Table 1 (K = 2 as used in
@@ -132,8 +125,9 @@ func DefaultParams() Params {
 }
 
 // Names lists the scheduler names accepted by New: the paper's six (in the
-// paper's order) plus the traditional strict-2PL baseline ("2PL") the
-// paper's introduction dismisses.
+// paper's order), the traditional strict-2PL baseline ("2PL") the paper's
+// introduction dismisses, and LOW's load-balancing variant ("LOW-LB") its
+// conclusion names as further work.
 var Names = []string{"NODC", "ASL", "GOW", "LOW", "C2PL", "C2PL+M", "OPT", "2PL", "LOW-LB"}
 
 // New builds a scheduler by its paper name. "C2PL+M" uses p.MPL as its

@@ -2,12 +2,9 @@ package wtpg
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 
 	"batchsched/internal/model"
-	"batchsched/internal/pool"
 )
 
 // benchChain builds an n-node chain graph with random weights.
@@ -40,56 +37,63 @@ func BenchmarkOptimalChainOrientation(b *testing.B) {
 	}
 }
 
-// BenchmarkOrientAll measures one full Phase-2 planning pass — the optimal
-// chain orientation over every component of a many-chain WTPG (the
-// per-decision cost GOW pays on each contended lock request, DESIGN.md §17).
-// Set BENCH_DECISION_WORKERS=N to solve components on an N-worker pool
-// (OptimalChainOrientationParallelInto); the plan is byte-identical either
-// way, so the pre/post ratio in BENCH_core.json is a pure wall-clock
-// comparison of the sequential and fanned-out solvers.
-func BenchmarkOrientAll(b *testing.B) {
-	workers, _ := strconv.Atoi(os.Getenv("BENCH_DECISION_WORKERS"))
-	r := rand.New(rand.NewSource(1))
-	g := New()
-	buildChainGraph(r, g, 64, 8)
-	var plan Plan
-	var lane *pool.Lane
-	if workers > 1 {
-		p := pool.New("bench", workers)
-		defer p.Stop()
-		lane = p.Lane("decision")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if lane != nil {
-			err = g.OptimalChainOrientationParallelInto(RemainingDemand, &plan, lane, workers)
-		} else {
-			err = g.OptimalChainOrientationInto(RemainingDemand, &plan)
+// buildChainGraph adds transactions that pairwise conflict only along
+// random disjoint chains (GOW's chain-form invariant), orienting a few edges
+// to exercise the fixed-direction handling.
+func buildChainGraph(r *rand.Rand, g *Graph, chains, maxLen int) {
+	id := int64(1)
+	file := 0
+	for c := 0; c < chains; c++ {
+		n := 1 + r.Intn(maxLen)
+		prev := model.FileID(-1)
+		for i := 0; i < n; i++ {
+			// Each chain member shares one file with its predecessor and one
+			// with its successor; files are globally unique otherwise.
+			var files []model.FileID
+			if prev >= 0 {
+				files = append(files, prev)
+			}
+			next := model.FileID(file)
+			file++
+			files = append(files, next)
+			g.Add(randTxn(r, id, files...))
+			id++
+			prev = next
 		}
-		if err != nil {
-			b.Fatal(err)
+	}
+	// Orient ~1/4 of the edges (closure keeps the graph consistent).
+	ids := make([]int64, 0, int(id)-1)
+	for x := int64(1); x < id; x++ {
+		if g.Has(x) {
+			ids = append(ids, x)
+		}
+	}
+	for try := 0; try < len(ids); try++ {
+		x := ids[r.Intn(len(ids))]
+		y := ids[r.Intn(len(ids))]
+		if x == y {
+			continue
+		}
+		if _, _, d, ok := g.EdgeDir(x, y); ok && d == Undetermined && r.Intn(4) == 0 {
+			_ = g.Orient(x, y)
 		}
 	}
 }
 
-// BenchmarkOverlayEvaluate measures LOW's parallel-path E(q) — one overlay
-// evaluation against a frozen base — next to BenchmarkEvaluate's exclusive
-// apply/undo equivalent.
-func BenchmarkOverlayEvaluate(b *testing.B) {
-	g, txns := benchChain(32, 7)
-	t := txns[10]
-	f := t.Steps[0].File
-	var base EvalBase
-	if err := g.BuildEvalBase(RemainingDemand, &base); err != nil {
-		b.Fatal(err)
-	}
-	var ov Overlay
+// BenchmarkOrientAll measures one full Phase-2 planning pass — the optimal
+// chain orientation over every component of a many-chain WTPG (the
+// per-decision cost GOW pays on each contended lock request).
+func BenchmarkOrientAll(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	g := New()
+	buildChainGraph(r, g, 64, 8)
+	var plan Plan
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ov.Evaluate(&base, t, f, model.X)
+		if err := g.OptimalChainOrientationInto(RemainingDemand, &plan); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -91,26 +91,6 @@ func (g *Graph) ChainForm() bool {
 // two endpoints would close a cycle). This is O(active + component) and
 // runs on every admission retry, so it must not clone the graph.
 func (g *Graph) ChainFormAfterAdd(t *model.Txn) bool {
-	return g.chainFormAfterAdd(t, &g.mark, &g.stack)
-}
-
-// AddCheck carries the scratch of a read-only admission check so concurrent
-// prescreen workers (sched's AdmitScreener) can each run
-// ChainFormAfterAddWith without racing on the graph's own scratch buffers.
-type AddCheck struct {
-	mark  []bool
-	stack []int
-}
-
-// ChainFormAfterAddWith is ChainFormAfterAdd using caller-owned scratch. It
-// only reads the graph, so distinct AddChecks may run concurrently — as long
-// as each candidate is tested by exactly one worker (the check lazily warms
-// the candidate's declared-need caches).
-func (g *Graph) ChainFormAfterAddWith(t *model.Txn, ck *AddCheck) bool {
-	return g.chainFormAfterAdd(t, &ck.mark, &ck.stack)
-}
-
-func (g *Graph) chainFormAfterAdd(t *model.Txn, markBuf *[]bool, stackBuf *[]int) bool {
 	var nbrs [2]int64
 	n := 0
 	// Slot order, not insertion order: the outcome (a set test) is
@@ -132,7 +112,7 @@ func (g *Graph) chainFormAfterAdd(t *model.Txn, markBuf *[]bool, stackBuf *[]int
 			return false
 		}
 	}
-	if n == 2 && g.sameComponentWith(nbrs[0], nbrs[1], markBuf, stackBuf) {
+	if n == 2 && g.sameComponent(nbrs[0], nbrs[1]) {
 		return false
 	}
 	return true
@@ -142,18 +122,13 @@ func (g *Graph) chainFormAfterAdd(t *model.Txn, markBuf *[]bool, stackBuf *[]int
 // component (the graph is a union of paths, so this walks at most one
 // path).
 func (g *Graph) sameComponent(x, y int64) bool {
-	return g.sameComponentWith(x, y, &g.mark, &g.stack)
-}
-
-func (g *Graph) sameComponentWith(x, y int64, markBuf *[]bool, stackBuf *[]int) bool {
 	sx, sy := g.slots[x], g.slots[y]
-	mark := resetBools(markBuf, len(g.ids))
-	stack := append((*stackBuf)[:0], sx)
+	mark := resetBools(&g.mark, len(g.ids))
 	mark[sx] = true
-	defer func() { *stackBuf = stack[:0] }()
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	g.stack = append(g.stack[:0], sx)
+	for len(g.stack) > 0 {
+		v := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
 		if v == sy {
 			return true
 		}
@@ -164,7 +139,7 @@ func (g *Graph) sameComponentWith(x, y int64, markBuf *[]bool, stackBuf *[]int) 
 			}
 			if !mark[u] {
 				mark[u] = true
-				stack = append(stack, u)
+				g.stack = append(g.stack, u)
 			}
 		}
 	}
@@ -272,9 +247,7 @@ func (g *Graph) OptimalChainOrientationInto(w0 T0Weight, plan *Plan) error {
 		for _, s := range comp {
 			visited[s] = true
 		}
-		var value float64
-		value, plan.pred = g.solveChain(&g.cs, comp, g.cs.path, w0, plan.pred)
-		if value > plan.Value {
+		if value := g.solveChain(comp, w0, plan); value > plan.Value {
 			plan.Value = value
 		}
 	}
@@ -358,12 +331,11 @@ type chainEdge struct {
 }
 
 // solveChain minimizes the critical path of one path component (slots comp
-// in path order, joined by path[i] between comp[i] and comp[i+1]) and
-// appends the chosen orientation — exactly len(comp)-1 entries — to pred,
-// returning the component's minimal critical-path value and the extended
-// slice. It only reads the graph and writes cs, so distinct scratches may
-// solve distinct components concurrently.
-func (g *Graph) solveChain(cs *chainScratch, comp []int, path []*edge, w0 T0Weight, pred []planEdge) (float64, []planEdge) {
+// in path order, joined by g.cs.path[i] between comp[i] and comp[i+1]) and
+// records the chosen orientation into plan. It returns the component's
+// minimal critical-path value.
+func (g *Graph) solveChain(comp []int, w0 T0Weight, plan *Plan) float64 {
+	cs := &g.cs
 	m := len(comp)
 	r := resetFloats(&cs.r, m)
 	maxR := 0.0
@@ -374,11 +346,11 @@ func (g *Graph) solveChain(cs *chainScratch, comp []int, path []*edge, w0 T0Weig
 		}
 	}
 	if m == 1 {
-		return maxR, pred
+		return maxR
 	}
 	edges := cs.edges[:0]
 	for i := 0; i < m-1; i++ {
-		e := path[i]
+		e := cs.path[i]
 		var ce chainEdge
 		if comp[i] == e.sa {
 			ce.f, ce.b = e.wAB, e.wBA
@@ -422,30 +394,31 @@ func (g *Graph) solveChain(cs *chainScratch, comp []int, path []*edge, w0 T0Weig
 	// The largest candidate is always feasible (it bounds every run value).
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if feasible, _ := chainFeasible(cs, r, edges, cands[mid]); feasible {
+		if feasible, _ := g.chainFeasible(r, edges, cands[mid]); feasible {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	value := cands[lo]
-	_, dirs := chainFeasible(cs, r, edges, value)
+	_, dirs := g.chainFeasible(r, edges, value)
 	for i, forward := range dirs {
 		a, b := pairKey(g.ids[comp[i]], g.ids[comp[i+1]])
 		winner := g.ids[comp[i]]
 		if !forward {
 			winner = g.ids[comp[i+1]]
 		}
-		pred = append(pred, planEdge{a: a, b: b, winner: winner})
+		plan.pred = append(plan.pred, planEdge{a: a, b: b, winner: winner})
 	}
-	return value, pred
+	return value
 }
 
 // chainFeasible decides whether an orientation of the free edges exists such
 // that every directed run's path value stays <= x, and returns one such
 // orientation (true = forward) when it does. The returned slice is scratch,
 // valid until the next call.
-func chainFeasible(cs *chainScratch, r []float64, edges []chainEdge, x float64) (bool, []bool) {
+func (g *Graph) chainFeasible(r []float64, edges []chainEdge, x float64) (bool, []bool) {
+	cs := &g.cs
 	for _, ri := range r {
 		if ri > x {
 			return false, nil

@@ -51,7 +51,6 @@ var ErrDeadlock = fmt.Errorf("wtpg: orientation closes a precedence cycle")
 type edge struct {
 	a, b   int64   // a < b (transaction IDs)
 	sa, sb int     // slots of a and b while both are in the graph
-	eid    int     // dense edge ID while in the graph (overlay patch index)
 	wAB    float64 // weight when oriented a->b: b's remaining demand from its blocked step
 	wBA    float64 // weight when oriented b->a
 	files  []model.FileID
@@ -122,11 +121,6 @@ type Graph struct {
 	edges      []*edge
 	edgesDirty bool
 
-	// Dense edge IDs index the per-worker direction patches of overlay
-	// evaluation (overlay.go). Freed IDs are recycled so patches stay small.
-	freeEIDs []int
-	eidCap   int
-
 	// Undo log for speculative orientation (begin/rollback/commit).
 	specActive bool
 	logEdges   []*edge
@@ -144,7 +138,6 @@ type Graph struct {
 	mark    []bool
 	comp    []int // path-ordered component slots
 	cs      chainScratch
-	pp      planParallel // parallel chain-orientation state (chain_parallel.go)
 }
 
 // New returns an empty WTPG.
@@ -214,18 +207,6 @@ func (g *Graph) allocSlot(id int64) int {
 	return s
 }
 
-// allocEID assigns a dense edge ID, reusing freed ones.
-func (g *Graph) allocEID() int {
-	if n := len(g.freeEIDs); n > 0 {
-		id := g.freeEIDs[n-1]
-		g.freeEIDs = g.freeEIDs[:n-1]
-		return id
-	}
-	id := g.eidCap
-	g.eidCap++
-	return id
-}
-
 // insertNeighbor places e into slot s's adjacency keeping it sorted by the
 // other endpoint's ID.
 func (g *Graph) insertNeighbor(s int, other int64, e *edge) {
@@ -273,7 +254,7 @@ func (g *Graph) Add(t *model.Txn) {
 		ta, tb := g.txns[a], g.txns[b]
 		wAB, _ := model.ConflictWeight(tb, ta) // b blocked by a
 		wBA, _ := model.ConflictWeight(ta, tb)
-		e := &edge{a: a, b: b, sa: g.slots[a], sb: g.slots[b], eid: g.allocEID(),
+		e := &edge{a: a, b: b, sa: g.slots[a], sb: g.slots[b],
 			wAB: wAB, wBA: wBA, files: files}
 		g.insertNeighbor(s, u.ID, e)
 		g.insertNeighbor(g.slots[u.ID], t.ID, e)
@@ -345,7 +326,6 @@ func (g *Graph) Remove(id int64) {
 		if e.dir != Undetermined {
 			hadDetermined = true
 		}
-		g.freeEIDs = append(g.freeEIDs, e.eid)
 		os := e.sa
 		if os == s {
 			os = e.sb
@@ -435,7 +415,7 @@ func (g *Graph) Clone() *Graph {
 	}
 	for _, e := range g.edgeSet() {
 		ce := &edge{a: e.a, b: e.b, sa: c.slots[e.a], sb: c.slots[e.b],
-			eid: c.allocEID(), wAB: e.wAB, wBA: e.wBA, dir: e.dir,
+			wAB: e.wAB, wBA: e.wBA, dir: e.dir,
 			files: append([]model.FileID(nil), e.files...)}
 		c.insertNeighbor(ce.sa, e.b, ce)
 		c.insertNeighbor(ce.sb, e.a, ce)

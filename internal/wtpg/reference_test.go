@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"batchsched/internal/model"
@@ -210,6 +211,63 @@ func (rg *refGraph) criticalPath(w0 T0Weight) (float64, error) {
 	return ans, nil
 }
 
+// grantPairs mirrors Graph.GrantOrientations from the edge map: t must
+// precede every transaction whose declared need on f conflicts with m on an
+// edge that conflicts on f; a pair already ordered the other way deadlocks.
+func (rg *refGraph) grantPairs(t *model.Txn, f model.FileID, m model.Mode) ([][2]int64, error) {
+	var out [][2]int64
+	for _, id := range rg.order {
+		u := rg.txns[id]
+		if id == t.ID || !slices.Contains(conflictFiles(t, u), f) {
+			continue
+		}
+		if um, ok := u.NeedMode(f); !ok || um.Compatible(m) {
+			continue
+		}
+		a, b := pairKey(t.ID, id)
+		switch e := rg.edges[[2]int64{a, b}]; {
+		case e.dir == Undetermined:
+			out = append(out, [2]int64{t.ID, id})
+		case (e.dir == AToB) != (a == t.ID):
+			return nil, ErrDeadlock
+		}
+	}
+	return out, nil
+}
+
+// clone copies the edge states; transactions are shared read-only.
+func (rg *refGraph) clone() *refGraph {
+	c := newRefGraph()
+	for id, t := range rg.txns {
+		c.txns[id] = t
+	}
+	c.order = append(c.order, rg.order...)
+	for k, e := range rg.edges {
+		ce := *e
+		c.edges[k] = &ce
+	}
+	return c
+}
+
+// evaluate is the reference E(q): grant the request on a copy (its pairs
+// plus the closure), +Inf on any deadlock, otherwise the copy's critical
+// path.
+func (rg *refGraph) evaluate(t *model.Txn, f model.FileID, m model.Mode, w0 T0Weight) float64 {
+	pairs, err := rg.grantPairs(t, f, m)
+	if err != nil {
+		return math.Inf(1)
+	}
+	c := rg.clone()
+	if err := c.orientAll(pairs); err != nil {
+		return math.Inf(1)
+	}
+	v, err := c.criticalPath(w0)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return v
+}
+
 func (rg *refGraph) dirSnapshot() map[[2]int64]Dir {
 	out := map[[2]int64]Dir{}
 	for k, e := range rg.edges {
@@ -305,6 +363,94 @@ func TestDifferentialClosure(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvaluateMatchesReference checks LOW's E(q) values: on random graphs
+// grown and shrunk by adds, removes (so slots are reused) and committed
+// orientation batches, Evaluate must equal the reference E(q) within 1e-9
+// for every (txn, file, mode) candidate, +Inf exactly when the reference
+// deadlocks, and must leave every edge direction and reachability row as it
+// found them.
+func TestEvaluateMatchesReference(t *testing.T) {
+	const files = 5
+	var sawInf, sawRaise bool
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			g := New()
+			rg := newRefGraph()
+			nextID := int64(1)
+			addRandom := func() {
+				steps := make([]model.Step, 0, 3)
+				for _, f := range r.Perm(files)[:1+r.Intn(3)] {
+					c := float64(r.Intn(30)+1) / 10
+					m := model.S
+					if r.Intn(3) > 0 {
+						m = model.X
+					}
+					steps = append(steps, model.Step{File: model.FileID(f), Write: m == model.X,
+						LockMode: m, Cost: c, DeclaredCost: c})
+				}
+				tx := model.NewTxn(nextID, 0, steps)
+				nextID++
+				g.Add(tx)
+				rg.add(tx)
+			}
+			for g.Len() < 8 {
+				addRandom()
+			}
+			for step := 0; step < 30; step++ {
+				switch op := r.Intn(6); {
+				case op == 0 && g.Len() < 12:
+					addRandom()
+				case op == 1 && g.Len() > 3:
+					victim := rg.order[r.Intn(len(rg.order))]
+					g.Remove(victim)
+					rg.remove(victim)
+				default:
+					es := g.edgeSet()
+					if len(es) == 0 {
+						continue
+					}
+					e := es[r.Intn(len(es))]
+					p := [2]int64{e.a, e.b}
+					if r.Intn(2) == 0 {
+						p[0], p[1] = p[1], p[0]
+					}
+					errG := g.OrientAll([][2]int64{p})
+					if errR := rg.orientAll([][2]int64{p}); (errG == nil) != (errR == nil) {
+						t.Fatalf("OrientAll(%v): graph err %v, ref err %v", p, errG, errR)
+					}
+				}
+			}
+			base, err := rg.criticalPath(RemainingDemand)
+			if err != nil {
+				t.Fatalf("reference graph is cyclic: %v", err)
+			}
+			dirs, rows := dirSnapshot(g), reachSnapshot(g)
+			for _, tx := range g.Txns() {
+				for f := model.FileID(0); f < files; f++ {
+					for _, m := range []model.Mode{model.S, model.X} {
+						got := Evaluate(g, tx, f, m, RemainingDemand)
+						want := rg.evaluate(tx, f, m, RemainingDemand)
+						if math.IsInf(got, 1) != math.IsInf(want, 1) ||
+							(!math.IsInf(want, 1) && math.Abs(got-want) > 1e-9) {
+							t.Fatalf("E(T%d %v f%d) = %g, reference %g", tx.ID, m, f, got, want)
+						}
+						sawInf = sawInf || math.IsInf(want, 1)
+						sawRaise = sawRaise || (!math.IsInf(want, 1) && want > base+1e-9)
+						if !reflect.DeepEqual(dirSnapshot(g), dirs) || !reflect.DeepEqual(reachSnapshot(g), rows) {
+							t.Fatalf("E(T%d %v f%d) changed the graph", tx.ID, m, f)
+						}
+					}
+				}
+			}
+		})
+	}
+	if !sawInf || !sawRaise {
+		t.Fatalf("candidates never deadlocked (%v) or never lengthened the critical path (%v): the check lost its power",
+			sawInf, sawRaise)
 	}
 }
 
