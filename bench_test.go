@@ -17,14 +17,20 @@ import (
 // tables or figures at a reduced scale (100-second windows, coarse solver)
 // so that `go test -bench .` finishes in minutes; cmd/paperbench regenerates
 // them at the paper's full 2,000,000-ms scale.
+//
+// Every iteration takes a seed no earlier iteration in the process used, so
+// it regenerates instead of reading the replication memo; sims/op reports
+// the replications it simulated.
 
 func benchOptions() experiments.Options {
 	return experiments.Options{
 		Duration:  100_000 * sim.Millisecond,
 		SolverTol: 0.1,
-		Seed:      1,
 	}
 }
+
+// benchSeed is the last artifact seed handed to a benchmark iteration.
+var benchSeed int64
 
 func benchArtifact(b *testing.B, id string) {
 	b.Helper()
@@ -34,12 +40,16 @@ func benchArtifact(b *testing.B, id string) {
 	}
 	o := benchOptions()
 	b.ReportAllocs()
+	before := experiments.SimCounts().Simulated
 	for i := 0; i < b.N; i++ {
+		benchSeed++
+		o.Seed = benchSeed
 		tbl := a.Run(o)
 		if len(tbl.Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}
 	}
+	b.ReportMetric(float64(experiments.SimCounts().Simulated-before)/float64(b.N), "sims/op")
 }
 
 // BenchmarkFig8 regenerates Fig. 8 (arrival rate vs response time, 6

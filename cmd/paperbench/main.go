@@ -5,7 +5,7 @@
 // Examples:
 //
 //	paperbench -exp table2            # one artifact at full scale
-//	paperbench -exp all               # everything (tens of minutes)
+//	paperbench -exp all               # everything (about a minute on two cores)
 //	paperbench -exp fig10 -quick      # scaled-down smoke run (~seconds)
 //	paperbench -exp table3 -reps 3    # average 3 seeds per point
 package main
@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -34,6 +35,10 @@ func main() {
 		stepped   = flag.Bool("stepped", false, "use the quantum-per-event DPN oracle (same numbers, slower; timing comparisons)")
 	)
 	flag.Parse()
+	if err := validateFlags(*duration, *tol, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	o := batchsched.Options{Reps: *reps, Seed: *seed, SolverTol: *tol, QuantumStepped: *stepped}
 	if *duration > 0 {
@@ -50,10 +55,8 @@ func main() {
 
 	if *ablations {
 		for _, a := range experiments.Ablations {
-			start := time.Now()
 			fmt.Fprintf(os.Stderr, "== running %s: %s\n", a.ID, a.Title)
-			fmt.Println(a.Run(o).String())
-			fmt.Fprintf(os.Stderr, "   (%s in %s)\n\n", a.ID, time.Since(start).Round(time.Millisecond))
+			timed(a.ID, func() { fmt.Println(a.Run(o).String()) })
 		}
 		return
 	}
@@ -70,16 +73,43 @@ func main() {
 				id, batchsched.ArtifactIDs())
 			os.Exit(2)
 		}
-		start := time.Now()
 		fmt.Fprintf(os.Stderr, "== regenerating %s: %s\n", a.ID, a.Title)
-		tbl := a.Run(o)
-		fmt.Println(tbl.String())
-		if *chart && strings.HasPrefix(a.ID, "fig") {
-			if c := tbl.Chart(tbl.Header[0], "", 0); c != nil {
-				c.Width, c.Height = 72, 22
-				fmt.Println(c.String())
+		timed(a.ID, func() {
+			tbl := a.Run(o)
+			fmt.Println(tbl.String())
+			if *chart && strings.HasPrefix(a.ID, "fig") {
+				if c := tbl.Chart(tbl.Header[0], "", 0); c != nil {
+					c.Width, c.Height = 72, 22
+					fmt.Println(c.String())
+				}
 			}
-		}
-		fmt.Fprintf(os.Stderr, "   (%s in %s)\n\n", a.ID, time.Since(start).Round(time.Millisecond))
+		})
 	}
+}
+
+// validateFlags rejects flag values that would otherwise run something other
+// than what was asked: a negative or non-finite -duration (0 means the
+// paper's window), a negative or non-finite -tol (0 means 0.01; below 0 every
+// solve would bisect to float resolution), and -reps below 1.
+func validateFlags(duration, tol float64, reps int) error {
+	switch {
+	case !(duration >= 0) || math.IsInf(duration, 1):
+		return fmt.Errorf("-duration must be a finite number of seconds >= 0 (0 = paper's 2000), got %g", duration)
+	case !(tol >= 0) || math.IsInf(tol, 1):
+		return fmt.Errorf("-tol must be finite and >= 0 (0 = 0.01), got %g", tol)
+	case reps < 1:
+		return fmt.Errorf("-reps must be at least 1, got %d", reps)
+	}
+	return nil
+}
+
+// timed runs one artifact and reports on stderr its wall time and how many
+// replications it simulated and how many the replication memo served.
+func timed(id string, run func()) {
+	start, before := time.Now(), experiments.SimCounts()
+	run()
+	after := experiments.SimCounts()
+	fmt.Fprintf(os.Stderr, "   (%s in %s: %d simulated, %d reused)\n\n", id,
+		time.Since(start).Round(time.Millisecond),
+		after.Simulated-before.Simulated, after.Reused-before.Reused)
 }

@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"batchsched/internal/fault"
+	"batchsched/internal/metrics"
 	"batchsched/internal/sim"
 )
+
+// runUncached is Run without the replication memo: every replication is
+// simulated afresh, so comparing it with Run re-executes the point.
+func runUncached(p Point) metrics.Summary {
+	sums := make([]metrics.Summary, max(p.Reps, 1))
+	for r := range sums {
+		sums[r] = runObserved(p, p.Seed+int64(r), nil)
+	}
+	return metrics.Average(sums)
+}
 
 func determinismPoints() []Point {
 	clean := Point{
@@ -31,10 +42,11 @@ func determinismPoints() []Point {
 }
 
 // TestRunIsDeterministic: the same point and seed must reproduce a deeply
-// equal summary on every sequential call, with and without faults.
+// equal summary on every sequential call, with and without faults. The
+// second call bypasses the replication memo, so the point really runs twice.
 func TestRunIsDeterministic(t *testing.T) {
 	for _, p := range determinismPoints() {
-		a, b := Run(p), Run(p)
+		a, b := Run(p), runUncached(p)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s (faults=%v): summaries differ across identical runs:\n%+v\n%+v",
 				p.Scheduler, p.Faults.Enabled(), a, b)
@@ -43,8 +55,8 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 // TestRunAllMatchesSequential: the concurrent runner must return exactly what
-// sequential Run produces for each point — worker scheduling, shared caches
-// or RNG misuse must never leak between points.
+// a sequential, uncached run produces for each point — worker scheduling,
+// the replication memo or RNG misuse must never leak between points.
 func TestRunAllMatchesSequential(t *testing.T) {
 	pts := determinismPoints()
 	// Duplicate the points so the pool provably yields identical results for
@@ -52,8 +64,8 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	pts = append(pts, pts...)
 	got := RunAll(pts)
 	for i, p := range pts {
-		if want := Run(p); !reflect.DeepEqual(got[i], want) {
-			t.Errorf("point %d (%s): RunAll result differs from sequential Run", i, p.Scheduler)
+		if want := runUncached(p); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("point %d (%s): RunAll result differs from a sequential uncached run", i, p.Scheduler)
 		}
 	}
 }

@@ -99,16 +99,20 @@ func Run(p Point) metrics.Summary {
 	return metrics.Average(sums)
 }
 
-func runOnce(p Point, seed int64) metrics.Summary { return runObserved(p, seed, nil) }
-
 // RunObserved simulates one replication (at p.Seed) of the point with the
-// / observability recorder attached. The instrumentation is passive: the
-// returned summary is identical to Run's first replication.
+// observability recorder attached. The instrumentation is passive: the
+// returned summary is identical to Run's first replication. It bypasses the
+// replication memo, since the recorder must see the run.
 func RunObserved(p Point, ob *obs.Observer) metrics.Summary {
 	return runObserved(p, p.Seed, ob)
 }
 
+// runObserved simulates one replication of p at seed. It is a pure function
+// of (p, seed): the replication memo (runOnce) relies on that, so any input
+// that does not come from the Point — a global, a clock, a shared generator —
+// must either join the Point or bypass the memo.
 func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
+	simulated.Add(1)
 	params := sched.DefaultParams()
 	params.MPL = p.MPL
 	if p.K > 0 {
@@ -189,6 +193,9 @@ func SolveLambdaAtRT(p Point, reps int, target sim.Time, lo, hi, tol float64) fl
 	}
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
+		if mid <= lo || mid >= hi {
+			break // the bracket is at float resolution: tol <= 0 must still stop
+		}
 		if rtAt(mid) <= target {
 			lo = mid
 		} else {

@@ -12,10 +12,12 @@ func quick() Options {
 	return Options{Duration: 100_000 * sim.Millisecond, SolverTol: 0.1, Seed: 3}
 }
 
+// TestRunDeterministic compares Run with a fresh run that bypasses the
+// replication memo: a nondeterministic simulation must fail here.
 func TestRunDeterministic(t *testing.T) {
 	p := Point{Scheduler: "LOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: Exp1,
 		Seed: 1, Duration: 100_000 * sim.Millisecond}
-	a, b := Run(p), Run(p)
+	a, b := Run(p), runUncached(p)
 	if a.MeanRT != b.MeanRT || a.Completions != b.Completions {
 		t.Errorf("non-deterministic: %v vs %v", a, b)
 	}

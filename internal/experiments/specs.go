@@ -148,14 +148,13 @@ func CellPoint(c sweep.Cell) Point {
 // RunCell is the sweep.RunFunc binding: it simulates one replication of the
 // cell at the given substream seed. An unknown scheduler name returns an
 // error (instead of the panic Run raises) so one bad cell fails cleanly
-// inside the pool.
+// inside the pool. It bypasses the replication memo: every sweep unit has
+// its own sweep.UnitSeed, so units never repeat.
 func RunCell(c sweep.Cell, seed int64) (metrics.Summary, error) {
 	if _, err := sched.New(c.Scheduler, sched.DefaultParams()); err != nil {
 		return metrics.Summary{}, err
 	}
-	p := CellPoint(c)
-	p.Seed = seed
-	return Run(p), nil
+	return runObserved(CellPoint(c), seed, nil), nil
 }
 
 // artifactPoint maps a cell onto a point with the artifact seeding

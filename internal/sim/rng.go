@@ -11,12 +11,22 @@ import (
 // seen by existing consumers.
 type RNG struct {
 	seed int64
-	r    *rand.Rand
+	r    *rand.Rand // built on the first draw; nil until then
 }
 
-// NewRNG returns a generator seeded with seed.
+// NewRNG returns a generator seeded with seed. The ~5 KB source is seeded on
+// the first draw, so a generator used only to derive streams, or a stream
+// never drawn from, costs no more than its seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// src returns the underlying source, seeding it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Stream derives an independent generator for the named consumer. The
@@ -52,13 +62,13 @@ func splitmix64(x uint64) uint64 {
 func (g *RNG) Seed() int64 { return g.seed }
 
 // Float64 returns a uniform variate in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Intn returns a uniform integer in [0, n). n must be > 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 // rate must be > 0.
@@ -66,7 +76,7 @@ func (g *RNG) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("sim: Exp needs rate > 0")
 	}
-	return g.r.ExpFloat64() / rate
+	return g.src().ExpFloat64() / rate
 }
 
 // ExpTime returns an exponential inter-arrival span for a Poisson process of
@@ -77,7 +87,7 @@ func (g *RNG) ExpTime(ratePerSecond float64) Time {
 
 // Norm returns a normal variate with the given mean and standard deviation.
 func (g *RNG) Norm(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + stddev*g.src().NormFloat64()
 }
 
 // Pareto returns a Pareto variate with shape alpha and scale xm (the
