@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"batchsched/internal/experiments"
 )
 
 // TestArtifactsGolden pins every paper artifact byte for byte: each
@@ -46,6 +48,35 @@ func TestArtifactsGolden(t *testing.T) {
 			}
 		}
 		t.Errorf("artifacts deviate from %s (%d bytes vs %d); rerun with -update-golden if the change is intentional",
+			path, got.Len(), len(want))
+	}
+}
+
+// TestAblationsGolden pins every ablation and extension study of
+// cmd/paperbench -ablations byte for byte, at 60-second windows and seed 4.
+// Regenerate after an intentional behaviour change with:
+//
+//	go test -run TestAblationsGolden -update-golden .
+func TestAblationsGolden(t *testing.T) {
+	o := Options{Duration: 60 * Second, Seed: 4}
+	var got bytes.Buffer
+	for _, a := range experiments.Ablations {
+		fmt.Fprintf(&got, "== %s\n%s\n", a.ID, a.Run(o))
+	}
+	path := filepath.Join("testdata", "ablations.golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, got.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("ablations deviate from %s (%d bytes vs %d); rerun with -update-golden if the change is intentional",
 			path, got.Len(), len(want))
 	}
 }

@@ -106,15 +106,31 @@ func Schedulers() []string { return append([]string(nil), sched.Names...) }
 // generator, returning the metrics summary. Each call is deterministic in
 // the seed.
 func Run(cfg Config, scheduler string, params Params, gen Generator, seed int64) (Summary, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
 	return m.Run(), nil
+}
+
+// newMachine builds the simulator for one run. Every simulator entry point
+// of this package assembles its run here.
+func newMachine(cfg Config, scheduler string, params Params, gen Generator, seed int64) (*machine.Machine, error) {
+	s, err := sched.New(scheduler, params)
+	if err != nil {
+		return nil, err
+	}
+	return machine.New(cfg, s, gen, sim.NewRNG(seed))
+}
+
+// newHistory returns the conflict-serializability recorder for the named
+// scheduler. OPT is deferred-update: its writes install at commit time, and
+// the check must order them there.
+func newHistory(scheduler string) *history.Recorder {
+	if scheduler == "OPT" {
+		return history.NewDeferredWrites()
+	}
+	return history.New()
 }
 
 // RunStats reports how the engine itself executed a run (as opposed to what
@@ -125,11 +141,7 @@ type RunStats struct {
 
 // RunWithStats is Run, additionally returning the engine's execution stats.
 func RunWithStats(cfg Config, scheduler string, params Params, gen Generator, seed int64) (Summary, RunStats, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, RunStats{}, err
-	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, RunStats{}, err
 	}
@@ -141,20 +153,11 @@ func RunWithStats(cfg Config, scheduler string, params Params, gen Generator, se
 // the run's committed history and returns an error if the serialization
 // graph has a cycle. NODC is expected to fail this check under contention.
 func RunChecked(cfg Config, scheduler string, params Params, gen Generator, seed int64) (Summary, error) {
-	s, err := sched.New(scheduler, params)
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
-	if err != nil {
-		return Summary{}, err
-	}
-	rec := history.New()
-	if scheduler == "OPT" {
-		// OPT is deferred-update: writes install at commit time, and the
-		// serializability check must order them accordingly.
-		rec = history.NewDeferredWrites()
-	}
+	rec := newHistory(scheduler)
 	m.SetObserver(rec)
 	sum := m.Run()
 	if err := rec.CheckSerializable(); err != nil {
@@ -171,19 +174,9 @@ type CI = metrics.CI
 // ...), returning their averaged summary and Student-t 95% confidence
 // half-widths on mean response time and throughput.
 func RunReplicated(cfg Config, scheduler string, params Params, gen Generator, seed int64, reps int) (Summary, CI, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	sums := make([]Summary, 0, reps)
-	for r := 0; r < reps; r++ {
-		sum, err := Run(cfg, scheduler, params, gen, seed+int64(r))
-		if err != nil {
-			return Summary{}, CI{}, err
-		}
-		sums = append(sums, sum)
-	}
-	avg, ci := metrics.AverageWithCI(sums)
-	return avg, ci, nil
+	return metrics.Replicate(seed, reps, func(seed int64) (Summary, error) {
+		return Run(cfg, scheduler, params, gen, seed)
+	})
 }
 
 // NewObs returns an enabled observability recorder, ready for RunObserved.
@@ -197,11 +190,7 @@ func NewObs() *Obs { return obs.New() }
 // instrumentation is passive: the returned summary is identical to Run's
 // for the same arguments. A nil ob degrades to exactly Run.
 func RunObserved(cfg Config, scheduler string, params Params, gen Generator, seed int64, ob *Obs) (Summary, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -213,11 +202,7 @@ func RunObserved(cfg Config, scheduler string, params Params, gen Generator, see
 // completion, commit and restart) streamed to w. See internal/trace for the
 // record format.
 func RunTraced(cfg Config, scheduler string, params Params, gen Generator, seed int64, w io.Writer) (Summary, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -327,11 +312,7 @@ func RunService(cfg Config, scheduler string, params Params, gen Generator, seed
 	if cfg.Service == nil {
 		return Summary{}, fmt.Errorf("batchsched: RunService needs cfg.Service (the admission policy)")
 	}
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
-	m, err := machine.New(cfg, s, gen, sim.NewRNG(seed))
+	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -411,72 +392,37 @@ func DefaultLiveConfig() LiveConfig { return live.DefaultConfig() }
 
 // GenerateBatch pre-draws the steps of n transactions from gen, so the
 // identical batch can be submitted to both backends (transaction i is
-// byte-identical regardless of backend). It is the closed-batch entry of
-// the shared workload.Source draw path: an open-stream service run over the
-// same generator and seed sees byte-identical transaction i.
+// byte-identical regardless of backend). Transaction i is also the i-th
+// arrival of an open run over the same generator and seed (see
+// workload.DrawBatch).
 func GenerateBatch(gen Generator, seed int64, n int) [][]Step {
-	src := workload.Source{Gen: gen.(workload.Generator)}
-	return src.DrawBatch(sim.NewRNG(seed).Stream("workload"), n)
+	return workload.DrawBatch(gen.(workload.Generator), seed, n)
 }
 
 // RunLiveBatch executes a closed batch on the live backend: every
 // transaction is submitted up front and the run drives the batch to commit,
 // summarizing at the makespan. The returned summary has the same shape as
-// the simulator's (Window is the wall-clock makespan).
+// the simulator's (Window is the wall-clock makespan). It fails on a stall
+// and, for a scheduler that keeps a lock table, on a DPN lock-guard
+// violation (LiveBackend.Err).
 func RunLiveBatch(cfg LiveConfig, scheduler string, params Params, batch [][]Step) (Summary, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
-	b, err := live.New(cfg, s)
-	if err != nil {
-		return Summary{}, err
-	}
-	for _, steps := range batch {
-		b.Submit(steps)
-	}
-	sum := b.Run()
-	if err := b.Err(); err != nil {
-		return sum, err
-	}
-	if scheduler != "NODC" && scheduler != "OPT" {
-		if v := b.Violations(); v != 0 {
-			return sum, fmt.Errorf("batchsched: live %s run observed %d lock-guard violations", scheduler, v)
-		}
-	}
-	return sum, nil
+	return runLive(cfg, scheduler, params, batch, false)
 }
 
 // RunLiveChecked is RunLiveBatch with conflict-serializability
 // verification of the real execution's history, as RunChecked is for Run.
 func RunLiveChecked(cfg LiveConfig, scheduler string, params Params, batch [][]Step) (Summary, error) {
-	s, err := sched.New(scheduler, params)
+	return runLive(cfg, scheduler, params, batch, true)
+}
+
+// runLive is RunLiveBatch (check off) and RunLiveChecked (check on).
+func runLive(cfg LiveConfig, scheduler string, params Params, batch [][]Step, check bool) (Summary, error) {
+	b, err := NewLiveBackend(cfg, scheduler, params)
 	if err != nil {
 		return Summary{}, err
 	}
-	b, err := live.New(cfg, s)
-	if err != nil {
-		return Summary{}, err
-	}
-	rec := history.New()
-	if scheduler == "OPT" {
-		rec = history.NewDeferredWrites()
-	}
-	// Wall-clock stamps from racing goroutines are not globally ordered;
-	// the recorder clamps them monotone (DESIGN.md §12).
-	rec.SetMonotone(true)
-	b.SetObserver(rec)
-	for _, steps := range batch {
-		b.Submit(steps)
-	}
-	sum := b.Run()
-	if err := b.Err(); err != nil {
-		return sum, err
-	}
-	if err := rec.CheckSerializable(); err != nil {
-		return sum, fmt.Errorf("batchsched: %s produced a non-serializable live history: %w", scheduler, err)
-	}
-	return sum, nil
+	res, err := RunLiveTelemetry(b, scheduler, batch, check)
+	return res.Summary, err
 }
 
 // NewStreamSet returns an enabled streaming instrument registry, ready for
@@ -513,31 +459,26 @@ type LiveResult struct {
 
 // RunLiveTelemetry executes a closed batch on a pre-built backend (see
 // NewLiveBackend), with optional conflict-serializability checking of the
-// real history. scheduler must name the scheduler the backend was built
-// with (it selects the history semantics and the guard-violation policy).
-// Unlike RunLiveBatch it reports guard violations in the result instead of
-// failing on them, so telemetry consumers (the SLI ledger) can record them
-// as a measure.
+// real history; RunLiveBatch and RunLiveChecked are this call on a fresh
+// backend. scheduler must name the scheduler the backend was built with (it
+// selects the history semantics). The result always carries the guard
+// violations and clock clamps, so telemetry consumers (the SLI ledger) can
+// record them as measures; like every live entry point it fails on a stall
+// and, for a scheduler that keeps a lock table, on any guard violation
+// (LiveBackend.Err).
 func RunLiveTelemetry(b *LiveBackend, scheduler string, batch [][]Step, check bool) (LiveResult, error) {
 	var rec *history.Recorder
 	if check {
-		rec = history.New()
-		if scheduler == "OPT" {
-			rec = history.NewDeferredWrites()
-		}
+		rec = newHistory(scheduler)
 		// Wall-clock stamps from racing goroutines are not globally ordered;
 		// the recorder clamps them monotone (DESIGN.md §12).
 		rec.SetMonotone(true)
 		b.SetObserver(rec)
 	}
-	for _, steps := range batch {
-		b.Submit(steps)
-	}
-	sum := b.Run()
-	res := LiveResult{Summary: sum, Violations: b.Violations()}
+	sum, err := b.RunBatch(batch)
 	ends, samples := b.ClockClamps()
-	res.ClockClamps = ends + samples
-	if err := b.Err(); err != nil {
+	res := LiveResult{Summary: sum, Violations: b.Violations(), ClockClamps: ends + samples}
+	if err != nil {
 		return res, err
 	}
 	if check {
@@ -552,23 +493,15 @@ func RunLiveTelemetry(b *LiveBackend, scheduler string, batch [][]Step, check bo
 // (no arrival process; RunClosed drives the submitted transactions to
 // commit and summarizes at the makespan), for sim-vs-live comparisons.
 func RunSimBatch(cfg Config, scheduler string, params Params, batch [][]Step) (Summary, error) {
-	s, err := sched.New(scheduler, params)
-	if err != nil {
-		return Summary{}, err
-	}
 	cfg.ArrivalRate = 0
 	cfg.Warmup = 0
-	m, err := machine.New(cfg, s, nil, sim.NewRNG(1))
+	m, err := newMachine(cfg, scheduler, params, nil, 1)
 	if err != nil {
 		return Summary{}, err
 	}
-	for _, steps := range batch {
-		m.Submit(steps)
-	}
-	sum := m.RunClosed(cfg.Duration)
-	if m.InFlight() != 0 {
-		return sum, fmt.Errorf("batchsched: sim %s batch: %d transactions still in flight at horizon: %s",
-			scheduler, m.InFlight(), m.WaitReport())
+	sum, err := m.RunBatch(batch)
+	if err != nil {
+		return sum, fmt.Errorf("batchsched: sim %s batch: %w", scheduler, err)
 	}
 	return sum, nil
 }

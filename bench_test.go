@@ -1,7 +1,6 @@
 package batchsched
 
 import (
-	"os"
 	"testing"
 	"time"
 
@@ -96,9 +95,9 @@ func BenchmarkTable5(b *testing.B) { benchArtifact(b, "table5") }
 // Each run also reports events/op, the calendar events the engine dispatched
 // (Engine.Executed): the fast-forward DPN coalesces a cohort's quanta into
 // one completion event, and this metric tracks that win alongside ns/op in
-// BENCH_core.json. Set BENCH_QUANTUM_STEPPED=1 to run the quantum-per-event
-// oracle instead (Config.QuantumStepped) — that is how the "pre" snapshot of
-// BENCH_core.json is produced.
+// BENCH_core.json. The "pre" snapshot of BENCH_core.json was recorded on the
+// quantum-per-event oracle engine, which only package machine's tests can
+// select now; benchjson -compare reads only "post".
 
 func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	b.Helper()
@@ -107,7 +106,6 @@ func benchOneRun(b *testing.B, scheduler string, lambda float64) {
 	cfg.DD = 16
 	cfg.ArrivalRate = lambda
 	cfg.Duration = 200_000 * Millisecond
-	cfg.QuantumStepped = os.Getenv("BENCH_QUANTUM_STEPPED") == "1"
 	gen := NewBatchScanWorkload(16, 32)
 	b.ReportAllocs()
 	var events uint64

@@ -191,13 +191,28 @@ func main() {
 		gen = batchsched.WithHeavyTail(gen, *heavytail)
 	}
 
+	// The live backend's machine shape, shared by closed batches and service
+	// runs. A small jittered restart delay breaks plain-2PL abort/re-acquire
+	// livelock on wall clocks; -restartdelay (seconds) overrides it.
+	lcfg := batchsched.DefaultLiveConfig()
+	lcfg.NumNodes = *numNodes
+	lcfg.NumFiles = *numFiles
+	lcfg.DD = *dd
+	if *rows > 0 {
+		lcfg.RowsPerObject = *rows
+	}
+	lcfg.PacePerObject = *pace
+	lcfg.RestartDelay = 2 * time.Millisecond
+	lcfg.RestartJitter = true
+	if *restartDelay > 0 {
+		lcfg.RestartDelay = time.Duration(*restartDelay * float64(time.Second))
+	}
+
 	if *service {
 		os.Exit(runServiceMode(serviceRun{
-			backend: *backend, sched: *schedName, params: params, gen: gen, cfg: cfg,
+			backend: *backend, sched: *schedName, params: params, gen: gen, cfg: cfg, live: lcfg,
 			wl: *wl, lambda: *lambda, seed: *seed, reps: *reps, asJSON: *asJSON,
 			check: *check, compare: *compare, heavytail: *heavytail,
-			numNodes: *numNodes, numFiles: *numFiles, dd: *dd, rows: *rows,
-			pace: *pace, restartDelay: *restartDelay,
 			arrival: *arrival, duration: *serviceDur, epoch: *epochFlag,
 			maxQueue: *maxQueue, interactive: *interactive,
 			sloBatch: *sloBatch, sloInteractive: *sloInter, overloadP95: *overloadP95,
@@ -221,22 +236,7 @@ func main() {
 	switch *backend {
 	case "sim":
 	case "live":
-		lcfg := batchsched.DefaultLiveConfig()
-		lcfg.NumNodes = *numNodes
-		lcfg.NumFiles = *numFiles
-		lcfg.DD = *dd
 		lcfg.MPL = *mpl
-		if *rows > 0 {
-			lcfg.RowsPerObject = *rows
-		}
-		lcfg.PacePerObject = *pace
-		// A small jittered restart delay breaks plain-2PL abort/re-acquire
-		// livelock on wall clocks; -restartdelay (seconds) overrides it.
-		lcfg.RestartDelay = 2 * time.Millisecond
-		lcfg.RestartJitter = true
-		if *restartDelay > 0 {
-			lcfg.RestartDelay = time.Duration(*restartDelay * float64(time.Second))
-		}
 		batch := batchsched.GenerateBatch(gen, *seed, *txns)
 		var (
 			sum batchsched.Summary
@@ -341,36 +341,28 @@ func main() {
 		writeObs(*metricsOut, ob.WriteMetricsCSV)
 		writeObs(*auditOut, ob.WriteAuditJSONL)
 		writeObs(*reportOut, func(w io.Writer) error { return ob.WriteHTMLReport(w, title) })
-	} else if *check {
-		// Serializability verification runs per replication.
-		var sums []batchsched.Summary
-		for r := 0; r < *reps; r++ {
-			one, cerr := batchsched.RunChecked(cfg, *schedName, params, gen, *seed+int64(r))
-			if cerr != nil {
-				fmt.Fprintf(os.Stderr, "batchsim: %v\n", cerr)
-				os.Exit(1)
-			}
-			sums = append(sums, one)
-		}
-		sum, ci = metrics.AverageWithCI(sums)
-	} else if *progress {
-		// Same replication loop as RunReplicated, but keeping the engine's
-		// own execution stats and the wall clock for the report below.
-		start := time.Now()
-		var sums []batchsched.Summary
-		for r := 0; r < *reps; r++ {
-			one, stOne, rerr := batchsched.RunWithStats(cfg, *schedName, params, gen, *seed+int64(r))
-			if rerr != nil {
-				fmt.Fprintf(os.Stderr, "batchsim: %v\n", rerr)
-				os.Exit(1)
-			}
-			st.Events += stOne.Events
-			sums = append(sums, one)
-		}
-		wall = time.Since(start)
-		sum, ci = metrics.AverageWithCI(sums)
 	} else {
-		sum, ci, err = batchsched.RunReplicated(cfg, *schedName, params, gen, *seed, *reps)
+		// One replication per seed; -check verifies each one's history, and
+		// -progress also keeps the engine's own execution stats and the wall
+		// clock for the report below.
+		run := func(seed int64) (batchsched.Summary, error) {
+			return batchsched.Run(cfg, *schedName, params, gen, seed)
+		}
+		switch {
+		case *check:
+			run = func(seed int64) (batchsched.Summary, error) {
+				return batchsched.RunChecked(cfg, *schedName, params, gen, seed)
+			}
+		case *progress:
+			run = func(seed int64) (batchsched.Summary, error) {
+				one, stOne, err := batchsched.RunWithStats(cfg, *schedName, params, gen, seed)
+				st.Events += stOne.Events
+				return one, err
+			}
+		}
+		start := time.Now()
+		sum, ci, err = metrics.Replicate(*seed, *reps, run)
+		wall = time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
 			os.Exit(1)

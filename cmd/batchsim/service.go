@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"batchsched/internal/admit"
 	"batchsched/internal/experiments"
 	"batchsched/internal/metrics"
-	"batchsched/internal/obs/serve"
 	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
 )
@@ -23,7 +21,8 @@ type serviceRun struct {
 	sched   string
 	params  batchsched.Params
 	gen     batchsched.Generator
-	cfg     batchsched.Config // sim-backend machine config (duration, files, DD, ...)
+	cfg     batchsched.Config     // sim-backend machine config (duration, files, DD, ...)
+	live    batchsched.LiveConfig // live-backend machine shape
 
 	wl        string
 	lambda    float64
@@ -33,11 +32,6 @@ type serviceRun struct {
 	check     bool
 	compare   bool
 	heavytail float64
-
-	// Live-backend shape.
-	numNodes, numFiles, dd, rows int
-	pace                         time.Duration
-	restartDelay                 float64
 
 	// Policy knobs (negative durations = keep the policy default).
 	arrival        string
@@ -144,54 +138,42 @@ func runServiceSim(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) in
 	cfg.Service = &pol
 	cfg.MPL = 0
 	cfg.ArrivalRate = f.lambda
-	var epochs []batchsched.EpochStats
-	var sums []batchsched.Summary
-	reps := f.reps
-	if reps < 1 {
-		reps = 1
-	}
-	for r := 0; r < reps; r++ {
-		arr, aerr := experiments.ArrivalProcess(f.arrival, f.lambda)
-		if aerr != nil {
-			return fail(aerr)
+	var (
+		epochs []batchsched.EpochStats
+		first  batchsched.Summary
+	)
+	avg, _, err := metrics.Replicate(f.seed, f.reps, func(seed int64) (batchsched.Summary, error) {
+		arr, err := experiments.ArrivalProcess(f.arrival, f.lambda)
+		if err != nil {
+			return batchsched.Summary{}, err
 		}
 		cfg.Arrivals = arr
 		hook := func(batchsched.EpochStats) {}
-		if r == 0 {
+		if seed == f.seed {
 			hook = func(es batchsched.EpochStats) { epochs = append(epochs, es) }
 		}
-		sum, err := batchsched.RunService(cfg, f.sched, f.params, f.gen, f.seed+int64(r), hook)
-		if err != nil {
-			return fail(err)
+		sum, err := batchsched.RunService(cfg, f.sched, f.params, f.gen, seed, hook)
+		if seed == f.seed {
+			first = sum
 		}
-		sums = append(sums, sum)
+		return sum, err
+	})
+	if err != nil {
+		return fail(err)
 	}
-	avg, _ := metrics.AverageWithCI(sums)
 	if f.ledger != "" {
-		if err := appendServiceLedger(f, "sim", sums[0], epochs); err != nil {
+		if err := appendServiceLedger(f, "sim", first, epochs); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "batchsim: %d SLI ledger line(s) appended to %s\n", 1+len(epochs), f.ledger)
 	}
-	return printService(f, fmt.Sprintf("sim, %.0f s virtual, %d rep(s)", cfg.Duration.Seconds(), reps), avg, epochs)
+	return printService(f, fmt.Sprintf("sim, %.0f s virtual, %d rep(s)", cfg.Duration.Seconds(), max(f.reps, 1)), avg, epochs)
 }
 
 // runServiceLive runs the wall-clock service on the live backend, with the
 // /metrics//slo endpoint up for the duration when -serve is set.
 func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) int) int {
-	lcfg := batchsched.DefaultLiveConfig()
-	lcfg.NumNodes = f.numNodes
-	lcfg.NumFiles = f.numFiles
-	lcfg.DD = f.dd
-	if f.rows > 0 {
-		lcfg.RowsPerObject = f.rows
-	}
-	lcfg.PacePerObject = f.pace
-	lcfg.RestartDelay = 2 * time.Millisecond
-	lcfg.RestartJitter = true
-	if f.restartDelay > 0 {
-		lcfg.RestartDelay = time.Duration(f.restartDelay * float64(time.Second))
-	}
+	lcfg := f.live
 	lcfg.Service = &pol
 	lcfg.ServiceDuration = f.duration
 	b, err := batchsched.NewLiveBackend(lcfg, f.sched, f.params)
@@ -204,14 +186,10 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 	b.SetEpochHook(func(es batchsched.EpochStats) { epochs = append(epochs, es) })
 
 	if f.serveAddr != "" {
-		srv := serve.New()
-		srv.AddMetrics(func(w http.ResponseWriter) error { return set.WritePrometheus(w, b.Now()) })
-		srv.SetSLO(func() any { return b.Snapshot() })
-		addr, serr := srv.Start(f.serveAddr)
-		if serr != nil {
-			return fail(serr)
+		srv, err := serveLive(f.serveAddr, b, set)
+		if err != nil {
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "batchsim: telemetry on http://%s (/metrics /healthz /slo /debug/pprof)\n", addr)
 		defer srv.Close()
 	}
 
@@ -223,11 +201,6 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 	if err := b.Err(); err != nil {
 		return fail(err)
 	}
-	if f.sched != "NODC" && f.sched != "OPT" {
-		if v := b.Violations(); v != 0 {
-			return fail(fmt.Errorf("live %s service run observed %d lock-guard violations", f.sched, v))
-		}
-	}
 	if f.ledger != "" {
 		if err := appendServiceLedger(f, "live", sum, epochs); err != nil {
 			return fail(err)
@@ -235,9 +208,8 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 		fmt.Fprintf(os.Stderr, "batchsim: %d SLI ledger line(s) appended to %s\n", 1+len(epochs), f.ledger)
 	}
 	code := printService(f, fmt.Sprintf("live, %v wall, %d nodes, pace %v", f.duration, lcfg.NumNodes, lcfg.PacePerObject), sum, epochs)
-	if f.serveAddr != "" && f.linger > 0 {
-		fmt.Fprintf(os.Stderr, "batchsim: endpoint lingering %v for scrapers\n", f.linger)
-		time.Sleep(f.linger)
+	if f.serveAddr != "" {
+		linger(f.linger)
 	}
 	return code
 }

@@ -8,6 +8,13 @@
 //	paperbench -exp all               # everything (about a minute on two cores)
 //	paperbench -exp fig10 -quick      # scaled-down smoke run (~seconds)
 //	paperbench -exp table3 -reps 3    # average 3 seeds per point
+//	paperbench -ablations -quick      # the design-choice ablation studies
+//
+// Each study's stderr line reports its wall time and how many replications
+// it simulated and how many the replication memo served; the ablations
+// simulate every run. The root tests TestArtifactsGolden and
+// TestAblationsGolden pin every artifact and every ablation byte for byte
+// (testdata/, 60-second windows, seed 4).
 package main
 
 import (
@@ -32,7 +39,6 @@ func main() {
 		reps      = flag.Int("reps", 1, "replications per point")
 		seed      = flag.Int64("seed", 1, "base random seed")
 		tol       = flag.Float64("tol", 0, "bisection tolerance on lambda (0 = 0.01)")
-		stepped   = flag.Bool("stepped", false, "use the quantum-per-event DPN oracle (same numbers, slower; timing comparisons)")
 	)
 	flag.Parse()
 	if err := validateFlags(*duration, *tol, *reps); err != nil {
@@ -40,7 +46,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	o := batchsched.Options{Reps: *reps, Seed: *seed, SolverTol: *tol, QuantumStepped: *stepped}
+	o := batchsched.Options{Reps: *reps, Seed: *seed, SolverTol: *tol}
 	if *duration > 0 {
 		o.Duration = batchsched.Time(*duration * float64(batchsched.Second))
 	}

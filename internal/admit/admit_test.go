@@ -385,6 +385,30 @@ func TestSustainedTPSBisection(t *testing.T) {
 	}
 }
 
+// TestSustainedTPSTolBelowFloatResolution: a tolerance no float spacing
+// can reach must still end the bisection, at a rate that was run and
+// passed, once the bracket ends are adjacent floats.
+func TestSustainedTPSTolBelowFloatResolution(t *testing.T) {
+	var calls []float64
+	res, err := SustainedTPS(capSpec(), syntheticTrial(3.0, &calls), 0.5, 8, 1e-300)
+	if err != nil {
+		t.Fatalf("SustainedTPS: %v", err)
+	}
+	if !res.Passed || res.Lambda > 3.0 || 3.0-res.Lambda > 1e-12 {
+		t.Fatalf("lambda %g (passed %v), want the capacity 3.0 to float resolution", res.Lambda, res.Passed)
+	}
+	if len(calls) > 100 {
+		t.Fatalf("%d probes: the bisection did not stop at float resolution", len(calls))
+	}
+	verified := false
+	for _, tr := range res.Trials {
+		verified = verified || (tr.Lambda == res.Lambda && tr.Pass)
+	}
+	if !verified {
+		t.Fatalf("result lambda %g was never probed and passed", res.Lambda)
+	}
+}
+
 func TestSustainedTPSWholeBracketPasses(t *testing.T) {
 	var calls []float64
 	res, err := SustainedTPS(capSpec(), syntheticTrial(100, &calls), 1, 4, 0.1)

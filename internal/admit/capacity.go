@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"batchsched/internal/obs/sli"
+	"batchsched/internal/stats"
 )
 
 // TrialFunc runs one duration-bounded service trial at arrival rate lambda
@@ -39,9 +40,11 @@ type CapacityResult struct {
 // whose service-mode trial still passes spec, to within tol. Like
 // experiments.SolveLambdaAtRT, the returned rate is always one that was
 // actually probed and passed — shrinking intervals never promote an
-// untested midpoint. Sheds are part of the measures, so a spec with a
-// shed-rate ceiling (sli.ServiceDefault) prevents the degenerate fixed
-// point where shedding keeps the admitted p95 healthy at any offered load.
+// untested midpoint — and the two share one bisection loop (stats.Bisect),
+// which stops at float resolution whatever tol asks. Sheds are part of the
+// measures, so a spec with a shed-rate ceiling (sli.ServiceDefault) prevents
+// the degenerate fixed point where shedding keeps the admitted p95 healthy
+// at any offered load.
 func SustainedTPS(spec sli.Spec, trial TrialFunc, lo, hi, tol float64) (CapacityResult, error) {
 	if lo <= 0 || hi <= lo || tol <= 0 {
 		return CapacityResult{}, fmt.Errorf("admit: SustainedTPS needs 0 < lo < hi and tol > 0 (lo=%g hi=%g tol=%g)", lo, hi, tol)
@@ -71,17 +74,15 @@ func SustainedTPS(spec sli.Spec, trial TrialFunc, lo, hi, tol float64) (Capacity
 		res.SustainedTPS = m.TPS
 		return res, nil // the whole bracket passes
 	}
-	for hi-res.Lambda > tol {
-		mid := (res.Lambda + hi) / 2
+	res.Lambda, _, err = stats.Bisect(lo, hi, tol, func(mid float64) (bool, error) {
 		pass, m, err := probe(mid)
-		if err != nil {
-			return res, err
-		}
 		if pass {
-			res.Lambda, res.Measures = mid, m
-		} else {
-			hi = mid
+			res.Measures = m
 		}
+		return pass, err
+	})
+	if err != nil {
+		return res, err
 	}
 	res.SustainedTPS = res.Measures.TPS
 	return res, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"batchsched/internal/lock"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
 	"batchsched/internal/sched"
@@ -75,8 +76,8 @@ func (e DecisionEntry) String() string {
 
 // DecisionLog wraps a scheduler and records every protocol call, for
 // differential sim-vs-live comparison. It forwards audit and load-probe
-// injection when the wrapped scheduler supports them, so wrapping does not
-// change behavior.
+// injection and the lock table when the wrapped scheduler has them, so
+// wrapping does not change behavior.
 type DecisionLog struct {
 	inner   sched.Scheduler
 	audit   *obs.Audit
@@ -164,6 +165,15 @@ func (l *DecisionLog) SetLoadProbe(probe func(f model.FileID) float64) {
 	if la, ok := l.inner.(sched.LoadAware); ok {
 		la.SetLoadProbe(probe)
 	}
+}
+
+// Locks exposes the wrapped scheduler's lock table, nil when it keeps none,
+// so the live guard-violation rule and wait reports see through the wrapper.
+func (l *DecisionLog) Locks() *lock.Table {
+	if lt, ok := l.inner.(interface{ Locks() *lock.Table }); ok {
+		return lt.Locks()
+	}
+	return nil
 }
 
 func okStr(ok bool) string {

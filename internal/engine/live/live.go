@@ -14,9 +14,9 @@
 // sweep and its grant/wake cascades to the simulator's, making sim-vs-live
 // decision logs comparable (DESIGN.md §12).
 //
-// A live run is a closed batch: Submit every transaction, then Run drives
+// A live run is a closed batch: RunBatch submits every transaction, drives
 // the batch to commit and summarizes at the makespan. There is no arrival
-// process and no fault injection.
+// process (service mode aside, see service.go) and no fault injection.
 package live
 
 import (
@@ -27,6 +27,7 @@ import (
 
 	"batchsched/internal/admit"
 	"batchsched/internal/engine"
+	"batchsched/internal/lock"
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
@@ -175,6 +176,12 @@ type Backend struct {
 	cnBusy     time.Duration
 	ran        bool
 	err        error
+
+	// schedName names the scheduler for errors; locking reports whether it
+	// keeps a lock table (a non-nil Locks()), which makes a DPN guard
+	// violation an error.
+	schedName string
+	locking   bool
 }
 
 // Backend is an execution backend.
@@ -226,11 +233,15 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 30 * time.Second
 	}
+	lt, ok := s.(interface{ Locks() *lock.Table })
+	locking := ok && lt.Locks() != nil
 	b := &Backend{
-		cfg:   cfg,
-		met:   metrics.NewCollector(cfg.NumNodes, 0),
-		clk:   newWallClock(),
-		place: engine.Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
+		cfg:       cfg,
+		met:       metrics.NewCollector(cfg.NumNodes, 0),
+		clk:       newWallClock(),
+		place:     engine.Placement{NumNodes: cfg.NumNodes, DD: cfg.DD},
+		schedName: s.Name(),
+		locking:   locking,
 	}
 	// The CN's CPU is the wall clock, so it charges no modelled CPU times;
 	// a sub-microsecond restart delay rounds up to one microsecond.
@@ -348,14 +359,23 @@ func (b *Backend) Submit(steps []model.Step) *model.Txn {
 // InFlight reports how many submitted transactions have not committed.
 func (b *Backend) InFlight() int { return int(b.nextID) - b.cn.Completed() }
 
-// Err reports why the run stopped short (nil on a clean drain): a batch
-// left with nothing that could ever wake it, or a stall against the
-// deadline. Either error lists who waits on what.
-func (b *Backend) Err() error { return b.err }
+// Err reports what went wrong in the run (nil on a clean one): a batch left
+// with nothing that could ever wake it or a stall against the deadline,
+// either listing who waits on what; otherwise, when the scheduler keeps a
+// lock table (ASL, C2PL, C2PL+M, GOW, LOW, LOW-LB, 2PL), any DPN lock-guard
+// violation, since such a scheduler granted incompatible locks. NODC and
+// OPT keep no lock table and co-run conflicting cohorts by design: their
+// violations are only counted (Violations). Valid after the run.
+func (b *Backend) Err() error {
+	if b.err == nil && b.locking && b.violations != 0 {
+		return fmt.Errorf("live: %s run observed %d lock-guard violations", b.schedName, b.violations)
+	}
+	return b.err
+}
 
 // Violations returns the number of incompatible cohort co-residencies the
-// DPN lock guards observed (only valid after Run). Zero for every real
-// scheduler; positive under NODC by design.
+// DPN lock guards observed (only valid after the run). Zero for every
+// scheduler that keeps a lock table; positive under NODC by design.
 func (b *Backend) Violations() int { return b.violations }
 
 // Checksum returns the accumulated read checksum (proof the store scans
@@ -491,6 +511,17 @@ func (b *Backend) Run() metrics.Summary {
 		b.sample()
 	}
 	return b.finish()
+}
+
+// RunBatch runs a closed batch, the live backend's one way to: it submits
+// every transaction of batch, runs them to commit (Run) and returns the
+// summary and Err.
+func (b *Backend) RunBatch(batch [][]model.Step) (metrics.Summary, error) {
+	for _, steps := range batch {
+		b.Submit(steps)
+	}
+	sum := b.Run()
+	return sum, b.Err()
 }
 
 // handleCompletion lands one cohort's completion; the last one of a step

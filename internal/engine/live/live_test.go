@@ -9,6 +9,7 @@ import (
 	"batchsched/internal/engine"
 	"batchsched/internal/engine/live"
 	"batchsched/internal/history"
+	"batchsched/internal/lock"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
 	"batchsched/internal/sched"
@@ -278,6 +279,51 @@ func TestLiveQuiescentBatchFailsFast(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		if want := fmt.Sprintf("T%d delayed at step 0", i); !strings.Contains(msg, want) {
 			t.Errorf("error %q lacks %q", msg, want)
+		}
+	}
+}
+
+// grantAll keeps a lock table, as the lock-based schedulers do, yet grants
+// every request like NODC: a lock-keeping scheduler gone wrong.
+type grantAll struct {
+	sched.Scheduler
+	locks *lock.Table
+}
+
+func (grantAll) Name() string         { return "grant-all" }
+func (s grantAll) Locks() *lock.Table { return s.locks }
+
+// TestGuardViolationPolicy: a DPN lock-guard violation fails the run (Err)
+// exactly when the scheduler keeps a lock table, wrapped or not. The same
+// conflicting batch under NODC, which keeps none and co-runs conflicting
+// cohorts by design, only counts its violations.
+func TestGuardViolationPolicy(t *testing.T) {
+	batch := exp1Batch(5, 2, 16)
+	cfg := liveConfig(2, 1)
+	cfg.PacePerObject = 200 * time.Microsecond // keep conflicting cohorts co-resident
+	for _, tc := range []struct {
+		s     sched.Scheduler
+		fails bool
+	}{
+		{sched.NewNODC(), false},
+		{grantAll{sched.NewNODC(), lock.NewTable()}, true},
+		// Wrapping in the differential tests' decision log changes neither.
+		{engine.NewDecisionLog(sched.NewNODC()), false},
+		{engine.NewDecisionLog(grantAll{sched.NewNODC(), lock.NewTable()}), true},
+	} {
+		b, err := live.New(cfg, tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := b.RunBatch(batch)
+		if sum.Completions != len(batch) {
+			t.Fatalf("%s: %d of %d committed", tc.s.Name(), sum.Completions, len(batch))
+		}
+		if b.Violations() == 0 {
+			t.Fatalf("%s: no guard violations, so the batch does not exercise the policy", tc.s.Name())
+		}
+		if (err != nil) != tc.fails {
+			t.Errorf("%s with %d violations: Err = %v, want failure %v", tc.s.Name(), b.Violations(), err, tc.fails)
 		}
 	}
 }

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"batchsched/internal/machine"
 	"batchsched/internal/report"
-	"batchsched/internal/sched"
-	"batchsched/internal/sim"
 	"batchsched/internal/workload"
 )
 
@@ -15,40 +12,30 @@ import (
 // measures its effect. They are not paper artifacts; cmd/paperbench runs
 // them with -ablations.
 
-// ablationPoint mirrors Point for the knobs Point does not carry.
+// ablationPoint is a Point plus the knobs Point does not carry.
 type ablationPoint struct {
 	Point
+	// exactK applies Point.K as LOW's K even when it is zero (for a Point,
+	// K = 0 means the paper's K).
+	exactK          bool
 	gowGreedy       bool
 	runToCompletion bool
 	noWakeOnGrant   bool
 	chargeRetryCPU  bool
 }
 
+// runAblation simulates one replication of p at p.Seed: the point's
+// mapping with the ablation knobs on top.
 func runAblation(p ablationPoint) (tps float64, rtSec float64) {
-	params := sched.DefaultParams()
-	params.MPL = p.MPL
-	if p.K > 0 {
+	cfg, params := p.config()
+	if p.exactK {
 		params.K = p.K
 	}
 	params.GOWGreedy = p.gowGreedy
-	cfg := machine.DefaultConfig()
-	cfg.ArrivalRate = p.Lambda
-	cfg.NumFiles = p.NumFiles
-	if p.Load == Exp2 {
-		cfg.NumFiles = 16
-	}
-	cfg.DD = p.DD
-	if p.Duration > 0 {
-		cfg.Duration = p.Duration
-	}
 	cfg.RunToCompletion = p.runToCompletion
 	cfg.NoWakeOnGrant = p.noWakeOnGrant
 	cfg.ChargeRetryCPU = p.chargeRetryCPU
-	m, err := machine.New(cfg, sched.MustNew(p.Scheduler, params), p.generator(), sim.NewRNG(p.Seed))
-	if err != nil {
-		panic(err)
-	}
-	sum := m.Run()
+	sum := newMachine(cfg, p.Scheduler, params, p.generator(), p.Seed).Run()
 	return sum.TPS, sum.MeanRT.Seconds()
 }
 
@@ -67,35 +54,17 @@ func AblationLOWK(o Options) *report.Table {
 		var cells []string
 		cells = append(cells, fmt.Sprint(k))
 		for _, load := range []Workload{Exp1, Exp2} {
-			p := ablationPoint{Point: o.point()}
+			p := ablationPoint{Point: o.point(), exactK: true}
 			p.Scheduler = "LOW"
 			p.Lambda = 1.2
 			p.Load = load
-			tps, rt := runAblationK(p, k)
+			p.K = k
+			tps, rt := runAblation(p)
 			cells = append(cells, report.F(rt, 0), report.F(tps, 2))
 		}
 		t.AddRow(cells...)
 	}
 	return t
-}
-
-// runAblationK is runAblation with an exact K (including zero).
-func runAblationK(p ablationPoint, k int) (tps, rtSec float64) {
-	params := sched.DefaultParams()
-	params.K = k
-	cfg := machine.DefaultConfig()
-	cfg.ArrivalRate = p.Lambda
-	cfg.NumFiles = 16
-	cfg.DD = p.DD
-	if p.Duration > 0 {
-		cfg.Duration = p.Duration
-	}
-	m, err := machine.New(cfg, sched.NewLOW(params), p.generator(), sim.NewRNG(p.Seed))
-	if err != nil {
-		panic(err)
-	}
-	sum := m.Run()
-	return sum.TPS, sum.MeanRT.Seconds()
 }
 
 // AblationGOWOptimization compares GOW's global optimization against a
@@ -192,18 +161,11 @@ func ExtensionLoadBalance(o Options) *report.Table {
 	for _, theta := range []float64{0, 0.8, 1.2} {
 		row := []string{report.F(theta, 1)}
 		for _, name := range []string{"LOW", "LOW-LB"} {
-			params := sched.DefaultParams()
-			cfg := machine.DefaultConfig()
-			cfg.ArrivalRate = 0.5
-			if o.Duration > 0 {
-				cfg.Duration = o.Duration
-			}
-			m, err := machine.New(cfg, sched.MustNew(name, params),
-				workload.NewExp1Skewed(16, theta), sim.NewRNG(o.Seed))
-			if err != nil {
-				panic(err)
-			}
-			sum := m.Run()
+			p := o.point()
+			p.Scheduler = name
+			p.Lambda = 0.5
+			cfg, params := p.config()
+			sum := newMachine(cfg, p.Scheduler, params, workload.NewExp1Skewed(16, theta), p.Seed).Run()
 			row = append(row, report.F(sum.MeanRT.Seconds(), 1), report.F(sum.TPS, 2))
 		}
 		t.AddRow(row...)

@@ -56,3 +56,24 @@ func TestAblationRetryPolicySmoke(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
+
+// TestAblationsCountSimulations: the ablation studies build their machines
+// through the package's one construction path (newMachine), so every run
+// counts in SimCounts and none is served by the replication memo.
+func TestAblationsCountSimulations(t *testing.T) {
+	want := map[string]uint64{
+		"ablation-lowk":    10, // 5 K values x 2 workloads
+		"ablation-gow":     6,  // 3 DDs x {optimized, greedy}
+		"ablation-quantum": 6,  // 3 schedulers x {RR, RTC}
+		"ablation-retry":   9,  // 3 schedulers x 3 policies
+		"ext-lb":           6,  // 3 skews x {LOW, LOW-LB}
+	}
+	for _, a := range Ablations {
+		before := SimCounts()
+		a.Run(quick())
+		if d := simsSince(before); d.Simulated != want[a.ID] || d.Reused != 0 {
+			t.Errorf("%s: %d simulated, %d reused; want %d simulated, 0 reused",
+				a.ID, d.Simulated, d.Reused, want[a.ID])
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"batchsched/internal/obs"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
+	"batchsched/internal/stats"
 	"batchsched/internal/sweep"
 	"batchsched/internal/workload"
 )
@@ -60,9 +61,6 @@ type Point struct {
 	RestartDelay sim.Time
 	// Faults configures the fault injector (zero value = failure-free).
 	Faults fault.Config
-	// QuantumStepped selects the quantum-per-event DPN oracle instead of
-	// the fast-forward engine (identical results, more calendar events).
-	QuantumStepped bool
 	// Service switches the run into streaming-admission mode
 	// (internal/admit): arrivals flow through the bounded admission queue
 	// and the epoch loop instead of the closed paper loop. nil = closed.
@@ -89,14 +87,10 @@ func (p Point) generator() machine.Generator {
 
 // Run simulates the point, averaging Reps replications.
 func Run(p Point) metrics.Summary {
-	if p.Reps < 1 {
-		p.Reps = 1
-	}
-	sums := make([]metrics.Summary, p.Reps)
-	for r := 0; r < p.Reps; r++ {
-		sums[r] = runOnce(p, p.Seed+int64(r))
-	}
-	return metrics.Average(sums)
+	sum, _, _ := metrics.Replicate(p.Seed, p.Reps, func(seed int64) (metrics.Summary, error) {
+		return runOnce(p, seed), nil
+	})
+	return sum
 }
 
 // RunObserved simulates one replication (at p.Seed) of the point with the
@@ -112,7 +106,17 @@ func RunObserved(p Point, ob *obs.Observer) metrics.Summary {
 // that does not come from the Point — a global, a clock, a shared generator —
 // must either join the Point or bypass the memo.
 func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
-	simulated.Add(1)
+	cfg, params := p.config()
+	m := newMachine(cfg, p.Scheduler, params, p.generator(), seed)
+	m.SetObs(ob)
+	return m.Run()
+}
+
+// config maps the point onto the machine and scheduler parameters: the
+// paper's Table-1 defaults with the point's values on top. A service point
+// gets its own copy of the policy and a fresh arrival process, since the
+// machine must not share their state across replications.
+func (p Point) config() (machine.Config, sched.Params) {
 	params := sched.DefaultParams()
 	params.MPL = p.MPL
 	if p.K > 0 {
@@ -130,22 +134,27 @@ func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
 	}
 	cfg.RestartDelay = p.RestartDelay
 	cfg.Faults = p.Faults
-	cfg.QuantumStepped = p.QuantumStepped
 	if p.Service != nil {
-		pol := *p.Service // the machine must not share policy state across replications
+		pol := *p.Service
 		cfg.Service = &pol
-		arr, aerr := ArrivalProcess(p.Arrival, p.Lambda)
-		if aerr != nil {
-			panic(fmt.Sprintf("experiments: %v", aerr))
+		arr, err := ArrivalProcess(p.Arrival, p.Lambda)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
 		}
 		cfg.Arrivals = arr
 	}
-	m, err := machine.New(cfg, sched.MustNew(p.Scheduler, params), p.generator(), sim.NewRNG(seed))
+	return cfg, params
+}
+
+// newMachine builds one simulation run of this package and counts it in
+// SimCounts: every simulation the experiments run is assembled here.
+func newMachine(cfg machine.Config, scheduler string, params sched.Params, gen machine.Generator, seed int64) *machine.Machine {
+	simulated.Add(1)
+	m, err := machine.New(cfg, sched.MustNew(scheduler, params), gen, sim.NewRNG(seed))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	m.SetObs(ob)
-	return m.Run()
+	return m
 }
 
 // RunAll simulates many points concurrently on the shared sweep worker
@@ -191,17 +200,9 @@ func SolveLambdaAtRT(p Point, reps int, target sim.Time, lo, hi, tol float64) fl
 	if rtAt(lo) > target {
 		return lo
 	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if mid <= lo || mid >= hi {
-			break // the bracket is at float resolution: tol <= 0 must still stop
-		}
-		if rtAt(mid) <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, _, _ = stats.Bisect(lo, hi, tol, func(mid float64) (bool, error) {
+		return rtAt(mid) <= target, nil
+	})
 	// Return the largest VERIFIED arrival rate, never the untested
 	// midpoint: C2PL and OPT have near-vertical stability cliffs (RT jumps
 	// from ~20 s to hundreds within ~0.03 TPS), and a midpoint that lands a

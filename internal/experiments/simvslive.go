@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"batchsched/internal/engine/live"
-	"batchsched/internal/machine"
 	"batchsched/internal/model"
 	"batchsched/internal/report"
 	"batchsched/internal/sched"
@@ -53,35 +52,14 @@ type SimVsLiveResult struct {
 	LiveTPS map[string]float64
 }
 
-// simVsLiveBatch pre-generates the closed batch both backends consume, so
-// transaction i is byte-identical across backends.
-func simVsLiveBatch(seed int64, numFiles, n int) [][]model.Step {
-	gen := workload.NewExp1(numFiles)
-	rng := sim.NewRNG(seed).Stream("workload")
-	out := make([][]model.Step, n)
-	for i := range out {
-		out[i] = gen.Steps(rng)
-	}
-	return out
-}
-
+// simVsLiveSim runs the batch closed on the simulator: the cell's machine,
+// no arrival process, a four-hour horizon (not a target).
 func simVsLiveSim(cell SimVsLiveCell, name string, batch [][]model.Step) (float64, error) {
-	cfg := machine.DefaultConfig()
-	cfg.NumFiles = cell.NumFiles
-	cfg.DD = cell.DD
-	cfg.ArrivalRate = 0
-	cfg.Warmup = 0
-	cfg.Duration = 4 * 3_600_000 * sim.Millisecond // horizon, not a target
-	m, err := machine.New(cfg, sched.MustNew(name, sched.DefaultParams()), nil, sim.NewRNG(1))
+	p := Point{Scheduler: name, NumFiles: cell.NumFiles, DD: cell.DD, Duration: 4 * 3_600_000 * sim.Millisecond}
+	cfg, params := p.config()
+	sum, err := newMachine(cfg, p.Scheduler, params, nil, 1).RunBatch(batch)
 	if err != nil {
-		return 0, err
-	}
-	for _, steps := range batch {
-		m.Submit(steps)
-	}
-	sum := m.RunClosed(cfg.Duration)
-	if m.InFlight() != 0 {
-		return 0, fmt.Errorf("sim %s %v: %d transactions still in flight", name, cell, m.InFlight())
+		return 0, fmt.Errorf("sim %s %v: %w", name, cell, err)
 	}
 	return sum.TPS, nil
 }
@@ -101,11 +79,8 @@ func simVsLiveLive(cell SimVsLiveCell, name string, batch [][]model.Step) (float
 	if err != nil {
 		return 0, err
 	}
-	for _, steps := range batch {
-		b.Submit(steps)
-	}
-	sum := b.Run()
-	if err := b.Err(); err != nil {
+	sum, err := b.RunBatch(batch)
+	if err != nil {
 		return 0, fmt.Errorf("live %s %v: %w", name, cell, err)
 	}
 	return sum.TPS, nil
@@ -116,7 +91,7 @@ func simVsLiveLive(cell SimVsLiveCell, name string, batch [][]model.Step) (float
 func RunSimVsLive(seed int64, n int) ([]SimVsLiveResult, error) {
 	var out []SimVsLiveResult
 	for _, cell := range SimVsLiveGrid {
-		batch := simVsLiveBatch(seed, cell.NumFiles, n)
+		batch := workload.DrawBatch(workload.NewExp1(cell.NumFiles), seed, n)
 		r := SimVsLiveResult{
 			Cell:    cell,
 			SimTPS:  make(map[string]float64),

@@ -22,10 +22,6 @@ type Options struct {
 	Seed int64
 	// SolverTol is the bisection tolerance on lambda (0 = 0.01 TPS).
 	SolverTol float64
-	// QuantumStepped runs every simulation on the quantum-per-event DPN
-	// oracle instead of the fast-forward engine (timing comparisons; the
-	// artifacts themselves are byte-identical either way).
-	QuantumStepped bool
 }
 
 func (o Options) norm() Options {
@@ -42,8 +38,7 @@ func (o Options) norm() Options {
 }
 
 func (o Options) point() Point {
-	return Point{NumFiles: 16, DD: 1, Load: Exp1, Seed: o.Seed, Reps: o.Reps,
-		Duration: o.Duration, QuantumStepped: o.QuantumStepped}
+	return Point{NumFiles: 16, DD: 1, Load: Exp1, Seed: o.Seed, Reps: o.Reps, Duration: o.Duration}
 }
 
 // sixSchedulers is the paper's scheduler lineup with plain C2PL.

@@ -181,9 +181,6 @@ func (i *Injector) scheduleSlow(n int) {
 	})
 }
 
-// MsgFaults reports whether the message-loss/delay dimension is active.
-func (i *Injector) MsgFaults() bool { return i.cfg.MsgLoss > 0 || i.cfg.MsgDelay > 0 }
-
 // MsgLost draws whether one CN<->DPN message is lost. It draws nothing when
 // MsgLoss is zero.
 func (i *Injector) MsgLost() bool {

@@ -67,12 +67,6 @@ type Config struct {
 	// cohort to completion (FCFS) instead of the paper's round-robin
 	// interleave with a 1/DD-object quantum.
 	RunToCompletion bool
-	// QuantumStepped selects the quantum-per-event DPN service loop instead
-	// of the default event-coalesced fast-forward engine. The two are
-	// semantically identical (the stepped loop is kept as the differential
-	// oracle; see DESIGN.md §11) — stepped runs just dispatch one calendar
-	// event per round-robin quantum and are proportionally slower.
-	QuantumStepped bool
 	// NoWakeOnGrant is an ablation knob: policy-delayed lock requests are
 	// retried only after commits, not after every grant.
 	NoWakeOnGrant bool

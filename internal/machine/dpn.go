@@ -42,9 +42,9 @@ type cohort struct {
 //   - the fast-forward engine (dpn_ff.go, the default) schedules one
 //     calendar event per cohort completion and reconstructs the ring state
 //     analytically whenever anything looks at or perturbs the node;
-//   - the quantum-stepped engine (dpn_stepped.go, Config.QuantumStepped)
-//     schedules one event per service quantum — the original loop, kept as
-//     the differential oracle.
+//   - the quantum-stepped engine (dpn_stepped.go) schedules one event per
+//     service quantum — the original loop, kept as the differential oracle
+//     and selectable only from this package's tests (ffdiff_test.go).
 type dpn struct {
 	id   int
 	eng  *sim.Engine
@@ -53,7 +53,7 @@ type dpn struct {
 	cur  int
 	busy bool
 
-	// stepped selects the quantum-per-event oracle engine.
+	// stepped selects the quantum-per-event oracle engine (tests only).
 	stepped bool
 
 	// down marks a crashed node; the machine refuses deliveries to it.

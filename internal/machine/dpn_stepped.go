@@ -3,10 +3,10 @@ package machine
 import "batchsched/internal/sim"
 
 // The quantum-stepped service engine: one calendar event per round-robin
-// service quantum. This is the original DPN loop, kept behind
-// Config.QuantumStepped as the differential oracle for the fast-forward
-// engine (dpn_ff.go) — the two must produce byte-identical completion
-// times, busy accounting and event ordering.
+// service quantum. This is the original DPN loop, kept as the differential
+// oracle for the fast-forward engine (dpn_ff.go) — the two must produce
+// byte-identical completion times, busy accounting and event ordering. Only
+// this package's tests select it (dpn.stepped, set by ffdiff_test.go).
 
 // quantumDone (pre-bound as d.onQuantum) fires when the quantum in progress
 // completes: charge its busy time, apply it to the cohort at the cursor,

@@ -125,14 +125,23 @@ func TestFFDiffRandomSchedules(t *testing.T) {
 	}
 }
 
+// setStepped puts every node of m on the quantum-stepped oracle engine (on)
+// or the fast-forward engine. Call before Run; no other code selects the
+// oracle.
+func (m *Machine) setStepped(on bool) {
+	for _, d := range m.dpns {
+		d.stepped = on
+	}
+}
+
 // ffDiffMachine builds one machine for the differential grid.
 func ffDiffMachine(t *testing.T, name string, cfg Config, stepped bool, seed int64) *Machine {
 	t.Helper()
-	cfg.QuantumStepped = stepped
 	m, err := New(cfg, sched.MustNew(name, sched.DefaultParams()), workload.NewExp1(16), sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.setStepped(stepped)
 	return m
 }
 
@@ -218,11 +227,11 @@ func TestFFDiffBatchScan(t *testing.T) {
 		cfg.DD = 16
 		cfg.ArrivalRate = 0.15
 		cfg.Duration = 200_000 * sim.Millisecond
-		cfg.QuantumStepped = stepped
 		m, err := New(cfg, sched.MustNew("GOW", sched.DefaultParams()), workload.NewBatchScan(16, 32), sim.NewRNG(3))
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.setStepped(stepped)
 		var buf bytes.Buffer
 		m.SetObserver(trace.NewWriter(&buf))
 		m.Run()

@@ -146,7 +146,6 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 	m.dpns = make([]*dpn, cfg.NumNodes)
 	for i := range m.dpns {
 		m.dpns[i] = newDPN(i, eng, met)
-		m.dpns[i].stepped = cfg.QuantumStepped
 		m.dpns[i].complete = m.cohortFinished
 	}
 	m.onArrival = func(sim.Time) {
@@ -333,6 +332,21 @@ func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
 	}
 	m.ob.Finish(now)
 	return m.met.Summarize(now)
+}
+
+// RunBatch runs a closed batch, the simulator's one way to: it submits
+// every transaction of batch at the current time and runs them to commit
+// (RunClosed) with cfg.Duration as the horizon, failing if any is still in
+// flight there. Build the machine with no arrival process and no warm-up.
+func (m *Machine) RunBatch(batch [][]model.Step) (metrics.Summary, error) {
+	for _, steps := range batch {
+		m.Submit(steps)
+	}
+	sum := m.RunClosed(m.cfg.Duration)
+	if n := m.InFlight(); n != 0 {
+		return sum, fmt.Errorf("%d transactions still in flight at horizon: %s", n, m.WaitReport())
+	}
+	return sum, nil
 }
 
 func (m *Machine) scheduleNextArrival() {

@@ -129,3 +129,19 @@ func AverageWithCI(sums []Summary) (Summary, CI) {
 	}
 	return avg, CI{MeanRT: sim.Time(rt.CI95()), TPS: tps.CI95()}
 }
+
+// Replicate runs reps independent replications — run(seed), run(seed+1),
+// ... (at least one) — and combines them with AverageWithCI. It stops at
+// the first error.
+func Replicate(seed int64, reps int, run func(seed int64) (Summary, error)) (Summary, CI, error) {
+	sums := make([]Summary, max(reps, 1))
+	for r := range sums {
+		sum, err := run(seed + int64(r))
+		if err != nil {
+			return Summary{}, CI{}, err
+		}
+		sums[r] = sum
+	}
+	avg, ci := AverageWithCI(sums)
+	return avg, ci, nil
+}

@@ -35,7 +35,6 @@ type Event struct {
 	canceled bool
 	index    int     // heap index, -1 when not on the heap
 	eng      *Engine // owner, for the canceled-event accounting in Cancel
-	label    string
 	// tie (when hasTie is set) refines the ordering among events with equal
 	// (at, prio) beyond booking order; see TieKey and ScheduleAtTie.
 	tie    TieKey
@@ -194,7 +193,13 @@ func (e *Engine) Pending() int { return e.calendar.Len() }
 // Schedule books fn to run after delay. A negative delay panics: the model
 // would be rewinding time, which is always a bug.
 func (e *Engine) Schedule(delay Time, fn Handler) *Event {
-	return e.ScheduleLabeled(delay, "", fn)
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	if fn == nil {
+		panic("sim: nil handler")
+	}
+	return e.book(e.now+delay, e.now, fn)
 }
 
 // ScheduleAt books fn to run at absolute virtual time at (>= Now).
@@ -205,7 +210,7 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) *Event {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	return e.book(at, e.now, "", fn)
+	return e.book(at, e.now, fn)
 }
 
 // ScheduleAtPrio books fn at absolute virtual time at (>= Now) with an
@@ -225,7 +230,7 @@ func (e *Engine) ScheduleAtPrio(at, prio Time, fn Handler) *Event {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	return e.book(at, prio, "", fn)
+	return e.book(at, prio, fn)
 }
 
 // ScheduleAtTie is ScheduleAtPrio with a booking-genealogy key: among events
@@ -244,23 +249,11 @@ func (e *Engine) ScheduleAtTie(at, prio Time, tie TieKey, fn Handler) *Event {
 	// The key must be complete before the event enters the heap: the sift
 	// compares with eventLess, and an event pushed tie-less and patched
 	// afterwards can sit above a sibling the tie key says it follows.
-	ev := e.alloc(at, prio, "", fn)
+	ev := e.alloc(at, prio, fn)
 	ev.tie = tie
 	ev.hasTie = true
 	e.calendar.push(ev)
 	return ev
-}
-
-// ScheduleLabeled is Schedule with a diagnostic label (shown in panics and
-// useful in tests/tracing).
-func (e *Engine) ScheduleLabeled(delay Time, label string, fn Handler) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	return e.book(e.now+delay, e.now, label, fn)
 }
 
 // SchedulePayload books fn(arg) to run after delay. It is Schedule for
@@ -273,30 +266,30 @@ func (e *Engine) SchedulePayload(delay Time, fn PayloadHandler, arg any) *Event 
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	ev := e.book(e.now+delay, e.now, "", nil)
+	ev := e.book(e.now+delay, e.now, nil)
 	ev.pfn = fn
 	ev.arg = arg
 	return ev
 }
 
-func (e *Engine) book(at, prio Time, label string, fn Handler) *Event {
-	ev := e.alloc(at, prio, label, fn)
+func (e *Engine) book(at, prio Time, fn Handler) *Event {
+	ev := e.alloc(at, prio, fn)
 	e.calendar.push(ev)
 	return ev
 }
 
 // alloc takes an event off the free list (or makes one), stamped with the
 // next booking sequence number but not yet on any calendar.
-func (e *Engine) alloc(at, prio Time, label string, fn Handler) *Event {
+func (e *Engine) alloc(at, prio Time, fn Handler) *Event {
 	e.seq++
 	var ev *Event
 	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		*ev = Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label}
+		*ev = Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e}
 	} else {
-		ev = &Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e, label: label}
+		ev = &Event{at: at, prio: prio, seq: e.seq, fn: fn, eng: e}
 	}
 	return ev
 }
@@ -336,7 +329,6 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.pfn = nil
 	ev.arg = nil
-	ev.label = ""
 	e.pool = append(e.pool, ev)
 }
 

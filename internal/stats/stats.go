@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit the measurement
 // harness uses: sample moments, Student-t confidence intervals for
-// replicated simulations, and batch-means for single long runs.
+// replicated simulations, quantiles, and the bisection loop of the
+// capacity solvers.
 package stats
 
 import (
@@ -104,27 +105,4 @@ func tCritical95(df int) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// BatchMeans splits a series of sequential observations into k batches and
-// returns the sample of batch means — the standard way to get a confidence
-// interval out of one long, autocorrelated simulation run. It errors when
-// there are fewer than 2*k observations.
-func BatchMeans(xs []float64, k int) (*Sample, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 batches, got %d", k)
-	}
-	if len(xs) < 2*k {
-		return nil, fmt.Errorf("stats: %d observations cannot fill %d batches", len(xs), k)
-	}
-	batch := len(xs) / k
-	var s Sample
-	for b := 0; b < k; b++ {
-		sum := 0.0
-		for i := b * batch; i < (b+1)*batch; i++ {
-			sum += xs[i]
-		}
-		s.Add(sum / float64(batch))
-	}
-	return &s, nil
 }

@@ -87,23 +87,6 @@ func TestTCriticalMonotone(t *testing.T) {
 	}
 }
 
-func TestBatchMeans(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 3, 3, 4, 4}
-	s, err := BatchMeans(xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != 4 || s.Mean() != 2.5 {
-		t.Errorf("batch means = %v", s)
-	}
-	if _, err := BatchMeans(xs, 1); err == nil {
-		t.Error("k=1 must error")
-	}
-	if _, err := BatchMeans(xs[:3], 2); err == nil {
-		t.Error("too few observations must error")
-	}
-}
-
 // Property: Sample.Mean and Variance agree with direct computation.
 func TestSampleMatchesDirect(t *testing.T) {
 	prop := func(raw []int16) bool {

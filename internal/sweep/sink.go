@@ -133,18 +133,12 @@ func (s *sink) Close() error {
 	return s.f.Close()
 }
 
-// LoadCheckpoint reads a checkpoint written for spec and returns its
-// completed records. It verifies the header matches the (normalized) spec,
-// verifies each record's cell identity against the spec's grid, and
-// tolerates exactly one torn line at the tail — the write a killed process
-// did not finish.
-func LoadCheckpoint(path string, spec Spec) ([]Record, error) {
-	recs, _, err := loadCheckpoint(path, spec)
-	return recs, err
-}
-
-// loadCheckpoint additionally returns the length of the valid prefix in
-// bytes, so a resuming sink can truncate a torn tail before appending.
+// loadCheckpoint reads a checkpoint written for spec and returns its
+// completed records and the length of their valid prefix in bytes, so a
+// resuming sink can truncate a torn tail before appending. It verifies the
+// header matches the (normalized) spec, verifies each record's cell
+// identity against the spec's grid, and tolerates exactly one torn line at
+// the tail — the write a killed process did not finish.
 func loadCheckpoint(path string, spec Spec) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package trace records simulation execution events as JSON Lines, one
 // event per line, for offline analysis and debugging. A Writer implements
-// machine.Observer; plug it into a Machine with SetObserver. Multiple
-// observers can be combined with Multi.
+// machine.Observer; plug it into a Machine with SetObserver.
 package trace
 
 import (
@@ -52,6 +51,38 @@ type Event struct {
 
 // ptr returns a pointer to v (for the pointer-typed Event fields).
 func ptr(v int) *int { return &v }
+
+func stepEvent(txn *model.Txn, step int, at sim.Time) Event {
+	st := txn.Steps[step]
+	return Event{
+		At: at.Milliseconds(), Kind: "step", Txn: txn.ID,
+		Step: ptr(step), File: ptr(int(st.File)), Write: st.Write,
+	}
+}
+
+func commitEvent(txn *model.Txn, at sim.Time) Event {
+	return Event{
+		At: at.Milliseconds(), Kind: "commit", Txn: txn.ID,
+		RTms: (at - txn.Arrival).Milliseconds(), Restarts: txn.Restarts,
+		Cost: txn.TotalCost(),
+	}
+}
+
+func restartEvent(txn *model.Txn, at sim.Time) Event {
+	return Event{At: at.Milliseconds(), Kind: "restart", Txn: txn.ID, Restarts: txn.Restarts}
+}
+
+func faultEvent(kind string, node int, at sim.Time) Event {
+	return Event{At: at.Milliseconds(), Kind: "fault", Fault: kind, Node: ptr(node)}
+}
+
+func abortEvent(txn *model.Txn, reason string, at sim.Time) Event {
+	return Event{At: at.Milliseconds(), Kind: "abort", Txn: txn.ID, Reason: reason, Restarts: txn.Restarts}
+}
+
+func retryEvent(txn *model.Txn, attempt int, at sim.Time) Event {
+	return Event{At: at.Milliseconds(), Kind: "retry", Txn: txn.ID, Attempt: attempt}
+}
 
 // StepIndex returns the step index, or -1 when absent.
 func (e Event) StepIndex() int {
@@ -165,77 +196,5 @@ func Read(r io.Reader) ([]Event, error) {
 			return out, fmt.Errorf("trace: line %d: %w", len(out)+1, err)
 		}
 		out = append(out, e)
-	}
-}
-
-// observer is the subset of machine.Observer trace needs; redeclared here
-// to avoid importing machine (which would be an upward dependency).
-type observer interface {
-	StepDone(t *model.Txn, step int, at sim.Time)
-	Committed(t *model.Txn, at sim.Time)
-	Restarted(t *model.Txn, at sim.Time)
-}
-
-// Multi fans events out to several observers (e.g. a history recorder and a
-// trace writer at once).
-type Multi []observer
-
-// NewMulti combines observers.
-func NewMulti(os ...observer) Multi { return Multi(os) }
-
-// StepDone implements machine.Observer.
-func (m Multi) StepDone(t *model.Txn, step int, at sim.Time) {
-	for _, o := range m {
-		o.StepDone(t, step, at)
-	}
-}
-
-// Committed implements machine.Observer.
-func (m Multi) Committed(t *model.Txn, at sim.Time) {
-	for _, o := range m {
-		o.Committed(t, at)
-	}
-}
-
-// Restarted implements machine.Observer.
-func (m Multi) Restarted(t *model.Txn, at sim.Time) {
-	for _, o := range m {
-		o.Restarted(t, at)
-	}
-}
-
-// faultObserver is the subset of engine.FaultObserver trace needs
-// (redeclared for the same layering reason as observer).
-type faultObserver interface {
-	Fault(kind string, node int, at sim.Time)
-	AbortedTxn(t *model.Txn, reason string, at sim.Time)
-	Retried(t *model.Txn, attempt int, at sim.Time)
-}
-
-// Fault implements engine.FaultObserver, forwarding to the members that
-// understand fault events.
-func (m Multi) Fault(kind string, node int, at sim.Time) {
-	for _, o := range m {
-		if fo, ok := o.(faultObserver); ok {
-			fo.Fault(kind, node, at)
-		}
-	}
-}
-
-// AbortedTxn implements engine.FaultObserver.
-func (m Multi) AbortedTxn(t *model.Txn, reason string, at sim.Time) {
-	for _, o := range m {
-		if fo, ok := o.(faultObserver); ok {
-			fo.AbortedTxn(t, reason, at)
-		}
-	}
-}
-
-// Retried implements engine.FaultObserver.
-func (m Multi) Retried(t *model.Txn, attempt int, at sim.Time) {
-	for _, o := range m {
-		if fo, ok := o.(faultObserver); ok {
-			fo.Retried(t, attempt, at)
-		}
 	}
 }

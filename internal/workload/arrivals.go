@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"batchsched/internal/model"
 	"batchsched/internal/sim"
 )
 
@@ -169,37 +168,4 @@ func (b *Burst) Next(now sim.Time, rng *sim.RNG) sim.Time {
 		}
 		t = b.until
 	}
-}
-
-// Source couples a step generator with an optional arrival process: the one
-// draw path shared by closed-batch prefetch (DrawBatch, behind the package
-// facade's GenerateBatch) and the open-stream admission loops on both
-// backends. Both consume the generator through Steps in arrival order, so a
-// batch pre-drawn from a Source and an open stream drawn live from the same
-// Source see byte-identical transaction i for every i.
-type Source struct {
-	// Gen produces the steps of successive transactions.
-	Gen Generator
-	// Arr is the arrival process; nil means closed batch (NextGap panics).
-	Arr Arrivals
-}
-
-// Steps draws the next transaction's steps.
-func (s Source) Steps(rng *sim.RNG) []model.Step { return s.Gen.Steps(rng) }
-
-// NextGap draws the gap to the next arrival.
-func (s Source) NextGap(now sim.Time, rng *sim.RNG) sim.Time {
-	if s.Arr == nil {
-		panic("workload: Source has no arrival process (closed batch)")
-	}
-	return s.Arr.Next(now, rng)
-}
-
-// DrawBatch pre-draws the steps of n transactions — the closed-batch caller.
-func (s Source) DrawBatch(rng *sim.RNG, n int) [][]model.Step {
-	out := make([][]model.Step, n)
-	for i := range out {
-		out[i] = s.Steps(rng)
-	}
-	return out
 }

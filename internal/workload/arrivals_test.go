@@ -151,15 +151,18 @@ func TestHeavyTailedUnitMeanAndTail(t *testing.T) {
 	}
 }
 
+// TestSourceSharedDrawPath: transaction i of a closed batch is the i-th
+// draw of the seed's "workload" stream, the stream open runs draw their
+// arrivals' steps from.
 func TestSourceSharedDrawPath(t *testing.T) {
-	// A pre-drawn batch and an open-stream sequence over the same generator
-	// and seed must produce byte-identical transaction i.
 	gen := NewExp1(16)
-	src := Source{Gen: gen, Arr: Poisson{Rate: 1}}
-	batch := Source{Gen: gen}.DrawBatch(sim.NewRNG(21).Stream("workload"), 50)
+	batch := DrawBatch(gen, 21, 50)
+	if len(batch) != 50 {
+		t.Fatalf("%d transactions, want 50", len(batch))
+	}
 	rng := sim.NewRNG(21).Stream("workload")
 	for i, want := range batch {
-		got := src.Steps(rng)
+		got := gen.Steps(rng)
 		if len(got) != len(want) {
 			t.Fatalf("txn %d: %d steps vs %d", i, len(got), len(want))
 		}

@@ -129,6 +129,20 @@ type Generator interface {
 	Steps(rng *sim.RNG) []model.Step
 }
 
+// DrawBatch pre-draws the steps of a closed batch of n transactions from
+// gen on the seed's "workload" stream. Open runs on both backends draw each
+// arrival's steps from that same stream in arrival order, so transaction i
+// of the batch is the i-th arrival of an open run with the same generator
+// and seed, and one batch can be submitted to both backends.
+func DrawBatch(gen Generator, seed int64, n int) [][]model.Step {
+	rng := sim.NewRNG(seed).Stream("workload")
+	out := make([][]model.Step, n)
+	for i := range out {
+		out[i] = gen.Steps(rng)
+	}
+	return out
+}
+
 // WithError wraps a generator with the Experiment-3 estimation-error model:
 // each step's declared cost becomes C0*(1+x) with x ~ N(0, sigma²), clamped
 // to 0 when x <= -1. Actual execution costs are untouched.

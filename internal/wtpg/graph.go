@@ -154,9 +154,6 @@ func (g *Graph) Len() int { return len(g.txns) }
 // Has reports whether the transaction is in the graph.
 func (g *Graph) Has(id int64) bool { _, ok := g.txns[id]; return ok }
 
-// Txn returns the transaction with the given id, or nil.
-func (g *Graph) Txn(id int64) *model.Txn { return g.txns[id] }
-
 // Txns returns the transactions in insertion order. The slice is owned by
 // the graph: it is valid until the next Add or Remove and must not be
 // modified. Evaluation and orientation leave it untouched, so a caller may
