@@ -27,6 +27,7 @@
 package batchsched
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -106,11 +107,7 @@ func Schedulers() []string { return append([]string(nil), sched.Names...) }
 // generator, returning the metrics summary. Each call is deterministic in
 // the seed.
 func Run(cfg Config, scheduler string, params Params, gen Generator, seed int64) (Summary, error) {
-	m, err := newMachine(cfg, scheduler, params, gen, seed)
-	if err != nil {
-		return Summary{}, err
-	}
-	return m.Run(), nil
+	return RunRecorded(cfg, scheduler, params, gen, seed, false, nil, nil)
 }
 
 // newMachine builds the simulator for one run. Every simulator entry point
@@ -149,19 +146,51 @@ func RunWithStats(cfg Config, scheduler string, params Params, gen Generator, se
 	return sum, RunStats{Events: m.Engine().Executed()}, nil
 }
 
-// RunChecked is Run with conflict-serializability verification: it records
-// the run's committed history and returns an error if the serialization
-// graph has a cycle. NODC is expected to fail this check under contention.
+// ErrNotSerializable is wrapped by the error of a checked simulator run
+// whose committed history has a serialization cycle.
+var ErrNotSerializable = errors.New("non-serializable history")
+
+// RunChecked is Run with conflict-serializability verification: it returns
+// an error wrapping ErrNotSerializable if the committed history's
+// serialization graph has a cycle. NODC is expected to fail under
+// contention.
 func RunChecked(cfg Config, scheduler string, params Params, gen Generator, seed int64) (Summary, error) {
+	return RunRecorded(cfg, scheduler, params, gen, seed, true, nil, nil)
+}
+
+// RunRecorded is Run with any of the run's recorders attached to the same
+// run, each observing the control node's one event stream: check verifies
+// the committed history as RunChecked does, a non-nil w receives the JSONL
+// execution trace as in RunTraced, and a non-nil ob records the
+// observability layer as in RunObserved. The recorders are passive, so the
+// summary is Run's. A failed check is reported after the trace is flushed
+// and ob is complete.
+func RunRecorded(cfg Config, scheduler string, params Params, gen Generator, seed int64, check bool, w io.Writer, ob *Obs) (Summary, error) {
 	m, err := newMachine(cfg, scheduler, params, gen, seed)
 	if err != nil {
 		return Summary{}, err
 	}
-	rec := newHistory(scheduler)
-	m.SetObserver(rec)
+	m.SetObs(ob)
+	var rec *history.Recorder
+	if check {
+		rec = newHistory(scheduler)
+		m.SetObserver(rec)
+	}
+	var tw *trace.Writer
+	if w != nil {
+		tw = trace.NewWriter(w)
+		m.SetObserver(tw)
+	}
 	sum := m.Run()
-	if err := rec.CheckSerializable(); err != nil {
-		return sum, fmt.Errorf("batchsched: %s produced a non-serializable history: %w", scheduler, err)
+	if tw != nil {
+		if err := tw.Flush(); err != nil {
+			return sum, fmt.Errorf("batchsched: writing trace: %w", err)
+		}
+	}
+	if rec != nil {
+		if err := rec.CheckSerializable(); err != nil {
+			return sum, fmt.Errorf("batchsched: %s produced a %w: %w", scheduler, ErrNotSerializable, err)
+		}
 	}
 	return sum, nil
 }
@@ -185,34 +214,17 @@ func NewObs() *Obs { return obs.New() }
 // RunObserved is Run with the full observability layer attached: ob records
 // lifecycle/CN/DPN spans over virtual time, samples the metrics registry on
 // its configured interval, and — for GOW and LOW — collects the scheduler
-// decision audit. After the run, export with ob.WriteChromeTrace,
-// ob.WriteMetricsCSV, ob.WriteAuditJSONL or ob.WriteHTMLReport. The
-// instrumentation is passive: the returned summary is identical to Run's
-// for the same arguments. A nil ob degrades to exactly Run.
+// decision audit. Export with ob.WriteChromeTrace, ob.WriteMetricsCSV,
+// ob.WriteAuditJSONL or ob.WriteHTMLReport. The summary is Run's.
 func RunObserved(cfg Config, scheduler string, params Params, gen Generator, seed int64, ob *Obs) (Summary, error) {
-	m, err := newMachine(cfg, scheduler, params, gen, seed)
-	if err != nil {
-		return Summary{}, err
-	}
-	m.SetObs(ob)
-	return m.Run(), nil
+	return RunRecorded(cfg, scheduler, params, gen, seed, false, nil, ob)
 }
 
-// RunTraced is Run with a JSONL execution trace (one event per step
-// completion, commit and restart) streamed to w. See internal/trace for the
-// record format.
+// RunTraced is Run with a JSONL execution trace (one record per step
+// completion, commit, restart, fault abort, fault transition and retry)
+// streamed to w. See internal/trace for the record format.
 func RunTraced(cfg Config, scheduler string, params Params, gen Generator, seed int64, w io.Writer) (Summary, error) {
-	m, err := newMachine(cfg, scheduler, params, gen, seed)
-	if err != nil {
-		return Summary{}, err
-	}
-	tw := trace.NewWriter(w)
-	m.SetObserver(tw)
-	sum := m.Run()
-	if err := tw.Flush(); err != nil {
-		return sum, fmt.Errorf("batchsched: writing trace: %w", err)
-	}
-	return sum, nil
+	return RunRecorded(cfg, scheduler, params, gen, seed, false, w, nil)
 }
 
 // NewExp1Workload returns the paper's Experiment-1 generator (Pattern1 over
@@ -235,7 +247,7 @@ func NewBatchScanWorkload(numFiles int, objects float64) Generator {
 // WithCostError wraps a workload with the Experiment-3 estimation-error
 // model: declared costs become C0*(1+x), x ~ N(0, sigma²), clamped at 0.
 func WithCostError(gen Generator, sigma float64) Generator {
-	return workload.WithError{Gen: gen.(workload.Generator), Sigma: sigma}
+	return workload.WithError{Gen: gen, Sigma: sigma}
 }
 
 // NewMixedWorkload interleaves short transactions (one tiny step of
@@ -244,7 +256,7 @@ func WithCostError(gen Generator, sigma float64) Generator {
 // shortFraction is the probability an arrival is short.
 func NewMixedWorkload(batch Generator, numFiles int, shortFraction, shortCost float64) Generator {
 	return workload.Mixed{
-		Batch:         batch.(workload.Generator),
+		Batch:         batch,
 		NumFiles:      numFiles,
 		ShortFraction: shortFraction,
 		ShortCost:     shortCost,
@@ -256,7 +268,7 @@ func NewMixedWorkload(batch Generator, numFiles int, shortFraction, shortCost fl
 // 100x: most transactions shrink slightly, a few grow enormously — the
 // heavy-tailed cost mix of real batch traffic.
 func WithHeavyTail(gen Generator, alpha float64) Generator {
-	return workload.NewHeavyTailed(gen.(workload.Generator), alpha, 0)
+	return workload.NewHeavyTailed(gen, alpha, 0)
 }
 
 // Arrivals is an open arrival process (Config.Arrivals and service mode):
@@ -396,7 +408,7 @@ func DefaultLiveConfig() LiveConfig { return live.DefaultConfig() }
 // arrival of an open run over the same generator and seed (see
 // workload.DrawBatch).
 func GenerateBatch(gen Generator, seed int64, n int) [][]Step {
-	return workload.DrawBatch(gen.(workload.Generator), seed, n)
+	return workload.DrawBatch(gen, seed, n)
 }
 
 // RunLiveBatch executes a closed batch on the live backend: every

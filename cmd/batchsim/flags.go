@@ -43,3 +43,34 @@ func validateTelemetryFlags(serveAddr, sliLedger, backend string, compare bool) 
 	}
 	return nil
 }
+
+// modeFlags are the flags that choose what one invocation runs and what it
+// records.
+type modeFlags struct {
+	backend                           string
+	service, compare, check, progress bool
+	reps                              int
+	faults                            bool // any fault-injection flag
+	trace                             bool // -trace
+	obsOut                            bool // any of -trace-out, -metrics-out, -audit, -report
+}
+
+// validateModeFlags rejects flag combinations one invocation cannot honour
+// together, so no flag is dropped silently. -check, -trace and the
+// observability outputs combine on one simulator run.
+func validateModeFlags(f modeFlags) error {
+	oneRun := f.trace || f.obsOut
+	switch {
+	case f.progress && (f.check || oneRun):
+		return errors.New("-progress is incompatible with -check, -trace and the observability outputs")
+	case f.compare && (f.check || oneRun || f.progress || f.reps > 1 || f.faults):
+		return errors.New("-compare runs its own sim-vs-live grid; it takes no -check, -progress, -reps, fault flags, -trace or observability outputs")
+	case f.service && (oneRun || f.progress):
+		return errors.New("-service records no -trace, observability outputs or -progress")
+	case f.reps > 1 && (oneRun || f.backend == "live"):
+		return fmt.Errorf("-trace, the observability outputs and -backend live describe one run; -reps must be 1, got %d", f.reps)
+	case f.backend == "live" && (oneRun || f.progress || f.faults):
+		return errors.New("-backend live takes no -trace, observability outputs, -progress or fault flags; they need -backend sim")
+	}
+	return nil
+}

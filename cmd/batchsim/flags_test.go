@@ -1,8 +1,14 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"batchsched"
 )
 
 func TestValidateRunFlags(t *testing.T) {
@@ -36,6 +42,73 @@ func TestValidateRunFlags(t *testing.T) {
 			if (err != nil) != c.wantErr {
 				t.Fatalf("validateRunFlags(%q, %d, %g, %d, %d) = %v, wantErr %v",
 					c.wl, c.numFiles, c.heavytail, c.txns, c.reps, err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestFlagCombinations: a combination of flags either does what every flag
+// says on one run, or is rejected up front (exit 2). The NODC point
+// reproduces a serialization cycle, so -check must fail it whichever
+// recorders ride along, and the recorders must still write their files.
+func TestFlagCombinations(t *testing.T) {
+	cfg := batchsched.DefaultConfig()
+	cfg.ArrivalRate = 1.0
+	cfg.Duration = 300 * batchsched.Second
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	cases := []struct {
+		name   string
+		flags  modeFlags
+		out    outputs
+		reject bool
+	}{
+		{"check", modeFlags{backend: "sim", check: true, reps: 1}, outputs{}, false},
+		{"check with metrics-out", modeFlags{backend: "sim", check: true, reps: 1, obsOut: true},
+			outputs{metrics: in("m.csv")}, false},
+		{"check with trace", modeFlags{backend: "sim", check: true, reps: 1, trace: true},
+			outputs{trace: in("t.jsonl")}, false},
+		// NODC keeps no decision audit, so -audit is left out here.
+		{"check with trace and exports", modeFlags{backend: "sim", check: true, reps: 1, trace: true, obsOut: true},
+			outputs{trace: in("t2.jsonl"), chrome: in("c.json"), metrics: in("m2.csv"), report: in("r.html")}, false},
+		{"reps with audit", modeFlags{backend: "sim", reps: 3, obsOut: true}, outputs{}, true},
+		{"reps with trace", modeFlags{backend: "sim", reps: 3, trace: true}, outputs{}, true},
+		{"live with traces and reps", modeFlags{backend: "live", reps: 3, trace: true, obsOut: true}, outputs{}, true},
+		{"live with traces", modeFlags{backend: "live", reps: 1, trace: true, obsOut: true}, outputs{}, true},
+		{"live with reps", modeFlags{backend: "live", reps: 3}, outputs{}, true},
+		{"live with faults", modeFlags{backend: "live", reps: 1, faults: true}, outputs{}, true},
+		{"live with check", modeFlags{backend: "live", reps: 1, check: true}, outputs{}, false},
+		{"progress with check", modeFlags{backend: "sim", reps: 1, progress: true, check: true}, outputs{}, true},
+		{"progress with trace", modeFlags{backend: "sim", reps: 1, progress: true, trace: true}, outputs{}, true},
+		{"progress with reps", modeFlags{backend: "sim", reps: 3, progress: true}, outputs{}, false},
+		{"compare with check", modeFlags{backend: "sim", reps: 1, compare: true, check: true}, outputs{}, true},
+		{"service with trace", modeFlags{backend: "sim", reps: 1, service: true, trace: true}, outputs{}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := validateModeFlags(c.flags)
+			if (err != nil) != c.reject {
+				t.Fatalf("validateModeFlags(%+v) = %v, want rejected %v", c.flags, err, c.reject)
+			}
+			if c.reject || c.flags.backend != "sim" || !c.flags.check {
+				return
+			}
+			gen := batchsched.NewExp1Workload(16)
+			if c.flags.trace || c.flags.obsOut {
+				_, err = recordedRun(cfg, "NODC", batchsched.DefaultParams(), gen, 1, true, c.out)
+			} else {
+				_, err = batchsched.RunChecked(cfg, "NODC", batchsched.DefaultParams(), gen, 1)
+			}
+			if !errors.Is(err, batchsched.ErrNotSerializable) || !strings.Contains(err.Error(), "cycle through T3 and T7") {
+				t.Errorf("checked NODC run: err = %v, want the T3/T7 serialization cycle", err)
+			}
+			for _, path := range []string{c.out.trace, c.out.chrome, c.out.metrics, c.out.report} {
+				if path == "" {
+					continue
+				}
+				if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+					t.Errorf("%s not written: %v", filepath.Base(path), err)
+				}
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -92,14 +91,8 @@ func main() {
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
+		exitOn(1, pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
@@ -117,21 +110,15 @@ func main() {
 		}()
 	}
 
-	// -progress reports the engine's own execution counters, which only the
-	// plain replication path collects; the -check and observability paths
-	// run the simulation through different entry points.
-	if *progress && (*check || *traceOut != "" || *metricsOut != "" || *auditOut != "" || *reportOut != "") {
-		fmt.Fprintln(os.Stderr, "batchsim: -progress is incompatible with -check and the observability outputs")
-		os.Exit(2)
-	}
-	if err := validateTelemetryFlags(*serveAddr, *sliLedger, *backend, *compare); err != nil {
-		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateRunFlags(*wl, *numFiles, *heavytail, *txns, *reps); err != nil {
-		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-		os.Exit(2)
-	}
+	obsOut := *traceOut != "" || *metricsOut != "" || *auditOut != "" || *reportOut != ""
+	exitOn(2, validateModeFlags(modeFlags{
+		backend: *backend, service: *service, compare: *compare,
+		check: *check, progress: *progress, reps: *reps,
+		faults: *mtbf > 0 || *straggler != "" || *msgloss > 0 || *msgdelay > 0,
+		trace:  *traceFile != "", obsOut: obsOut,
+	}))
+	exitOn(2, validateTelemetryFlags(*serveAddr, *sliLedger, *backend, *compare))
+	exitOn(2, validateRunFlags(*wl, *numFiles, *heavytail, *txns, *reps))
 
 	cfg := batchsched.DefaultConfig()
 	cfg.ArrivalRate = *lambda
@@ -158,17 +145,13 @@ func main() {
 	if *straggler != "" {
 		var smtbf, sdur, sfactor float64
 		if _, err := fmt.Sscanf(*straggler, "%g/%g/%g", &smtbf, &sdur, &sfactor); err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: bad -straggler %q (want mtbf/duration/factor, e.g. 200/20/3)\n", *straggler)
-			os.Exit(2)
+			exitOn(2, fmt.Errorf("bad -straggler %q (want mtbf/duration/factor, e.g. 200/20/3)", *straggler))
 		}
 		cfg.Faults.StragglerMTBF = batchsched.Time(smtbf * float64(batchsched.Second))
 		cfg.Faults.StragglerDuration = batchsched.Time(sdur * float64(batchsched.Second))
 		cfg.Faults.StragglerFactor = sfactor
 	}
-	if err := cfg.Faults.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-		os.Exit(2)
-	}
+	exitOn(2, cfg.Faults.Validate())
 
 	params := batchsched.DefaultParams()
 	params.MPL = *mpl
@@ -181,8 +164,7 @@ func main() {
 	case "exp2":
 		gen = batchsched.NewExp2Workload()
 	default:
-		fmt.Fprintf(os.Stderr, "batchsim: unknown workload %q (want exp1 or exp2)\n", *wl)
-		os.Exit(2)
+		exitOn(2, fmt.Errorf("unknown workload %q (want exp1 or exp2)", *wl))
 	}
 	if *sigma > 0 {
 		gen = batchsched.WithCostError(gen, *sigma)
@@ -225,10 +207,7 @@ func main() {
 
 	if *compare {
 		out, err := batchsched.SimVsLiveReport(*seed, *txns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 		fmt.Print(out)
 		return
 	}
@@ -255,17 +234,11 @@ func main() {
 			}
 			sum, err = run(lcfg, *schedName, params, batch)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(sum); err != nil {
-				fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-				os.Exit(1)
-			}
+			exitOn(1, enc.Encode(sum))
 			return
 		}
 		fmt.Printf("backend          live (%d nodes, %d rows/object, pace %v)\n",
@@ -283,105 +256,49 @@ func main() {
 		}
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "batchsim: unknown backend %q (want sim or live)\n", *backend)
-		os.Exit(2)
+		exitOn(2, fmt.Errorf("unknown backend %q (want sim or live)", *backend))
 	}
 
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sum, err := batchsched.RunTraced(cfg, *schedName, params, gen, *seed, f)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s (completions=%d, tps=%.3f)\n", *traceFile, sum.Completions, sum.TPS)
-		return
+	// One replication per seed, each carrying every recorder asked for:
+	// -check verifies its history, and with -reps 1 the same run writes
+	// -trace and the observability outputs. -progress instead keeps the
+	// engine's own execution stats and the wall clock for the report below.
+	out := outputs{
+		trace: *traceFile, chrome: *traceOut, metrics: *metricsOut, audit: *auditOut, report: *reportOut,
+		interval: batchsched.Time(*metricsInterval * float64(batchsched.Millisecond)),
+		title:    fmt.Sprintf("%s %s lambda=%g seed=%d", *schedName, *wl, *lambda, *seed),
 	}
-
-	var (
-		sum  batchsched.Summary
-		ci   batchsched.CI
-		err  error
-		st   batchsched.RunStats
-		wall time.Duration
-	)
-	if *traceOut != "" || *metricsOut != "" || *auditOut != "" || *reportOut != "" {
-		// The observability exporters describe one run; replications and
-		// -check are incompatible with them.
-		ob := batchsched.NewObs()
-		ob.SetSampleInterval(batchsched.Time(*metricsInterval * float64(batchsched.Millisecond)))
-		sum, err = batchsched.RunObserved(cfg, *schedName, params, gen, *seed, ob)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
-		}
-		title := fmt.Sprintf("%s %s lambda=%g seed=%d", *schedName, *wl, *lambda, *seed)
-		writeObs := func(path string, fn func(io.Writer) error) {
-			if path == "" {
-				return
-			}
-			f, ferr := os.Create(path)
-			if ferr == nil {
-				ferr = fn(f)
-				if cerr := f.Close(); ferr == nil {
-					ferr = cerr
-				}
-			}
-			if ferr != nil {
-				fmt.Fprintf(os.Stderr, "batchsim: %v\n", ferr)
-				os.Exit(1)
-			}
-		}
-		writeObs(*traceOut, ob.WriteChromeTrace)
-		writeObs(*metricsOut, ob.WriteMetricsCSV)
-		writeObs(*auditOut, ob.WriteAuditJSONL)
-		writeObs(*reportOut, func(w io.Writer) error { return ob.WriteHTMLReport(w, title) })
-	} else {
-		// One replication per seed; -check verifies each one's history, and
-		// -progress also keeps the engine's own execution stats and the wall
-		// clock for the report below.
-		run := func(seed int64) (batchsched.Summary, error) {
-			return batchsched.Run(cfg, *schedName, params, gen, seed)
-		}
-		switch {
-		case *check:
-			run = func(seed int64) (batchsched.Summary, error) {
-				return batchsched.RunChecked(cfg, *schedName, params, gen, seed)
-			}
-		case *progress:
-			run = func(seed int64) (batchsched.Summary, error) {
-				one, stOne, err := batchsched.RunWithStats(cfg, *schedName, params, gen, seed)
-				st.Events += stOne.Events
-				return one, err
-			}
-		}
-		start := time.Now()
-		sum, ci, err = metrics.Replicate(*seed, *reps, run)
-		wall = time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
+	var st batchsched.RunStats
+	run := func(seed int64) (batchsched.Summary, error) {
+		return recordedRun(cfg, *schedName, params, gen, seed, *check, out)
+	}
+	if *progress {
+		run = func(seed int64) (batchsched.Summary, error) {
+			one, stOne, err := batchsched.RunWithStats(cfg, *schedName, params, gen, seed)
+			st.Events += stOne.Events
+			return one, err
 		}
 	}
+	start := time.Now()
+	sum, ci, err := metrics.Replicate(*seed, *reps, run)
+	wall := time.Since(start)
+	exitOn(1, err)
 
 	if *sliLedger != "" {
-		if lerr := appendSimLedger(*sliLedger, *sloSpec, *schedName, *wl, *lambda, *seed, sum); lerr != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", lerr)
-			os.Exit(1)
-		}
+		exitOn(1, appendSimLedger(*sliLedger, *sloSpec, *schedName, *wl, *lambda, *seed, sum))
 		fmt.Fprintf(os.Stderr, "batchsim: SLI ledger line appended to %s\n", *sliLedger)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
-			os.Exit(1)
+		exitOn(1, enc.Encode(sum))
+		return
+	}
+	if *traceFile != "" {
+		// A traced run reports the trace in place of the summary.
+		fmt.Printf("trace written to %s (completions=%d, tps=%.3f)\n", *traceFile, sum.Completions, sum.TPS)
+		if *check {
+			fmt.Println("serializability  OK")
 		}
 		return
 	}
@@ -418,5 +335,13 @@ func main() {
 	}
 	if *check {
 		fmt.Println("serializability  OK")
+	}
+}
+
+// exitOn ends the process with code and one batchsim: line when err is set.
+func exitOn(code int, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
+		os.Exit(code)
 	}
 }

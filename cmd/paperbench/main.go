@@ -11,8 +11,9 @@
 //	paperbench -ablations -quick      # the design-choice ablation studies
 //
 // Each study's stderr line reports its wall time and how many replications
-// it simulated and how many the replication memo served; the ablations
-// simulate every run. The root tests TestArtifactsGolden and
+// it simulated and how many the replication memo served; the ablations go
+// through the memo too, so a configuration two studies share is simulated
+// once. The root tests TestArtifactsGolden and
 // TestAblationsGolden pin every artifact and every ablation byte for byte
 // (testdata/, 60-second windows, seed 4).
 package main

@@ -9,8 +9,6 @@ import (
 	"batchsched/internal/lock"
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
-	"batchsched/internal/obs"
-	"batchsched/internal/obs/stream"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
@@ -42,14 +40,6 @@ type CNConfig struct {
 	RestartJitter             bool
 }
 
-// CNStream holds the wall-clock streaming instruments the control node
-// updates; every field is nil when telemetry is off.
-type CNStream struct {
-	Grants, Blocks, Restarts, Commits, Sheds *stream.Rate
-	RT                                       *stream.Sketch
-	Active                                   *stream.Gauge
-}
-
 // phase is the lifecycle position of a transaction inside the control node.
 type phase uint8
 
@@ -70,20 +60,7 @@ type Exec struct {
 	admitCharged bool
 	admitted     bool
 	class        admit.Class // service class (service mode only)
-
-	// Observability state (all zero when the observer is disabled): the
-	// transaction's lifecycle span and its currently open phase spans.
-	txnSpan    obs.SpanID
-	admitSpan  obs.SpanID
-	waitSpan   obs.SpanID
-	stepSpan   obs.SpanID
-	commitSpan obs.SpanID
-	waitSince  sim.Time // start of the open lock-wait span
 }
-
-// StepSpan is the open "execute" span, the parent of the step's cohort
-// spans (0 when observability is off).
-func (e *Exec) StepSpan() obs.SpanID { return e.stepSpan }
 
 // op names a control-node job body; contOp names its continuation. A queued
 // job is a small value instead of a pair of heap-allocated closures: the CN
@@ -98,7 +75,8 @@ const (
 	opCommit             // validation + commitment
 )
 
-// opNames label the CN job spans (precomputed: tracing allocates no strings).
+// opNames name the CN jobs in EvJobStart events (precomputed: publishing
+// allocates no strings).
 var opNames = [...]string{
 	opAdmit:    "cn:admit",
 	opRequest:  "cn:request",
@@ -149,29 +127,15 @@ type CN struct {
 	sch        sched.Scheduler
 	met        *metrics.Collector
 	restartRNG *sim.RNG
-	obs        Observer
-
-	// ob is the observability layer; nil disables it, and every hook is
-	// nil-receiver safe. The instruments are nil exactly when ob is nil.
-	ob          *obs.Observer
-	obsGrant    *obs.Counter
-	obsBlock    *obs.Counter
-	obsDelay    *obs.Counter
-	obsRestart  *obs.Counter
-	obsCommit   *obs.Counter
-	obsLockWait *obs.Histogram
-	obsReqCPU   *obs.Histogram
-	obsRetries  *obs.Histogram
-
-	// Stream is the live backend's telemetry (zero in the simulator).
-	Stream CNStream
+	// observers receive every transition as an Event; with none attached a
+	// transition costs one length check and reads no clock.
+	observers []Observer
 
 	// The job queue: head-indexed FIFO; busy while a job is in service.
-	busy    bool
-	q       []job
-	head    int
-	cur     cont
-	curSpan obs.SpanID
+	busy bool
+	q    []job
+	head int
+	cur  cont
 
 	active    int // admitted, uncommitted (machine-level MPL accounting)
 	completed int
@@ -204,40 +168,32 @@ func NewCN(cfg CNConfig, h Host, s sched.Scheduler, met *metrics.Collector, rest
 	}
 }
 
-// SetObserver installs the execution observer (history recorder, trace
-// writer). Observers that also implement FaultObserver see fault aborts.
-func (c *CN) SetObserver(o Observer) { c.obs = o }
+// SetObserver adds an observer, after those already attached. Call before
+// the run.
+func (c *CN) SetObserver(o Observer) { c.observers = append(c.observers, o) }
 
-// SetObs attaches the observability layer: decision counters, the lock-wait,
-// request-CPU and restart histograms, the CN queue, active and waiting
-// gauges, per-job CN spans and the scheduler audit stamped with the host
-// clock. The backend registers its own gauges after these.
-func (c *CN) SetObs(o *obs.Observer) {
-	c.ob = o
-	c.obsGrant = o.Counter("grants")
-	c.obsBlock = o.Counter("blocks")
-	c.obsDelay = o.Counter("delays")
-	c.obsRestart = o.Counter("restarts")
-	c.obsCommit = o.Counter("commits")
-	c.obsLockWait = o.Histogram("lock_wait_ms",
-		[]float64{1, 10, 100, 1_000, 10_000, 60_000, 300_000})
-	c.obsReqCPU = o.Histogram("request_cpu_ms",
-		[]float64{0.5, 1, 2, 5, 10, 20, 50, 100})
-	c.obsRetries = o.Histogram("restarts_per_txn",
-		[]float64{0, 1, 2, 5, 10})
-	hCNQ := o.Histogram("cn_queue_depth",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64})
-	o.Gauge("cn_queue", func() float64 {
-		v := float64(c.queueLen())
-		hCNQ.Observe(v)
-		return v
-	})
-	o.Gauge("active_txns", func() float64 { return float64(c.active) })
-	o.Gauge("waiting_txns", func() float64 { return float64(len(c.delayed) + c.nBlocked) })
-	o.Audit().SetClock(c.host.Now)
-	if a, ok := c.sch.(sched.Audited); ok {
-		a.SetAudit(o.Audit())
+// Publish hands ev to every observer, in attach order. A backend publishes
+// its fault and retry events here, on the CN's stream.
+func (c *CN) Publish(ev Event) {
+	for _, o := range c.observers {
+		o.Event(ev)
 	}
+}
+
+// observed gates every publishing site, so an unobserved transition builds
+// no Event and reads no clock.
+func (c *CN) observed() bool { return len(c.observers) > 0 }
+
+// emit publishes a transition of t that carries nothing but its kind. It
+// inlines to the observed check; publishKind builds the event.
+func (c *CN) emit(k EventKind, t *model.Txn) {
+	if c.observed() {
+		c.publishKind(k, t)
+	}
+}
+
+func (c *CN) publishKind(k EventKind, t *model.Txn) {
+	c.Publish(Event{Kind: k, At: c.host.Now(), Txn: t})
 }
 
 // Active is the number of admitted, uncommitted transactions.
@@ -259,8 +215,8 @@ func (c *CN) Arrive(t *model.Txn, class admit.Class) {
 	now := c.host.Now()
 	c.met.Arrival(now)
 	e := c.newExec(t)
-	if c.ob.Enabled() {
-		e.txnSpan = c.ob.Begin("txn", "txn", t.ID, -1, -1, 0, now)
+	if c.observed() {
+		c.Publish(Event{Kind: EvArrive, At: now, Txn: t})
 	}
 	if c.svc != nil {
 		c.offer(e, class, now)
@@ -307,8 +263,8 @@ func (c *CN) next() {
 		c.q = append(c.q[:0], c.q[c.head:]...)
 		c.head = 0
 	}
-	if c.ob.Enabled() {
-		c.curSpan = c.ob.Begin(opNames[j.op], "cn", j.e.Txn.ID, -1, -1, 0, c.host.Now())
+	if c.observed() {
+		c.Publish(Event{Kind: EvJobStart, At: c.host.Now(), Txn: j.e.Txn, Op: opNames[j.op]})
 	}
 	cpu, k := c.body(j)
 	if cpu < 0 {
@@ -319,14 +275,11 @@ func (c *CN) next() {
 }
 
 // JobDone finishes the job in service — its CPU time has elapsed — and
-// starts the next one. It reads the host clock only to close an open CN job
-// span: with observability off, a job costs no clock read.
+// starts the next one. It reads the host clock only to publish EvJobEnd:
+// with no observer attached, a job costs no clock read.
 func (c *CN) JobDone() {
-	if c.curSpan != 0 {
-		c.ob.End(c.curSpan, c.host.Now())
-		c.curSpan = 0
-	}
 	k := c.cur
+	c.emit(EvJobEnd, k.e.Txn)
 	c.cur = cont{}
 	c.finish(k)
 	c.next()
@@ -365,34 +318,26 @@ func (c *CN) finish(k cont) {
 	case contPark:
 		c.parkAdmit(e)
 	case contStart:
-		if e.admitSpan != 0 {
-			c.ob.End(e.admitSpan, c.host.Now())
-			e.admitSpan = 0
-		}
+		c.emit(EvStart, e.Txn)
 		c.nextStep(e)
 	case contExec:
-		c.endWait(e)
-		if c.ob.Enabled() {
-			e.stepSpan = c.ob.Begin("execute", "txn", e.Txn.ID, -1,
-				e.Txn.StepIndex, e.txnSpan, c.host.Now())
-		}
+		c.emit(EvExecute, e.Txn)
 		c.submit(job{op: opDispatch, e: e})
 		if !c.cfg.NoWakeOnGrant {
 			c.wakeDelayed() // a grant changes the scheduling state
 		}
 	case contBlock:
 		e.phase = phBlocked
-		c.beginWait(e)
+		c.emit(EvWait, e.Txn)
 		file := e.Txn.CurrentStep().File
 		c.blocked[file] = append(c.blocked[file], e)
 		c.nBlocked++
 	case contDelay:
 		e.phase = phDelayed
-		c.beginWait(e)
+		c.emit(EvWait, e.Txn)
 		c.delayed = append(c.delayed, e)
 	case contAbort:
-		c.endWait(e)
-		c.rollback(e)
+		c.rollback(e, "")
 		c.wakeCommit(e.Txn) // its released locks may unblock others
 		c.restartAfterDelay(e)
 	case contDispatch:
@@ -403,11 +348,7 @@ func (c *CN) finish(k cont) {
 	case contCommitOK:
 		c.commitFinish(e)
 	case contCommitFail:
-		if e.commitSpan != 0 {
-			c.ob.End(e.commitSpan, c.host.Now())
-			e.commitSpan = 0
-		}
-		c.rollback(e)
+		c.rollback(e, "")
 		c.restartAfterDelay(e) // re-admission restamps the attempt
 	default:
 		panic(fmt.Sprintf("engine: unknown CN continuation %d", k.op))
@@ -431,6 +372,9 @@ func (c *CN) admitBody(e *Exec) (sim.Time, cont) {
 		return 0, cont{op: contPark, e: e}
 	}
 	ok, cpu := c.sch.Admit(e.Txn)
+	if c.observed() {
+		c.Publish(Event{Kind: EvAdmit, At: c.host.Now(), Txn: e.Txn, OK: ok})
+	}
 	if e.admitCharged && !c.cfg.ChargeRetryCPU {
 		// Retried admission tests are batch-evaluated for free (see
 		// DESIGN.md substitution notes); only the first attempt pays.
@@ -452,9 +396,7 @@ func (c *CN) admitBody(e *Exec) (sim.Time, cont) {
 
 func (c *CN) parkAdmit(e *Exec) {
 	e.phase = phAdmit
-	if c.ob.Enabled() && e.admitSpan == 0 {
-		e.admitSpan = c.ob.Begin("admit-wait", "txn", e.Txn.ID, -1, -1, e.txnSpan, c.host.Now())
-	}
+	c.emit(EvPark, e.Txn)
 	c.admitQ = append(c.admitQ, e)
 }
 
@@ -465,10 +407,7 @@ func (c *CN) nextStep(e *Exec) {
 		return
 	}
 	e.phase = phAtCN
-	if c.ob.Enabled() {
-		e.commitSpan = c.ob.Begin("commit", "txn", e.Txn.ID, -1, -1,
-			e.txnSpan, c.host.Now())
-	}
+	c.emit(EvCommitting, e.Txn)
 	c.submit(job{op: opCommit, e: e})
 }
 
@@ -482,21 +421,18 @@ func (c *CN) requestLock(e *Exec) {
 // continuation (the only mutators of StepIndex) can run in between.
 func (c *CN) requestBody(e *Exec) (sim.Time, cont) {
 	out := c.sch.Request(e.Txn)
-	c.obsReqCPU.Observe(out.CPU.Milliseconds())
+	if c.observed() {
+		c.Publish(Event{Kind: EvRequest, At: c.host.Now(), Txn: e.Txn, Decision: out.Decision, CPU: out.CPU})
+	}
 	switch out.Decision {
 	case sched.Grant:
 		c.met.Granted()
-		c.obsGrant.Inc()
-		c.mark(c.Stream.Grants)
 		return out.CPU, cont{op: contExec, e: e}
 	case sched.Block:
 		c.met.Block()
-		c.obsBlock.Inc()
-		c.mark(c.Stream.Blocks)
 		return out.CPU, cont{op: contBlock, e: e}
 	case sched.Delay:
 		c.met.Delay()
-		c.obsDelay.Inc()
 		return out.CPU, cont{op: contDelay, e: e}
 	case sched.Abort:
 		// Deadlock victim (strict 2PL): roll back, release, restart. No
@@ -508,53 +444,21 @@ func (c *CN) requestBody(e *Exec) (sim.Time, cont) {
 	}
 }
 
-// mark counts one event on a stream rate at the current time.
-func (c *CN) mark(r *stream.Rate) {
-	if r != nil {
-		r.Add(c.host.Now(), 1)
-	}
-}
-
 func (c *CN) countRestart(e *Exec) {
 	c.met.Restart()
-	c.obsRestart.Inc()
-	c.mark(c.Stream.Restarts)
 	e.Txn.Restarts++
 }
 
 // rollback discards the transaction's current attempt: the scheduler
-// releases its locks (and WTPG node), and the observer sees the restart.
-func (c *CN) rollback(e *Exec) {
+// releases its locks (and WTPG node), and the observers see the abort
+// (reason as for Abort, "" for a deadlock victim or a failed validation)
+// while StepIndex still names the rolled-back step.
+func (c *CN) rollback(e *Exec, reason string) {
 	c.sch.Aborted(e.Txn)
+	if c.observed() {
+		c.Publish(Event{Kind: EvAbort, At: c.host.Now(), Txn: e.Txn, Reason: reason})
+	}
 	e.Txn.StepIndex = 0
-	if c.obs != nil {
-		c.obs.Restarted(e.Txn, c.host.Now())
-	}
-}
-
-// beginWait opens the transaction's lock-wait span (blocked or
-// policy-delayed both count as waiting for a lock); reentrant for a
-// transaction that bounces between the two without a grant in between.
-func (c *CN) beginWait(e *Exec) {
-	if !c.ob.Enabled() || e.waitSpan != 0 {
-		return
-	}
-	e.waitSince = c.host.Now()
-	e.waitSpan = c.ob.Begin("lock-wait", "txn", e.Txn.ID, -1,
-		e.Txn.StepIndex, e.txnSpan, e.waitSince)
-}
-
-// endWait closes the open lock-wait span (if any) and feeds the lock-wait
-// histogram with its length (clamped at zero: wall-clock stamps may come
-// from different goroutines).
-func (c *CN) endWait(e *Exec) {
-	if e.waitSpan == 0 {
-		return
-	}
-	now := c.host.Now()
-	c.ob.End(e.waitSpan, now)
-	c.obsLockWait.Observe(max(now-e.waitSince, 0).Milliseconds())
-	e.waitSpan = 0
 }
 
 // Redispatch re-sends e's current step after a lost message (attempt is
@@ -572,15 +476,11 @@ func (c *CN) StepReturned(e *Exec) {
 // stepDone is the contStepDone continuation: the CN receive is paid, the
 // transaction advances to its next step (or commit).
 func (c *CN) stepDone(e *Exec) {
-	if e.stepSpan != 0 {
-		c.ob.End(e.stepSpan, c.host.Now())
-		e.stepSpan = 0
-	}
 	c.met.StepExecuted()
 	step := e.Txn.StepIndex
 	e.Txn.StepIndex++
-	if c.obs != nil {
-		c.obs.StepDone(e.Txn, step, c.host.Now())
+	if c.observed() {
+		c.Publish(Event{Kind: EvStepDone, At: c.host.Now(), Txn: e.Txn, Step: step})
 	}
 	c.nextStep(e)
 }
@@ -589,6 +489,9 @@ func (c *CN) stepDone(e *Exec) {
 // commit and the restart continuation.
 func (c *CN) commitBody(e *Exec) (sim.Time, cont) {
 	ok, vcpu := c.sch.Validate(e.Txn)
+	if c.observed() {
+		c.Publish(Event{Kind: EvValidate, At: c.host.Now(), Txn: e.Txn, OK: ok})
+	}
 	if !ok {
 		c.countRestart(e)
 		return vcpu, cont{op: contCommitFail, e: e}
@@ -611,20 +514,8 @@ func (c *CN) commitFinish(e *Exec) {
 		c.window--
 		c.epochRTs = append(c.epochRTs, rt)
 	}
-	if c.Stream.Commits != nil {
-		c.Stream.Commits.Add(now, 1)
-		c.Stream.RT.Observe(float64(rt) / 1e6) // sim.Time microseconds -> seconds
-		c.Stream.Active.Set(int64(c.active))
-	}
-	if c.ob.Enabled() {
-		c.ob.End(e.commitSpan, now)
-		e.commitSpan = 0
-		c.ob.End(e.txnSpan, now)
-		c.obsCommit.Inc()
-		c.obsRetries.Observe(float64(e.Txn.Restarts))
-	}
-	if c.obs != nil {
-		c.obs.Committed(e.Txn, now)
+	if c.observed() {
+		c.Publish(Event{Kind: EvCommit, At: now, Txn: e.Txn})
 	}
 	c.wakeCommit(e.Txn)
 	// The exec is fully retired (no queue, timer or event references a
@@ -633,21 +524,13 @@ func (c *CN) commitFinish(e *Exec) {
 }
 
 // Abort rolls a running transaction back after a fault (reason "crash" or
-// "timeout"): the scheduler releases its locks, the observer sees the
+// "timeout"): the scheduler releases its locks, the observers see the
 // rollback, waiters on its files are reconsidered, and the transaction
 // restarts after RestartDelay — the same recovery contract as the
 // deadlock-victim and validation-failure paths.
 func (c *CN) Abort(e *Exec, reason string) {
-	if e.stepSpan != 0 {
-		c.ob.End(e.stepSpan, c.host.Now())
-		e.stepSpan = 0
-	}
-	c.endWait(e)
 	c.countRestart(e)
-	c.rollback(e)
-	if fo, ok := c.obs.(FaultObserver); ok {
-		fo.AbortedTxn(e.Txn, reason, c.host.Now())
-	}
+	c.rollback(e, reason)
 	c.wakeCommit(e.Txn) // its released locks may unblock others
 	c.restartAfterDelay(e)
 }

@@ -57,7 +57,7 @@ func (c *CN) offer(e *Exec, class admit.Class, now sim.Time) {
 	}
 }
 
-// shed retires a turned-away transaction: count it, close its span, and
+// shed retires a turned-away transaction: count it, publish EvShed, and
 // recycle the wrapper (a queued exec has no event, timer or CN job
 // referencing it).
 func (c *CN) shed(sh admit.Shed) {
@@ -72,12 +72,8 @@ func (c *CN) shed(sh admit.Shed) {
 	default:
 		c.met.ShedDrain()
 	}
-	c.mark(c.Stream.Sheds)
 	e.phase = phFinished
-	if e.txnSpan != 0 {
-		c.ob.End(e.txnSpan, c.host.Now())
-		e.txnSpan = 0
-	}
+	c.emit(EvShed, e.Txn)
 	c.execPool = append(c.execPool, e)
 }
 
@@ -141,18 +137,14 @@ func (c *CN) evictOne() bool {
 		return false
 	}
 	c.removeWaiter(victim)
-	c.endWait(victim)
 	c.sch.Aborted(victim.Txn) // releases locks, drops the WTPG node in place
+	c.emit(EvEvict, victim.Txn)
 	victim.Txn.StepIndex = 0
 	victim.phase = phFinished
 	c.active--
 	c.window--
 	c.met.Evicted()
 	c.svc.NoteEviction()
-	if victim.txnSpan != 0 {
-		c.ob.End(victim.txnSpan, c.host.Now())
-		victim.txnSpan = 0
-	}
 	c.wakeCommit(victim.Txn) // its released locks may unblock others
 	c.execPool = append(c.execPool, victim)
 	return true

@@ -3,57 +3,19 @@ package engine
 import (
 	"fmt"
 
-	"batchsched/internal/lock"
-	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/sched"
-	"batchsched/internal/sim"
 )
-
-// DecisionOp classifies one scheduler-protocol call.
-type DecisionOp int
-
-const (
-	// OpAdmit is a Scheduler.Admit call.
-	OpAdmit DecisionOp = iota
-	// OpRequest is a Scheduler.Request call.
-	OpRequest
-	// OpValidate is a Scheduler.Validate call.
-	OpValidate
-	// OpCommitted is a Scheduler.Committed call.
-	OpCommitted
-	// OpAborted is a Scheduler.Aborted call.
-	OpAborted
-)
-
-// String names the op.
-func (op DecisionOp) String() string {
-	switch op {
-	case OpAdmit:
-		return "admit"
-	case OpRequest:
-		return "request"
-	case OpValidate:
-		return "validate"
-	case OpCommitted:
-		return "committed"
-	case OpAborted:
-		return "aborted"
-	}
-	return fmt.Sprintf("op(%d)", int(op))
-}
 
 // DecisionEntry is one scheduler-protocol call and its result, with no
 // timestamps: it captures the decision sequence a backend drove the
 // scheduler through, independent of when each call happened. Two backends
 // agree on a workload exactly when their entry sequences agree.
 type DecisionEntry struct {
-	// Op is the protocol call.
-	Op DecisionOp
-	// Txn is the transaction the call was about.
-	Txn int64
-	// Step is the transaction's StepIndex at call time.
-	Step int
+	// Op is the call's event: EvAdmit, EvRequest, EvValidate, EvCommit, or
+	// EvAbort for the release of an aborted or evicted attempt.
+	Op   EventKind
+	Txn  int64 // the transaction the call was about
+	Step int   // its StepIndex at call time
 	// File and Mode identify the requested lock (requests only; -1/"").
 	File int
 	Mode string
@@ -65,122 +27,66 @@ type DecisionEntry struct {
 // String renders the entry compactly, e.g. "request T3/1 X(f5) -> grant".
 func (e DecisionEntry) String() string {
 	switch e.Op {
-	case OpRequest:
+	case EvRequest:
 		return fmt.Sprintf("request T%d/%d %s(f%d) -> %s", e.Txn, e.Step, e.Mode, e.File, e.Result)
-	case OpAdmit, OpValidate:
-		return fmt.Sprintf("%s T%d -> %s", e.Op, e.Txn, e.Result)
-	default:
-		return fmt.Sprintf("%s T%d", e.Op, e.Txn)
+	case EvAdmit:
+		return fmt.Sprintf("admit T%d -> %s", e.Txn, e.Result)
+	case EvValidate:
+		return fmt.Sprintf("validate T%d -> %s", e.Txn, e.Result)
+	case EvCommit:
+		return fmt.Sprintf("committed T%d", e.Txn)
 	}
+	return fmt.Sprintf("aborted T%d", e.Txn)
 }
 
-// DecisionLog wraps a scheduler and records every protocol call, for
-// differential sim-vs-live comparison. It forwards audit and load-probe
-// injection and the lock table when the wrapped scheduler has them, so
-// wrapping does not change behavior.
+// DecisionLog is the observer that records every scheduler-protocol call
+// the control node makes, for differential sim-vs-live comparison.
 type DecisionLog struct {
-	inner   sched.Scheduler
 	audit   *obs.Audit
 	entries []DecisionEntry
 	marks   []int // audit length after each entry (aligns the two logs)
 }
 
-// NewDecisionLog wraps s.
-func NewDecisionLog(s sched.Scheduler) *DecisionLog {
-	return &DecisionLog{inner: s}
+// NewDecisionLog returns an empty log whose marks count entries of a, the
+// audit the run's scheduler records into (nil leaves every mark zero).
+// Attach it with SetObserver.
+func NewDecisionLog(a *obs.Audit) *DecisionLog {
+	return &DecisionLog{audit: a}
 }
 
 // Entries returns the recorded calls in order.
 func (l *DecisionLog) Entries() []DecisionEntry { return l.entries }
 
 // AuditMarks returns, for each recorded entry, how many audit entries the
-// wrapped scheduler had emitted once that call returned (all zero when no
-// audit was injected). AuditMarks[i-1] is thus the audit-log prefix length
-// generated by the first i protocol calls — how differential tests cut the
-// audit comparison at the deterministic decision prefix.
+// scheduler had emitted once that call returned (all zero without an
+// audit). AuditMarks[i-1] is thus the audit-log prefix length generated by
+// the first i protocol calls — how differential tests cut the audit
+// comparison at the deterministic decision prefix.
 func (l *DecisionLog) AuditMarks() []int { return l.marks }
 
-func (l *DecisionLog) push(e DecisionEntry) {
+// Event records the scheduler call an event reports: the admission test,
+// a lock request, validation, the commit, and the release of an aborted or
+// evicted attempt.
+func (l *DecisionLog) Event(ev Event) {
+	e := DecisionEntry{Op: ev.Kind, File: -1}
+	switch ev.Kind {
+	case EvAdmit, EvValidate:
+		e.Result = "reject"
+		if ev.OK {
+			e.Result = "ok"
+		}
+	case EvRequest:
+		st := ev.Txn.CurrentStep()
+		e.File, e.Mode, e.Result = int(st.File), st.LockMode.String(), ev.Decision.String()
+	case EvEvict:
+		e.Op = EvAbort // the scheduler's Aborted call
+	case EvCommit, EvAbort:
+	default:
+		return // not a scheduler call
+	}
+	e.Txn, e.Step = ev.Txn.ID, ev.Txn.StepIndex
 	l.entries = append(l.entries, e)
 	l.marks = append(l.marks, len(l.audit.Entries()))
-}
-
-// Name implements sched.Scheduler.
-func (l *DecisionLog) Name() string { return l.inner.Name() }
-
-// Admit implements sched.Scheduler.
-func (l *DecisionLog) Admit(t *model.Txn) (bool, sim.Time) {
-	ok, cpu := l.inner.Admit(t)
-	l.push(DecisionEntry{
-		Op: OpAdmit, Txn: t.ID, Step: t.StepIndex, File: -1, Result: okStr(ok),
-	})
-	return ok, cpu
-}
-
-// Request implements sched.Scheduler.
-func (l *DecisionLog) Request(t *model.Txn) sched.Outcome {
-	st := t.CurrentStep()
-	out := l.inner.Request(t)
-	l.push(DecisionEntry{
-		Op: OpRequest, Txn: t.ID, Step: t.StepIndex,
-		File: int(st.File), Mode: st.LockMode.String(),
-		Result: out.Decision.String(),
-	})
-	return out
-}
-
-// Validate implements sched.Scheduler.
-func (l *DecisionLog) Validate(t *model.Txn) (bool, sim.Time) {
-	ok, cpu := l.inner.Validate(t)
-	l.push(DecisionEntry{
-		Op: OpValidate, Txn: t.ID, Step: t.StepIndex, File: -1, Result: okStr(ok),
-	})
-	return ok, cpu
-}
-
-// Committed implements sched.Scheduler.
-func (l *DecisionLog) Committed(t *model.Txn) {
-	l.push(DecisionEntry{Op: OpCommitted, Txn: t.ID, Step: t.StepIndex, File: -1})
-	l.inner.Committed(t)
-}
-
-// Aborted implements sched.Scheduler.
-func (l *DecisionLog) Aborted(t *model.Txn) {
-	l.push(DecisionEntry{Op: OpAborted, Txn: t.ID, Step: t.StepIndex, File: -1})
-	l.inner.Aborted(t)
-}
-
-// SetAudit implements sched.Audited by forwarding when the wrapped
-// scheduler is audited (safe to call unconditionally).
-func (l *DecisionLog) SetAudit(a *obs.Audit) {
-	l.audit = a
-	if au, ok := l.inner.(sched.Audited); ok {
-		au.SetAudit(a)
-	}
-}
-
-// SetLoadProbe implements sched.LoadAware by forwarding when the wrapped
-// scheduler is load-aware (safe to call unconditionally).
-func (l *DecisionLog) SetLoadProbe(probe func(f model.FileID) float64) {
-	if la, ok := l.inner.(sched.LoadAware); ok {
-		la.SetLoadProbe(probe)
-	}
-}
-
-// Locks exposes the wrapped scheduler's lock table, nil when it keeps none,
-// so the live guard-violation rule and wait reports see through the wrapper.
-func (l *DecisionLog) Locks() *lock.Table {
-	if lt, ok := l.inner.(interface{ Locks() *lock.Table }); ok {
-		return lt.Locks()
-	}
-	return nil
-}
-
-func okStr(ok bool) string {
-	if ok {
-		return "ok"
-	}
-	return "reject"
 }
 
 // DeterministicPrefix returns the length of the leading portion of the
@@ -196,9 +102,9 @@ func okStr(ok bool) string {
 func DeterministicPrefix(entries []DecisionEntry) int {
 	for i, e := range entries {
 		switch e.Op {
-		case OpValidate, OpCommitted, OpAborted:
+		case EvValidate, EvCommit, EvAbort:
 			return i
-		case OpRequest:
+		case EvRequest:
 			if e.Step > 0 {
 				return i
 			}

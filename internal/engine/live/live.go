@@ -158,15 +158,14 @@ type Backend struct {
 	restartPending int
 
 	ob         *obs.Observer
+	rec        *engine.ObsRecorder // the CN's spans and instruments in ob
 	lastSample sim.Time
 
-	// Streaming instruments (telemetry for the /metrics endpoint). All nil
-	// when telemetry is off; the CN-updated ones live in cn.Stream, and
-	// every update is nil-receiver safe or guarded on stream.
-	stream        *stream.Set
-	strWaiting    *stream.Gauge
-	strQueueDepth *stream.Gauge
-	strSojournUS  *stream.Gauge
+	// Streaming instruments (telemetry for the /metrics endpoint): nil when
+	// telemetry is off. str observes the CN's event stream; every update
+	// is nil-receiver safe or guarded on stream.
+	stream *stream.Set
+	str    *streamObserver
 
 	txns []*model.Txn
 
@@ -183,9 +182,6 @@ type Backend struct {
 	schedName string
 	locking   bool
 }
-
-// Backend is an execution backend.
-var _ engine.Backend = (*Backend)(nil)
 
 // cnHost is the live side of the control-node core: wall time, CN CPU
 // measured rather than charged (the loop drains the queue at once, see
@@ -257,9 +253,9 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 // (engine.Clock).
 func (b *Backend) Now() sim.Time { return b.clk.Now() }
 
-// SetObserver installs an execution observer (history recorder etc.). It is
-// called only from the CN goroutine, so the same single-threaded recorders
-// work on both backends.
+// SetObserver adds an observer of the control node's event stream. Events
+// are published only from the CN goroutine, so the same single-threaded
+// recorders work on both backends. Call before Run.
 func (b *Backend) SetObserver(o engine.Observer) { b.cn.SetObserver(o) }
 
 // SetObs attaches the observability layer, as machine.SetObs does:
@@ -271,7 +267,7 @@ func (b *Backend) SetObs(o *obs.Observer) {
 		return
 	}
 	b.ob = o
-	b.cn.SetObs(o)
+	b.rec = engine.NewObsRecorder(b.cn, o)
 	o.Gauge("cn_busy_ms", func() float64 { return float64(b.cnBusy) / float64(time.Millisecond) })
 }
 
@@ -288,15 +284,17 @@ func (b *Backend) SetStream(set *stream.Set) {
 	}
 	b.stream = set
 	const win, slot = 10 * time.Second, time.Second
-	b.cn.Stream = engine.CNStream{
-		Grants:   set.Rate("live_grants", "Scheduler grant decisions.", win, slot),
-		Blocks:   set.Rate("live_blocks", "Scheduler block decisions.", win, slot),
-		Restarts: set.Rate("live_restarts", "Transaction aborts and restarts.", win, slot),
-		Commits:  set.Rate("live_commits", "Committed transactions.", win, slot),
-		RT:       set.Sketch("live_rt_seconds", "Transaction response time in seconds."),
-		Active:   set.Gauge("live_active_txns", "Admitted and uncommitted transactions."),
+	b.str = &streamObserver{
+		cn:       b.cn,
+		grants:   set.Rate("live_grants", "Scheduler grant decisions.", win, slot),
+		blocks:   set.Rate("live_blocks", "Scheduler block decisions.", win, slot),
+		restarts: set.Rate("live_restarts", "Transaction aborts and restarts.", win, slot),
+		commits:  set.Rate("live_commits", "Committed transactions.", win, slot),
+		rt:       set.Sketch("live_rt_seconds", "Transaction response time in seconds."),
+		active:   set.Gauge("live_active_txns", "Admitted and uncommitted transactions."),
+		waiting:  set.Gauge("live_waiting_txns", "Blocked, policy-delayed, or admission-parked transactions."),
 	}
-	b.strWaiting = set.Gauge("live_waiting_txns", "Blocked, policy-delayed, or admission-parked transactions.")
+	b.cn.SetObserver(b.str)
 	set.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps in the observability layer (span ends plus samples).", func() float64 {
 		ends, samples := b.ob.ClockClamps()
 		return float64(ends + samples)
@@ -329,18 +327,18 @@ func (b *Backend) Snapshot() SLOSnapshot {
 	if b.stream == nil {
 		return SLOSnapshot{}
 	}
-	st := &b.cn.Stream
+	st := b.str
 	ends, samples := b.ClockClamps()
 	return SLOSnapshot{
-		ActiveTxns:    st.Active.Value(),
-		WaitingTxns:   b.strWaiting.Value(),
-		Commits:       st.Commits.Total(),
-		CommitsPerSec: st.Commits.RatePerSec(b.clk.Now()),
-		Grants:        st.Grants.Total(),
-		Blocks:        st.Blocks.Total(),
-		Restarts:      st.Restarts.Total(),
-		P50RTSeconds:  st.RT.Quantile(0.5),
-		P95RTSeconds:  st.RT.Quantile(0.95),
+		ActiveTxns:    st.active.Value(),
+		WaitingTxns:   st.waiting.Value(),
+		Commits:       st.commits.Total(),
+		CommitsPerSec: st.commits.RatePerSec(b.clk.Now()),
+		Grants:        st.grants.Total(),
+		Blocks:        st.blocks.Total(),
+		Restarts:      st.restarts.Total(),
+		P50RTSeconds:  st.rt.Quantile(0.5),
+		P95RTSeconds:  st.rt.Quantile(0.95),
 		ClockClamps:   ends + samples,
 	}
 }
@@ -436,9 +434,9 @@ func (b *Backend) serve(t0 time.Time) {
 // sample refreshes the CN-owned stream gauges (so the scrape endpoint never
 // reads CN fields directly) and takes a registry sample when one is due.
 func (b *Backend) sample() {
-	if b.stream != nil {
-		b.cn.Stream.Active.Set(int64(b.cn.Active()))
-		b.strWaiting.Set(int64(b.cn.Waiting()))
+	if b.str != nil {
+		b.str.active.Set(int64(b.cn.Active()))
+		b.str.waiting.Set(int64(b.cn.Waiting()))
 	}
 	if b.ob.Enabled() && b.cfg.SampleEvery > 0 {
 		if now := b.clk.Now(); now-b.lastSample >= sim.Time(b.cfg.SampleEvery/time.Microsecond) {
@@ -529,7 +527,7 @@ func (b *Backend) RunBatch(batch [][]model.Step) (metrics.Summary, error) {
 func (b *Backend) handleCompletion(c completion) {
 	e := c.run.e
 	if b.ob.Enabled() {
-		sp := b.ob.Begin("cohort", "io", e.Txn.ID, c.node, e.Txn.StepIndex, e.StepSpan(), c.start)
+		sp := b.ob.Begin("cohort", "io", e.Txn.ID, c.node, e.Txn.StepIndex, b.rec.StepSpan(e.Txn.ID), c.start)
 		b.ob.End(sp, c.end)
 	}
 	b.checksum += c.sum

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"batchsched/internal/engine"
 	"batchsched/internal/engine/live"
 	"batchsched/internal/history"
 	"batchsched/internal/lock"
@@ -233,9 +232,6 @@ func TestLivePacing(t *testing.T) {
 	}
 }
 
-// Backend must satisfy the execution-backend interface.
-var _ engine.Backend = (*live.Backend)(nil)
-
 // delayAll admits everything and policy-delays every lock request, so no
 // step ever runs and no commit ever comes to wake anyone.
 type delayAll struct{}
@@ -294,7 +290,7 @@ func (grantAll) Name() string         { return "grant-all" }
 func (s grantAll) Locks() *lock.Table { return s.locks }
 
 // TestGuardViolationPolicy: a DPN lock-guard violation fails the run (Err)
-// exactly when the scheduler keeps a lock table, wrapped or not. The same
+// exactly when the scheduler keeps a lock table. The same
 // conflicting batch under NODC, which keeps none and co-runs conflicting
 // cohorts by design, only counts its violations.
 func TestGuardViolationPolicy(t *testing.T) {
@@ -307,9 +303,6 @@ func TestGuardViolationPolicy(t *testing.T) {
 	}{
 		{sched.NewNODC(), false},
 		{grantAll{sched.NewNODC(), lock.NewTable()}, true},
-		// Wrapping in the differential tests' decision log changes neither.
-		{engine.NewDecisionLog(sched.NewNODC()), false},
-		{engine.NewDecisionLog(grantAll{sched.NewNODC(), lock.NewTable()}), true},
 	} {
 		b, err := live.New(cfg, tc.s)
 		if err != nil {

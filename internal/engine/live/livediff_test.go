@@ -121,14 +121,15 @@ func runSimDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.Ste
 	// persists regardless of jitter.
 	cfg.RestartDelay = 4 * sim.Second
 	cfg.RestartJitter = true
-	dl := engine.NewDecisionLog(sched.MustNew(name, zeroCPUParams()))
-	m, err := machine.New(cfg, dl, nil, sim.NewRNG(1))
+	m, err := machine.New(cfg, sched.MustNew(name, zeroCPUParams()), nil, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
 	o.SetSampleInterval(0)
 	m.SetObs(o)
+	dl := engine.NewDecisionLog(o.Audit())
+	m.SetObserver(dl)
 	rec := history.New()
 	if name == "OPT" {
 		rec = history.NewDeferredWrites()
@@ -159,14 +160,15 @@ func runLiveDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.St
 	// (a victim instantly re-acquiring the locks its abort just released).
 	cfg.RestartDelay = 10 * time.Millisecond
 	cfg.RestartJitter = true
-	dl := engine.NewDecisionLog(sched.MustNew(name, zeroCPUParams()))
-	b, err := live.New(cfg, dl)
+	b, err := live.New(cfg, sched.MustNew(name, zeroCPUParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
 	o.SetSampleInterval(0)
 	b.SetObs(o)
+	dl := engine.NewDecisionLog(o.Audit())
+	b.SetObserver(dl)
 	rec := history.New()
 	if name == "OPT" {
 		rec = history.NewDeferredWrites()
@@ -302,7 +304,7 @@ func TestSimVsLiveAdmittedSets(t *testing.T) {
 		admitted := func(r diffRun) []string {
 			var out []string
 			for _, e := range r.entries[:engine.DeterministicPrefix(r.entries)] {
-				if e.Op == engine.OpAdmit {
+				if e.Op == engine.EvAdmit {
 					out = append(out, fmt.Sprintf("T%d=%s", e.Txn, e.Result))
 				}
 			}

@@ -51,12 +51,12 @@ func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed
 		panic(err) // Config.Validate already vetted the policy
 	}
 	b.cn.EnableService(svc)
-	if b.stream != nil {
-		b.cn.Stream.Sheds = b.stream.Rate("live_sheds",
+	if b.str != nil {
+		b.str.sheds = b.stream.Rate("live_sheds",
 			"Transactions turned away by admission backpressure.", 10*time.Second, time.Second)
-		b.strQueueDepth = b.stream.Gauge("live_admit_queue_depth",
+		b.str.queueDepth = b.stream.Gauge("live_admit_queue_depth",
 			"Admission-queue depth at the last epoch boundary.")
-		b.strSojournUS = b.stream.Gauge("live_admit_p95_sojourn_us",
+		b.str.sojournUS = b.stream.Gauge("live_admit_p95_sojourn_us",
 			"Sliding p95 admission sojourn in microseconds at the last epoch boundary.")
 	}
 	// At most MPL transactions are admitted at once.
@@ -130,9 +130,9 @@ func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed
 			t0 := time.Now()
 			b.cn.Epoch(b.clk.Now())
 			b.serve(t0)
-			if b.strQueueDepth != nil {
-				b.strQueueDepth.Set(int64(svc.Depth()))
-				b.strSojournUS.Set(int64(svc.P95Sojourn()))
+			if b.str != nil {
+				b.str.queueDepth.Set(int64(svc.Depth()))
+				b.str.sojournUS.Set(int64(svc.P95Sojourn()))
 			}
 		case <-deadline.C:
 			b.err = fmt.Errorf("live: service run stalled %v past its %v duration: active=%d queue=%d restarting=%d: %s",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"batchsched/internal/metrics"
 	"batchsched/internal/report"
 	"batchsched/internal/workload"
 )
@@ -10,32 +11,13 @@ import (
 // This file carries the ablation studies DESIGN.md calls out: each isolates
 // one design choice of the reproduction (or of the paper's schedulers) and
 // measures its effect. They are not paper artifacts; cmd/paperbench runs
-// them with -ablations.
+// them with -ablations. Their knobs live on Point, so they replicate and
+// share the replication memo like the artifacts.
 
-// ablationPoint is a Point plus the knobs Point does not carry.
-type ablationPoint struct {
-	Point
-	// exactK applies Point.K as LOW's K even when it is zero (for a Point,
-	// K = 0 means the paper's K).
-	exactK          bool
-	gowGreedy       bool
-	runToCompletion bool
-	noWakeOnGrant   bool
-	chargeRetryCPU  bool
-}
-
-// runAblation simulates one replication of p at p.Seed: the point's
-// mapping with the ablation knobs on top.
-func runAblation(p ablationPoint) (tps float64, rtSec float64) {
-	cfg, params := p.config()
-	if p.exactK {
-		params.K = p.K
-	}
-	params.GOWGreedy = p.gowGreedy
-	cfg.RunToCompletion = p.runToCompletion
-	cfg.NoWakeOnGrant = p.noWakeOnGrant
-	cfg.ChargeRetryCPU = p.chargeRetryCPU
-	sum := newMachine(cfg, p.Scheduler, params, p.generator(), p.Seed).Run()
+// ablate simulates p (Run: replications and the replication memo) and
+// returns its throughput and mean response time in seconds.
+func ablate(p Point) (tps float64, rtSec float64) {
+	sum := Run(p)
 	return sum.TPS, sum.MeanRT.Seconds()
 }
 
@@ -54,12 +36,9 @@ func AblationLOWK(o Options) *report.Table {
 		var cells []string
 		cells = append(cells, fmt.Sprint(k))
 		for _, load := range []Workload{Exp1, Exp2} {
-			p := ablationPoint{Point: o.point(), exactK: true}
-			p.Scheduler = "LOW"
-			p.Lambda = 1.2
-			p.Load = load
-			p.K = k
-			tps, rt := runAblation(p)
+			p := o.point()
+			p.Scheduler, p.Lambda, p.Load, p.K, p.ExactK = "LOW", 1.2, load, k, true
+			tps, rt := ablate(p)
 			cells = append(cells, report.F(rt, 0), report.F(tps, 2))
 		}
 		t.AddRow(cells...)
@@ -77,13 +56,11 @@ func AblationGOWOptimization(o Options) *report.Table {
 		Header: []string{"DD", "GOW RT(s)", "GOW TPS", "greedy RT(s)", "greedy TPS"},
 	}
 	for _, dd := range []int{1, 2, 4} {
-		base := ablationPoint{Point: o.point()}
-		base.Scheduler = "GOW"
-		base.Lambda = 1.2
-		base.DD = dd
-		tps1, rt1 := runAblation(base)
-		base.gowGreedy = true
-		tps2, rt2 := runAblation(base)
+		base := o.point()
+		base.Scheduler, base.Lambda, base.DD = "GOW", 1.2, dd
+		tps1, rt1 := ablate(base)
+		base.GOWGreedy = true
+		tps2, rt2 := ablate(base)
 		t.AddRow(fmt.Sprint(dd), report.F(rt1, 0), report.F(tps1, 2), report.F(rt2, 0), report.F(tps2, 2))
 	}
 	return t
@@ -99,13 +76,11 @@ func AblationQuantum(o Options) *report.Table {
 		Header: []string{"scheduler", "RR RT(s)", "RR TPS", "RTC RT(s)", "RTC TPS"},
 	}
 	for _, s := range []string{"NODC", "ASL", "LOW"} {
-		base := ablationPoint{Point: o.point()}
-		base.Scheduler = s
-		base.Lambda = 1.2
-		base.DD = 4
-		tps1, rt1 := runAblation(base)
-		base.runToCompletion = true
-		tps2, rt2 := runAblation(base)
+		base := o.point()
+		base.Scheduler, base.Lambda, base.DD = s, 1.2, 4
+		tps1, rt1 := ablate(base)
+		base.RunToCompletion = true
+		tps2, rt2 := ablate(base)
 		t.AddRow(s, report.F(rt1, 0), report.F(tps1, 2), report.F(rt2, 0), report.F(tps2, 2))
 	}
 	return t
@@ -122,16 +97,15 @@ func AblationRetryPolicy(o Options) *report.Table {
 		Header: []string{"scheduler", "base RT(s)", "commit-only RT(s)", "charge-retries RT(s)"},
 	}
 	for _, s := range []string{"GOW", "LOW", "C2PL"} {
-		base := ablationPoint{Point: o.point()}
-		base.Scheduler = s
-		base.Lambda = 1.2
-		_, rt1 := runAblation(base)
+		base := o.point()
+		base.Scheduler, base.Lambda = s, 1.2
+		_, rt1 := ablate(base)
 		b2 := base
-		b2.noWakeOnGrant = true
-		_, rt2 := runAblation(b2)
+		b2.NoWakeOnGrant = true
+		_, rt2 := ablate(b2)
 		b3 := base
-		b3.chargeRetryCPU = true
-		_, rt3 := runAblation(b3)
+		b3.ChargeRetryCPU = true
+		_, rt3 := ablate(b3)
 		t.AddRow(s, report.F(rt1, 0), report.F(rt2, 0), report.F(rt3, 0))
 	}
 	return t
@@ -162,10 +136,13 @@ func ExtensionLoadBalance(o Options) *report.Table {
 		row := []string{report.F(theta, 1)}
 		for _, name := range []string{"LOW", "LOW-LB"} {
 			p := o.point()
-			p.Scheduler = name
-			p.Lambda = 0.5
+			p.Scheduler, p.Lambda = name, 0.5
 			cfg, params := p.config()
-			sum := newMachine(cfg, p.Scheduler, params, workload.NewExp1Skewed(16, theta), p.Seed).Run()
+			// The skewed generator is not a Point workload, so these runs
+			// replicate without the memo.
+			sum, _, _ := metrics.Replicate(p.Seed, p.Reps, func(seed int64) (metrics.Summary, error) {
+				return newMachine(cfg, p.Scheduler, params, workload.NewExp1Skewed(16, theta), seed).Run(), nil
+			})
 			row = append(row, report.F(sum.MeanRT.Seconds(), 1), report.F(sum.TPS, 2))
 		}
 		t.AddRow(row...)

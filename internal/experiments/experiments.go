@@ -56,6 +56,11 @@ type Point struct {
 	Duration sim.Time
 	// K overrides LOW's conflict bound (0 = the paper's K=2).
 	K int
+	// ExactK applies K as LOW's conflict bound even when it is zero.
+	ExactK bool
+	// GOWGreedy, RunToCompletion, NoWakeOnGrant and ChargeRetryCPU are the
+	// ablation knobs of sched.Params and machine.Config of the same names.
+	GOWGreedy, RunToCompletion, NoWakeOnGrant, ChargeRetryCPU bool
 	// RestartDelay holds fault-aborted transactions back before they are
 	// resubmitted (0 = immediate, the paper's failure-free setting).
 	RestartDelay sim.Time
@@ -80,7 +85,7 @@ func (p Point) generator() machine.Generator {
 		g = workload.NewExp1(p.NumFiles)
 	}
 	if p.Sigma > 0 {
-		g = workload.WithError{Gen: g.(workload.Generator), Sigma: p.Sigma}
+		g = workload.WithError{Gen: g, Sigma: p.Sigma}
 	}
 	return g
 }
@@ -119,9 +124,10 @@ func runObserved(p Point, seed int64, ob *obs.Observer) metrics.Summary {
 func (p Point) config() (machine.Config, sched.Params) {
 	params := sched.DefaultParams()
 	params.MPL = p.MPL
-	if p.K > 0 {
+	if p.K > 0 || p.ExactK {
 		params.K = p.K
 	}
+	params.GOWGreedy = p.GOWGreedy
 	cfg := machine.DefaultConfig()
 	cfg.ArrivalRate = p.Lambda
 	cfg.NumFiles = p.NumFiles
@@ -133,6 +139,9 @@ func (p Point) config() (machine.Config, sched.Params) {
 		cfg.Duration = p.Duration
 	}
 	cfg.RestartDelay = p.RestartDelay
+	cfg.RunToCompletion = p.RunToCompletion
+	cfg.NoWakeOnGrant = p.NoWakeOnGrant
+	cfg.ChargeRetryCPU = p.ChargeRetryCPU
 	cfg.Faults = p.Faults
 	if p.Service != nil {
 		pol := *p.Service

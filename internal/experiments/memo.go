@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"batchsched/internal/metrics"
+	"batchsched/internal/sched"
 )
 
 // The replication memo. The paper's artifacts share operating points —
@@ -55,6 +56,12 @@ func runOnce(p Point, seed int64) metrics.Summary {
 	}
 	key := p
 	key.Seed, key.Reps = seed, 0
+	// Key by the conflict bound LOW runs with: a zero K is the paper's K
+	// unless it is exact.
+	if key.K == 0 && !key.ExactK {
+		key.K = sched.DefaultParams().K
+	}
+	key.ExactK = key.K == 0
 	memo.Lock()
 	sum, ok := memo.table[key]
 	memo.Unlock()

@@ -78,7 +78,9 @@ func TestMemoConcurrent(t *testing.T) {
 }
 
 // TestMemoKey: replications of one point are distinct keys (Seed+r), Reps is
-// not part of the key, and every other Point field is.
+// not part of the key, and every other Point field is — with K keyed as the
+// bound LOW runs with, so the paper's K spelled out or exact shares the
+// default's key and an exact zero does not.
 func TestMemoKey(t *testing.T) {
 	resetMemo()
 	p := Point{Scheduler: "ASL", Lambda: 0.5, NumFiles: 16, DD: 1, Load: Exp1,
@@ -91,8 +93,14 @@ func TestMemoKey(t *testing.T) {
 	r := p
 	r.K = 3
 	Run(r) // another point: seeds 7 and 8 again
-	if d := simsSince(before); d != (Sims{Simulated: 4, Reused: 1}) {
-		t.Errorf("counts = %+v, want 4 simulated and 1 reused", d)
+	s := p
+	s.K, s.ExactK = 2, true
+	Run(s) // the paper's K spelled out: p's key
+	z := p
+	z.ExactK = true
+	Run(z) // K exactly 0: another point
+	if d := simsSince(before); d != (Sims{Simulated: 6, Reused: 3}) {
+		t.Errorf("counts = %+v, want 6 simulated and 3 reused", d)
 	}
 }
 

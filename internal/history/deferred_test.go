@@ -21,8 +21,8 @@ func deferredScenario(r *Recorder) {
 	files := map[string]model.FileID{"A": 0, "B": 1}
 	t1 := rec(r, 1, "r(B:1)->r(A:1)", files, []int{5, 20})
 	t2 := rec(r, 2, "w(B:1)->w(A:1)", files, []int{8, 10})
-	r.Committed(t1, msec(30))
-	r.Committed(t2, msec(40))
+	commit(r, t1, msec(30))
+	commit(r, t2, msec(40))
 }
 
 func TestDeferredWritesResolvePhantomCycle(t *testing.T) {
@@ -44,9 +44,9 @@ func TestDeferredWritesKeepReadTimes(t *testing.T) {
 	files := map[string]model.FileID{"A": 0}
 	// Writer commits first; a later reader must still order after it.
 	w := rec(r, 1, "w(A:1)", files, []int{10})
-	r.Committed(w, msec(15))
+	commit(r, w, msec(15))
 	rd := rec(r, 2, "r(A:1)", files, []int{20})
-	r.Committed(rd, msec(25))
+	commit(r, rd, msec(25))
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("serial commit order flagged: %v", err)
 	}

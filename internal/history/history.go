@@ -1,16 +1,17 @@
 // Package history records the read/write history of a simulation run and
 // checks conflict-serializability: the serialization graph over committed
 // transactions (an edge Ti -> Tj for each pair of conflicting operations on
-// a file where Ti's came first) must be acyclic. It implements
-// machine.Observer, so a test plugs a Recorder into a Machine and asserts
-// the invariant afterwards. NODC intentionally violates it; every real
-// scheduler must satisfy it.
+// a file where Ti's came first) must be acyclic. A Recorder is an
+// observer of the control node's event stream, so a test attaches one to a
+// backend with SetObserver and asserts the invariant afterwards. NODC
+// intentionally violates it; every real scheduler must satisfy it.
 package history
 
 import (
 	"fmt"
 	"sort"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/model"
 	"batchsched/internal/sim"
 )
@@ -78,40 +79,38 @@ func (r *Recorder) clamp(at sim.Time) sim.Time {
 	return at
 }
 
-// StepDone records a finished step (machine.Observer).
-func (r *Recorder) StepDone(t *model.Txn, step int, at sim.Time) {
-	st := t.Steps[step]
-	r.seq++
-	r.live[t.ID] = append(r.live[t.ID], op{
-		txn: t.ID, file: st.File, write: st.Write, at: r.clamp(at), seq: r.seq,
-	})
-}
-
-// Committed freezes the transaction's operations into the history
-// (machine.Observer). Under deferred-update recording, write operations are
-// re-stamped to the commit time.
-func (r *Recorder) Committed(t *model.Txn, at sim.Time) {
-	ops := r.live[t.ID]
-	if r.deferred {
-		at = r.clamp(at)
-		for i := range ops {
-			if ops[i].write {
-				r.seq++
-				ops[i].at = at
-				ops[i].seq = r.seq
+// Event records a finished step as an operation of the transaction's
+// current attempt, freezes the attempt's operations into the history when
+// it commits, and discards them when it rolls back. Under deferred-update
+// recording, write operations are re-stamped to the commit time.
+func (r *Recorder) Event(ev engine.Event) {
+	t := ev.Txn
+	switch ev.Kind {
+	case engine.EvStepDone:
+		st := t.Steps[ev.Step]
+		r.seq++
+		r.live[t.ID] = append(r.live[t.ID], op{
+			txn: t.ID, file: st.File, write: st.Write, at: r.clamp(ev.At), seq: r.seq,
+		})
+	case engine.EvCommit:
+		ops := r.live[t.ID]
+		if r.deferred {
+			at := r.clamp(ev.At)
+			for i := range ops {
+				if ops[i].write {
+					r.seq++
+					ops[i].at = at
+					ops[i].seq = r.seq
+				}
 			}
 		}
+		r.committed = append(r.committed, ops...)
+		delete(r.live, t.ID)
+		r.commits++
+	case engine.EvAbort:
+		delete(r.live, t.ID)
+		r.restarts++
 	}
-	r.committed = append(r.committed, ops...)
-	delete(r.live, t.ID)
-	r.commits++
-}
-
-// Restarted discards the rolled-back attempt's operations
-// (machine.Observer).
-func (r *Recorder) Restarted(t *model.Txn, at sim.Time) {
-	delete(r.live, t.ID)
-	r.restarts++
 }
 
 // Commits returns the number of committed transactions recorded.

@@ -3,9 +3,24 @@ package history
 import (
 	"testing"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/model"
 	"batchsched/internal/sim"
 )
+
+// stepDone, commit and restart publish the control node's step-completion,
+// commit and rollback events to r.
+func stepDone(r *Recorder, t *model.Txn, step int, at sim.Time) {
+	r.Event(engine.Event{Kind: engine.EvStepDone, At: at, Txn: t, Step: step})
+}
+
+func commit(r *Recorder, t *model.Txn, at sim.Time) {
+	r.Event(engine.Event{Kind: engine.EvCommit, At: at, Txn: t})
+}
+
+func restart(r *Recorder, t *model.Txn, at sim.Time) {
+	r.Event(engine.Event{Kind: engine.EvAbort, At: at, Txn: t})
+}
 
 func rec(r *Recorder, id int64, pattern string, binding map[string]model.FileID, times []int) *model.Txn {
 	p := model.MustParsePattern(pattern)
@@ -15,7 +30,7 @@ func rec(r *Recorder, id int64, pattern string, binding map[string]model.FileID,
 	}
 	t := model.NewTxn(id, 0, steps)
 	for i := range steps {
-		r.StepDone(t, i, msec(times[i]))
+		stepDone(r, t, i, msec(times[i]))
 	}
 	return t
 }
@@ -27,8 +42,8 @@ func TestSerialHistoryIsSerializable(t *testing.T) {
 	files := map[string]model.FileID{"A": 0, "B": 1}
 	t1 := rec(r, 1, "r(A:1)->w(B:1)", files, []int{10, 20})
 	t2 := rec(r, 2, "w(A:1)->w(B:1)", files, []int{30, 40})
-	r.Committed(t1, msec(25))
-	r.Committed(t2, msec(45))
+	commit(r, t1, msec(25))
+	commit(r, t2, msec(45))
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("serial history flagged: %v", err)
 	}
@@ -44,8 +59,8 @@ func TestCycleDetected(t *testing.T) {
 	// reads it (T2 -> T1): a classic non-serializable interleaving.
 	t1 := rec(r, 1, "w(A:1)->r(B:1)", files, []int{10, 40})
 	t2 := rec(r, 2, "r(A:1)->w(B:1)", files, []int{20, 30})
-	r.Committed(t1, msec(50))
-	r.Committed(t2, msec(55))
+	commit(r, t1, msec(50))
+	commit(r, t2, msec(55))
 	if err := r.CheckSerializable(); err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -56,8 +71,8 @@ func TestReadsDoNotConflict(t *testing.T) {
 	files := map[string]model.FileID{"A": 0}
 	t1 := rec(r, 1, "r(A:1)", files, []int{10})
 	t2 := rec(r, 2, "r(A:1)", files, []int{20})
-	r.Committed(t1, msec(30))
-	r.Committed(t2, msec(35))
+	commit(r, t1, msec(30))
+	commit(r, t2, msec(35))
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("read-only overlap flagged: %v", err)
 	}
@@ -70,12 +85,12 @@ func TestRestartDiscardsAttempt(t *testing.T) {
 	// attempt is clean.
 	t1 := rec(r, 1, "w(A:1)->r(B:1)", files, []int{10, 40})
 	t2 := rec(r, 2, "r(A:1)->w(B:1)", files, []int{20, 30})
-	r.Restarted(t2, msec(45)) // first attempt discarded
-	r.Committed(t1, msec(50))
+	restart(r, t2, msec(45)) // first attempt discarded
+	commit(r, t1, msec(50))
 	for i := range t2.Steps {
-		r.StepDone(t2, i, msec(60+10*i))
+		stepDone(r, t2, i, msec(60+10*i))
 	}
-	r.Committed(t2, msec(90))
+	commit(r, t2, msec(90))
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("restarted history flagged: %v", err)
 	}
@@ -89,7 +104,7 @@ func TestUncommittedOpsIgnored(t *testing.T) {
 	files := map[string]model.FileID{"A": 0}
 	t1 := rec(r, 1, "w(A:1)", files, []int{10})
 	rec(r, 2, "w(A:1)", files, []int{5}) // never commits
-	r.Committed(t1, msec(20))
+	commit(r, t1, msec(20))
 	if r.Ops() != 1 {
 		t.Errorf("ops = %d, want 1 (uncommitted excluded)", r.Ops())
 	}
@@ -105,9 +120,9 @@ func TestThreeWayCycle(t *testing.T) {
 	t1 := rec(r, 1, "w(A:1)->w(C:1)", files, []int{10, 60})
 	t2 := rec(r, 2, "w(A:1)->w(B:1)", files, []int{20, 30})
 	t3 := rec(r, 3, "w(B:1)->w(C:1)", files, []int{40, 50})
-	r.Committed(t1, msec(70))
-	r.Committed(t2, msec(71))
-	r.Committed(t3, msec(72))
+	commit(r, t1, msec(70))
+	commit(r, t2, msec(71))
+	commit(r, t3, msec(72))
 	if err := r.CheckSerializable(); err == nil {
 		t.Fatal("three-way cycle not detected")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
 	"batchsched/internal/sched"
@@ -40,9 +41,11 @@ func (s *costSched) Aborted(*model.Txn)                   {}
 // stepTimes records when each transaction's steps completed.
 type stepTimes map[int64]sim.Time
 
-func (st stepTimes) StepDone(t *model.Txn, _ int, at sim.Time) { st[t.ID] = at }
-func (stepTimes) Committed(*model.Txn, sim.Time)               {}
-func (stepTimes) Restarted(*model.Txn, sim.Time)               {}
+func (st stepTimes) Event(ev engine.Event) {
+	if ev.Kind == engine.EvStepDone {
+		st[ev.Txn.ID] = ev.At
+	}
+}
 
 // cnMachine is a machine whose only CN CPU is the scheduler's: message,
 // startup and commit costs are zero, and one object takes 100 ms.

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
 	"batchsched/internal/sim"
@@ -109,8 +110,10 @@ type dpn struct {
 	fcQ   []sim.Time
 	fcE   []sim.Time
 
-	// ob records cohort residency spans when observability is enabled.
-	ob *obs.Observer
+	// ob records cohort residency spans when observability is enabled,
+	// parented on the step's execute span that rec holds.
+	ob  *obs.Observer
+	rec *engine.ObsRecorder
 }
 
 func newDPN(id int, eng *sim.Engine, met *metrics.Collector) *dpn {
@@ -133,7 +136,7 @@ func (d *dpn) add(c *cohort) {
 	if d.ob.Enabled() && c.run != nil {
 		t := c.run.e.Txn
 		c.span = d.ob.Begin("cohort", "io", t.ID, d.id, t.StepIndex,
-			c.run.e.StepSpan(), d.eng.Now())
+			d.rec.StepSpan(t.ID), d.eng.Now())
 	}
 	d.ring = append(d.ring, c)
 	if d.stepped {

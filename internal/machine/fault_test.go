@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/fault"
 	"batchsched/internal/model"
 	"batchsched/internal/sched"
@@ -97,21 +98,16 @@ type faultTransition struct {
 	at   sim.Time
 }
 
-// faultObs records fault transitions (and satisfies Observer with no-ops).
+// faultObs records the fault transitions of the event stream.
 type faultObs struct {
 	transitions []faultTransition
 }
 
-func (o *faultObs) StepDone(*model.Txn, int, sim.Time)      {}
-func (o *faultObs) Committed(*model.Txn, sim.Time)          {}
-func (o *faultObs) Restarted(*model.Txn, sim.Time)          {}
-func (o *faultObs) AbortedTxn(*model.Txn, string, sim.Time) {}
-func (o *faultObs) Retried(*model.Txn, int, sim.Time)       {}
-func (o *faultObs) Fault(kind string, node int, at sim.Time) {
-	if kind == "msgloss" {
-		return // loss is per-message and so necessarily workload-dependent
+func (o *faultObs) Event(ev engine.Event) {
+	// Loss is per-message and so necessarily workload-dependent.
+	if ev.Kind == engine.EvFault && ev.Fault != "msgloss" {
+		o.transitions = append(o.transitions, faultTransition{ev.Fault, ev.Node, ev.At})
 	}
-	o.transitions = append(o.transitions, faultTransition{kind, node, at})
 }
 
 // TestStragglerStretchesServiceTime: the same burst takes strictly longer

@@ -42,9 +42,7 @@ func (m *Machine) wireFaults(rng *sim.RNG) error {
 }
 
 func (m *Machine) faultEvent(kind string, node int) {
-	if fo, ok := m.obs.(engine.FaultObserver); ok {
-		fo.Fault(kind, node, m.eng.Now())
-	}
+	m.cn.Publish(engine.Event{Kind: engine.EvFault, At: m.eng.Now(), Node: node, Fault: kind})
 }
 
 // onCrash takes the node down and aborts every transaction that had a
@@ -108,9 +106,7 @@ func (m *Machine) stepTimeout(run *stepRun) {
 		return
 	}
 	m.met.MsgRetry()
-	if fo, ok := m.obs.(engine.FaultObserver); ok {
-		fo.Retried(e.Txn, run.attempt+1, m.eng.Now())
-	}
+	m.cn.Publish(engine.Event{Kind: engine.EvRetry, At: m.eng.Now(), Txn: e.Txn, Attempt: run.attempt + 1})
 	m.cn.Redispatch(e, run.attempt+1)
 }
 

@@ -14,18 +14,9 @@ import (
 	"batchsched/internal/workload"
 )
 
-// Generator produces the declared steps of successive transactions. It is
-// implemented by package workload; the machine calls it once per arrival.
-// An alias of engine.Generator, so workload generators feed every backend.
-type Generator = engine.Generator
-
-// Observer receives execution events, for history recording and invariant
-// checks. An alias of engine.Observer: the same recorders plug into the
-// simulator and the live backend.
-type Observer = engine.Observer
-
-// Machine is one execution backend (the virtual-clock simulator).
-var _ engine.Backend = (*Machine)(nil)
+// Generator produces the declared steps of successive transactions; the
+// machine calls it once per arrival. An alias of workload.Generator.
+type Generator = workload.Generator
 
 // Machine is one Shared-Nothing machine simulation run: engine, control
 // node, DPNs, scheduler and workload wired together. Create with New, then
@@ -38,12 +29,12 @@ type Machine struct {
 	place engine.Placement
 	cn    *engine.CN
 	dpns  []*dpn
-	obs   Observer
 	inj   *fault.Injector // nil on the failure-free path
 
 	// ob is the observability layer; nil (the default) disables it, and
 	// every hook is nil-receiver safe so the disabled path costs one
-	// pointer check and no allocation.
+	// pointer check and no allocation. Its control-node spans and
+	// instruments come from the CN's event stream (engine.ObsRecorder).
 	ob *obs.Observer
 
 	arrivalRNG  *sim.RNG
@@ -233,11 +224,9 @@ func (m *Machine) retireRun(run *stepRun) {
 	m.runPool = append(m.runPool, run)
 }
 
-// SetObserver installs an execution observer (history recorder etc.).
-func (m *Machine) SetObserver(o Observer) {
-	m.obs = o
-	m.cn.SetObserver(o)
-}
+// SetObserver adds an observer of the control node's event stream, which
+// also carries the machine's fault and retry events. Call before Run.
+func (m *Machine) SetObserver(o engine.Observer) { m.cn.SetObserver(o) }
 
 // SetObs attaches the virtual-time observability layer: spans over the
 // transaction lifecycle, control-node jobs and DPN cohorts; counters,
@@ -251,9 +240,9 @@ func (m *Machine) SetObs(o *obs.Observer) {
 		return
 	}
 	m.ob = o
-	m.cn.SetObs(o)
+	rec := engine.NewObsRecorder(m.cn, o)
 	for _, d := range m.dpns {
-		d.ob = o
+		d.ob, d.rec = o, rec
 	}
 	o.Gauge("cn_busy_ms", func() float64 { return m.met.CNBusyTime().Milliseconds() })
 	for i := range m.dpns {

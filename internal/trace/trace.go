@@ -1,6 +1,7 @@
 // Package trace records simulation execution events as JSON Lines, one
-// event per line, for offline analysis and debugging. A Writer implements
-// machine.Observer; plug it into a Machine with SetObserver.
+// event per line, for offline analysis and debugging. A Writer is an
+// observer of the control node's event stream; attach it to a backend with
+// SetObserver.
 package trace
 
 import (
@@ -9,8 +10,7 @@ import (
 	"fmt"
 	"io"
 
-	"batchsched/internal/model"
-	"batchsched/internal/sim"
+	"batchsched/internal/engine"
 )
 
 // Event is one trace record.
@@ -51,38 +51,6 @@ type Event struct {
 
 // ptr returns a pointer to v (for the pointer-typed Event fields).
 func ptr(v int) *int { return &v }
-
-func stepEvent(txn *model.Txn, step int, at sim.Time) Event {
-	st := txn.Steps[step]
-	return Event{
-		At: at.Milliseconds(), Kind: "step", Txn: txn.ID,
-		Step: ptr(step), File: ptr(int(st.File)), Write: st.Write,
-	}
-}
-
-func commitEvent(txn *model.Txn, at sim.Time) Event {
-	return Event{
-		At: at.Milliseconds(), Kind: "commit", Txn: txn.ID,
-		RTms: (at - txn.Arrival).Milliseconds(), Restarts: txn.Restarts,
-		Cost: txn.TotalCost(),
-	}
-}
-
-func restartEvent(txn *model.Txn, at sim.Time) Event {
-	return Event{At: at.Milliseconds(), Kind: "restart", Txn: txn.ID, Restarts: txn.Restarts}
-}
-
-func faultEvent(kind string, node int, at sim.Time) Event {
-	return Event{At: at.Milliseconds(), Kind: "fault", Fault: kind, Node: ptr(node)}
-}
-
-func abortEvent(txn *model.Txn, reason string, at sim.Time) Event {
-	return Event{At: at.Milliseconds(), Kind: "abort", Txn: txn.ID, Reason: reason, Restarts: txn.Restarts}
-}
-
-func retryEvent(txn *model.Txn, attempt int, at sim.Time) Event {
-	return Event{At: at.Milliseconds(), Kind: "retry", Txn: txn.ID, Attempt: attempt}
-}
 
 // StepIndex returns the step index, or -1 when absent.
 func (e Event) StepIndex() int {
@@ -143,34 +111,35 @@ func (t *Writer) emit(e Event) {
 	t.events++
 }
 
-// StepDone implements machine.Observer.
-func (t *Writer) StepDone(txn *model.Txn, step int, at sim.Time) {
-	t.emit(stepEvent(txn, step, at))
-}
-
-// Committed implements machine.Observer.
-func (t *Writer) Committed(txn *model.Txn, at sim.Time) {
-	t.emit(commitEvent(txn, at))
-}
-
-// Restarted implements machine.Observer.
-func (t *Writer) Restarted(txn *model.Txn, at sim.Time) {
-	t.emit(restartEvent(txn, at))
-}
-
-// Fault implements engine.FaultObserver.
-func (t *Writer) Fault(kind string, node int, at sim.Time) {
-	t.emit(faultEvent(kind, node, at))
-}
-
-// AbortedTxn implements engine.FaultObserver.
-func (t *Writer) AbortedTxn(txn *model.Txn, reason string, at sim.Time) {
-	t.emit(abortEvent(txn, reason, at))
-}
-
-// Retried implements engine.FaultObserver.
-func (t *Writer) Retried(txn *model.Txn, attempt int, at sim.Time) {
-	t.emit(retryEvent(txn, attempt, at))
+// Event writes the record of one control-node event: a step completion, a
+// commit, a restart (followed by an abort record when a fault caused it), a
+// fault transition or a message-timeout retry. Other events leave no
+// record.
+func (t *Writer) Event(ev engine.Event) {
+	at, txn := ev.At.Milliseconds(), ev.Txn
+	switch ev.Kind {
+	case engine.EvStepDone:
+		st := txn.Steps[ev.Step]
+		t.emit(Event{
+			At: at, Kind: "step", Txn: txn.ID,
+			Step: ptr(ev.Step), File: ptr(int(st.File)), Write: st.Write,
+		})
+	case engine.EvCommit:
+		t.emit(Event{
+			At: at, Kind: "commit", Txn: txn.ID,
+			RTms: (ev.At - txn.Arrival).Milliseconds(), Restarts: txn.Restarts,
+			Cost: txn.TotalCost(),
+		})
+	case engine.EvAbort:
+		t.emit(Event{At: at, Kind: "restart", Txn: txn.ID, Restarts: txn.Restarts})
+		if ev.Reason != "" {
+			t.emit(Event{At: at, Kind: "abort", Txn: txn.ID, Reason: ev.Reason, Restarts: txn.Restarts})
+		}
+	case engine.EvFault:
+		t.emit(Event{At: at, Kind: "fault", Fault: ev.Fault, Node: ptr(ev.Node)})
+	case engine.EvRetry:
+		t.emit(Event{At: at, Kind: "retry", Txn: txn.ID, Attempt: ev.Attempt})
+	}
 }
 
 // Events returns the number of events emitted so far.

@@ -5,12 +5,24 @@ import (
 	"strings"
 	"testing"
 
+	"batchsched/internal/engine"
 	"batchsched/internal/machine"
 	"batchsched/internal/model"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/workload"
 )
+
+// ev builds the control-node event of kind k for txn at time at.
+func ev(k engine.EventKind, txn *model.Txn, at sim.Time) engine.Event {
+	return engine.Event{Kind: k, At: at, Txn: txn}
+}
+
+func stepEv(txn *model.Txn, step int, at sim.Time) engine.Event {
+	e := ev(engine.EvStepDone, txn, at)
+	e.Step = step
+	return e
+}
 
 func TestWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -20,11 +32,12 @@ func TestWriterRoundTrip(t *testing.T) {
 		{File: 3, Write: false, LockMode: model.S, Cost: 1, DeclaredCost: 1},
 		{File: 4, Write: true, LockMode: model.X, Cost: 2, DeclaredCost: 2},
 	})
-	w.StepDone(txn, 0, 1500*sim.Millisecond)
-	w.Restarted(txn, 2000*sim.Millisecond)
+	w.Event(stepEv(txn, 0, 1500*sim.Millisecond))
+	w.Event(ev(engine.EvAbort, txn, 2000*sim.Millisecond))
 	txn.Restarts = 1
-	w.StepDone(txn, 1, 5000*sim.Millisecond)
-	w.Committed(txn, 5100*sim.Millisecond)
+	w.Event(ev(engine.EvArrive, txn, 2500*sim.Millisecond)) // leaves no record
+	w.Event(stepEv(txn, 1, 5000*sim.Millisecond))
+	w.Event(ev(engine.EvCommit, txn, 5100*sim.Millisecond))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +75,8 @@ func TestZeroValuesRoundTrip(t *testing.T) {
 	txn := model.NewTxn(1, 0, []model.Step{
 		{File: 0, Write: true, LockMode: model.X, Cost: 1, DeclaredCost: 1},
 	})
-	w.StepDone(txn, 0, 100*sim.Millisecond)
-	w.Fault("crash", 0, 200*sim.Millisecond)
+	w.Event(stepEv(txn, 0, 100*sim.Millisecond))
+	w.Event(engine.Event{Kind: engine.EvFault, At: 200 * sim.Millisecond, Node: 0, Fault: "crash"})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +104,22 @@ func TestZeroValuesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFaultEventsRoundTrip covers the fault/abort/retry kinds end to end.
+// TestFaultEventsRoundTrip covers the fault/abort/retry kinds end to end: a
+// fault abort writes its restart record, then its abort record.
 func TestFaultEventsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	txn := model.NewTxn(9, 0, []model.Step{
 		{File: 2, Write: true, LockMode: model.X, Cost: 1, DeclaredCost: 1},
 	})
-	w.Fault("slow", 5, 10*sim.Millisecond)
-	w.Retried(txn, 1, 20*sim.Millisecond)
+	w.Event(engine.Event{Kind: engine.EvFault, At: 10 * sim.Millisecond, Node: 5, Fault: "slow"})
+	retry := ev(engine.EvRetry, txn, 20*sim.Millisecond)
+	retry.Attempt = 1
+	w.Event(retry)
 	txn.Restarts = 1
-	w.AbortedTxn(txn, "timeout", 30*sim.Millisecond)
+	abort := ev(engine.EvAbort, txn, 30*sim.Millisecond)
+	abort.Reason = "timeout"
+	w.Event(abort)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +127,8 @@ func TestFaultEventsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("read %d events, want 3", len(events))
+	if len(events) != 4 {
+		t.Fatalf("read %d events, want 4", len(events))
 	}
 	if events[0].Kind != "fault" || events[0].Fault != "slow" || events[0].NodeID() != 5 {
 		t.Errorf("fault event = %+v", events[0])
@@ -118,8 +136,11 @@ func TestFaultEventsRoundTrip(t *testing.T) {
 	if events[1].Kind != "retry" || events[1].Txn != 9 || events[1].Attempt != 1 {
 		t.Errorf("retry event = %+v", events[1])
 	}
-	if events[2].Kind != "abort" || events[2].Reason != "timeout" || events[2].Restarts != 1 {
-		t.Errorf("abort event = %+v", events[2])
+	if events[2].Kind != "restart" || events[2].Txn != 9 || events[2].Restarts != 1 {
+		t.Errorf("restart event = %+v", events[2])
+	}
+	if events[3].Kind != "abort" || events[3].Reason != "timeout" || events[3].Restarts != 1 {
+		t.Errorf("abort event = %+v", events[3])
 	}
 }
 

@@ -7,7 +7,8 @@
 //   - Experiment 3 — Experiment 1 with Gaussian estimation error on the
 //     declared I/O demands (sensitivity study).
 //
-// Generators implement machine.Generator.
+// Every generator implements Generator, the interface both execution
+// backends draw arrivals from.
 package workload
 
 import (
@@ -123,8 +124,8 @@ func (g BatchScan) Steps(rng *sim.RNG) []model.Step {
 	}
 }
 
-// Generator is the interface this package implements (mirrors
-// machine.Generator to avoid an import cycle in wrappers).
+// Generator produces the declared steps of successive transactions, one
+// call per arrival (machine.Generator is an alias).
 type Generator interface {
 	Steps(rng *sim.RNG) []model.Step
 }

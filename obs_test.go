@@ -2,7 +2,9 @@ package batchsched
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,5 +188,69 @@ func TestPhaseBreakdownOrdering(t *testing.T) {
 	}
 	if c2pl <= gow || c2pl <= low {
 		t.Errorf("C2PL lock-wait (%g s) should dominate GOW (%g s) and LOW (%g s)", c2pl, gow, low)
+	}
+}
+
+// TestRecordersCompose: the history check, the JSONL trace writer and the
+// observability recorder observe one event stream, so attaching all three
+// to one run must give the same summary, trace bytes, exports and check
+// result as attaching each alone — on a NODC run whose check fails and on
+// a GOW fault run whose trace carries fault, retry and abort records.
+func TestRecordersCompose(t *testing.T) {
+	nodc := obsConfig(300 * Second)
+	nodc.ArrivalRate = 1.0
+	for _, c := range []struct {
+		sched string
+		cfg   Config
+	}{{"NODC", nodc}, {"GOW", faultConfig()}} {
+		t.Run(c.sched, func(t *testing.T) {
+			gen := func() Generator { return NewExp1Workload(16) }
+			exports := func(ob *Obs) [3]string {
+				var tb, cb, ab bytes.Buffer
+				if err := ob.WriteChromeTrace(&tb); err != nil {
+					t.Fatal(err)
+				}
+				if err := ob.WriteMetricsCSV(&cb); err != nil {
+					t.Fatal(err)
+				}
+				if err := ob.WriteAuditJSONL(&ab); err != nil {
+					t.Fatal(err)
+				}
+				return [3]string{tb.String(), cb.String(), ab.String()}
+			}
+
+			plain, err := Run(c.cfg, c.sched, DefaultParams(), gen(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, checkErr := RunChecked(c.cfg, c.sched, DefaultParams(), gen(), 1)
+			var trace bytes.Buffer
+			if _, err := RunTraced(c.cfg, c.sched, DefaultParams(), gen(), 1, &trace); err != nil {
+				t.Fatal(err)
+			}
+			alone := NewObs()
+			if _, err := RunObserved(c.cfg, c.sched, DefaultParams(), gen(), 1, alone); err != nil {
+				t.Fatal(err)
+			}
+
+			var trace2 bytes.Buffer
+			both := NewObs()
+			sum, err := RunRecorded(c.cfg, c.sched, DefaultParams(), gen(), 1, true, &trace2, both)
+			if !reflect.DeepEqual(sum, plain) {
+				t.Errorf("summary with every recorder differs from Run's:\n got %+v\nwant %+v", sum, plain)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(checkErr) {
+				t.Errorf("check with every recorder = %v, alone = %v", err, checkErr)
+			}
+			if (c.sched == "NODC") != errors.Is(checkErr, ErrNotSerializable) {
+				t.Errorf("%s check = %v", c.sched, checkErr)
+			}
+			if trace2.Len() == 0 || !bytes.Equal(trace2.Bytes(), trace.Bytes()) {
+				t.Errorf("JSONL trace with every recorder differs from the trace alone (%d vs %d bytes)", trace2.Len(), trace.Len())
+			}
+			if exports(both) != exports(alone) {
+				t.Error("observability exports with every recorder differ from the recorder alone")
+			}
+		})
 	}
 }
