@@ -40,7 +40,6 @@ import (
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/obs/stream"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/trace"
@@ -73,15 +72,10 @@ type (
 	// FaultConfig carries the fault-injection knobs (Config.Faults); the
 	// zero value is the paper's failure-free machine.
 	FaultConfig = fault.Config
-	// Obs is the virtual-time observability recorder (see RunObserved and
-	// internal/obs): spans, metrics time-series, and the scheduler decision
-	// audit, with Chrome-trace / CSV / HTML exporters.
+	// Obs is the observability recorder (see RunObserved and internal/obs):
+	// spans, the metric registry and its time-series, and the scheduler
+	// decision audit, with Chrome-trace / CSV / HTML / Prometheus exporters.
 	Obs = obs.Observer
-	// StreamSet is the wall-clock streaming instrument registry (see
-	// RunLiveTelemetry and internal/obs/stream): sliding-window rates,
-	// gauges, and quantile sketches rendered as Prometheus text by the
-	// /metrics endpoint (internal/obs/serve).
-	StreamSet = stream.Set
 )
 
 // Lock modes and time units.
@@ -437,15 +431,11 @@ func runLive(cfg LiveConfig, scheduler string, params Params, batch [][]Step, ch
 	return res.Summary, err
 }
 
-// NewStreamSet returns an enabled streaming instrument registry, ready for
-// LiveBackend.SetStream and serve-side rendering. A nil *StreamSet is the
-// disabled registry.
-func NewStreamSet() *StreamSet { return stream.NewSet() }
-
 // LiveBackend is the real-execution backend handle. Most callers use
 // RunLiveBatch; telemetry servers build one with NewLiveBackend so they can
-// attach instruments (SetStream, SetObs), read its clock (Now) and take
-// concurrent snapshots (Snapshot) while RunLiveTelemetry drives the batch.
+// attach an observer (SetObs), read its clock (Now), and render its
+// registry and take snapshots (Snapshot) while RunLiveTelemetry drives the
+// batch.
 type LiveBackend = live.Backend
 
 // NewLiveBackend builds an un-run live backend for the named scheduler.

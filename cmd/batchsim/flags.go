@@ -53,6 +53,18 @@ type modeFlags struct {
 	faults                            bool // any fault-injection flag
 	trace                             bool // -trace
 	obsOut                            bool // any of -trace-out, -metrics-out, -audit, -report
+	lambda                            float64
+	capacity, heavytail               bool
+	set                               map[string]bool // every flag given on the command line
+}
+
+// liveBatchIgnores are the flags a closed live batch (-backend live
+// without -service) has no use for: it has no arrival process, no
+// simulated horizon, no service policy and no faults.
+var liveBatchIgnores = []string{
+	"lambda", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries",
+	"arrival", "service-duration", "epoch", "max-queue", "interactive", "slo-batch",
+	"slo-interactive", "overload-p95", "capacity", "cap-lo", "cap-hi", "cap-tol",
 }
 
 // validateModeFlags rejects flag combinations one invocation cannot honour
@@ -67,10 +79,27 @@ func validateModeFlags(f modeFlags) error {
 		return errors.New("-compare runs its own sim-vs-live grid; it takes no -check, -progress, -reps, fault flags, -trace or observability outputs")
 	case f.service && (oneRun || f.progress):
 		return errors.New("-service records no -trace, observability outputs or -progress")
+	case f.service && f.compare:
+		return errors.New("-service is incompatible with -compare")
+	case f.service && f.check:
+		return errors.New("-service does not support -check (evictions abort transactions mid-history)")
+	case f.service && !(f.lambda > 0):
+		return errors.New("-service needs -lambda > 0 (the offered arrival rate)")
+	case f.service && f.capacity && f.backend != "sim":
+		return errors.New("-capacity bisects many runs and requires -backend sim")
+	case f.service && f.capacity && f.heavytail:
+		return errors.New("-capacity does not support -heavytail (the capacity point is workload-flag driven)")
 	case f.reps > 1 && (oneRun || f.backend == "live"):
 		return fmt.Errorf("-trace, the observability outputs and -backend live describe one run; -reps must be 1, got %d", f.reps)
 	case f.backend == "live" && (oneRun || f.progress || f.faults):
 		return errors.New("-backend live takes no -trace, observability outputs, -progress or fault flags; they need -backend sim")
+	}
+	if f.backend == "live" && !f.service && !f.compare {
+		for _, name := range liveBatchIgnores {
+			if f.set[name] {
+				return fmt.Errorf("-backend live runs one closed batch and takes no -%s", name)
+			}
+		}
 	}
 	return nil
 }

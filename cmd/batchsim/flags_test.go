@@ -82,7 +82,23 @@ func TestFlagCombinations(t *testing.T) {
 		{"progress with trace", modeFlags{backend: "sim", reps: 1, progress: true, trace: true}, outputs{}, true},
 		{"progress with reps", modeFlags{backend: "sim", reps: 3, progress: true}, outputs{}, false},
 		{"compare with check", modeFlags{backend: "sim", reps: 1, compare: true, check: true}, outputs{}, true},
-		{"service with trace", modeFlags{backend: "sim", reps: 1, service: true, trace: true}, outputs{}, true},
+		{"service with trace", modeFlags{backend: "sim", reps: 1, service: true, trace: true, lambda: 1}, outputs{}, true},
+		{"service", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5}, outputs{}, false},
+		{"service with check", modeFlags{backend: "sim", reps: 1, service: true, check: true, lambda: 0.5}, outputs{}, true},
+		{"service with compare", modeFlags{backend: "sim", reps: 1, service: true, compare: true, lambda: 0.5}, outputs{}, true},
+		{"service with lambda 0", modeFlags{backend: "sim", reps: 1, service: true}, outputs{}, true},
+		{"service with lambda NaN", modeFlags{backend: "sim", reps: 1, service: true, lambda: math.NaN()}, outputs{}, true},
+		{"service capacity", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true}, outputs{}, false},
+		{"service capacity on live", modeFlags{backend: "live", reps: 1, service: true, lambda: 0.1, capacity: true}, outputs{}, true},
+		{"service capacity with heavytail", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true, heavytail: true}, outputs{}, true},
+		{"live service with arrival flags", modeFlags{backend: "live", reps: 1, service: true, lambda: 8,
+			set: map[string]bool{"lambda": true, "arrival": true, "service-duration": true}}, outputs{}, false},
+		{"live with lambda", modeFlags{backend: "live", reps: 1, set: map[string]bool{"lambda": true}}, outputs{}, true},
+		{"live with duration and warmup", modeFlags{backend: "live", reps: 1,
+			set: map[string]bool{"txns": true, "duration": true, "warmup": true}}, outputs{}, true},
+		{"live with epoch", modeFlags{backend: "live", reps: 1, set: map[string]bool{"epoch": true}}, outputs{}, true},
+		{"live with its own flags", modeFlags{backend: "live", reps: 1, check: true,
+			set: map[string]bool{"backend": true, "sched": true, "txns": true, "pace": true, "rows": true, "check": true, "seed": true}}, outputs{}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -111,11 +111,14 @@ func main() {
 	}
 
 	obsOut := *traceOut != "" || *metricsOut != "" || *auditOut != "" || *reportOut != ""
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	exitOn(2, validateModeFlags(modeFlags{
 		backend: *backend, service: *service, compare: *compare,
 		check: *check, progress: *progress, reps: *reps,
 		faults: *mtbf > 0 || *straggler != "" || *msgloss > 0 || *msgdelay > 0,
 		trace:  *traceFile != "", obsOut: obsOut,
+		lambda: *lambda, capacity: *capacity, heavytail: *heavytail > 0, set: set,
 	}))
 	exitOn(2, validateTelemetryFlags(*serveAddr, *sliLedger, *backend, *compare))
 	exitOn(2, validateRunFlags(*wl, *numFiles, *heavytail, *txns, *reps))
@@ -194,7 +197,6 @@ func main() {
 		os.Exit(runServiceMode(serviceRun{
 			backend: *backend, sched: *schedName, params: params, gen: gen, cfg: cfg, live: lcfg,
 			wl: *wl, lambda: *lambda, seed: *seed, reps: *reps, asJSON: *asJSON,
-			check: *check, compare: *compare, heavytail: *heavytail,
 			arrival: *arrival, duration: *serviceDur, epoch: *epochFlag,
 			maxQueue: *maxQueue, interactive: *interactive,
 			sloBatch: *sloBatch, sloInteractive: *sloInter, overloadP95: *overloadP95,

@@ -10,6 +10,7 @@ import (
 	"batchsched/internal/admit"
 	"batchsched/internal/experiments"
 	"batchsched/internal/metrics"
+	"batchsched/internal/obs"
 	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
 )
@@ -24,14 +25,11 @@ type serviceRun struct {
 	cfg     batchsched.Config     // sim-backend machine config (duration, files, DD, ...)
 	live    batchsched.LiveConfig // live-backend machine shape
 
-	wl        string
-	lambda    float64
-	seed      int64
-	reps      int
-	asJSON    bool
-	check     bool
-	compare   bool
-	heavytail float64
+	wl     string
+	lambda float64
+	seed   int64
+	reps   int
+	asJSON bool
 
 	// Policy knobs (negative durations = keep the policy default).
 	arrival        string
@@ -95,23 +93,11 @@ func serviceSpec(path string) (sli.Spec, error) {
 }
 
 // runServiceMode dispatches -service to the chosen backend and returns the
-// process exit code.
+// process exit code. validateModeFlags has vetted the flag combination.
 func runServiceMode(f serviceRun) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "batchsim: %v\n", err)
 		return 1
-	}
-	switch {
-	case f.compare:
-		return fail(fmt.Errorf("-service is incompatible with -compare"))
-	case f.check:
-		return fail(fmt.Errorf("-service does not support -check (evictions abort transactions mid-history)"))
-	case f.lambda <= 0:
-		return fail(fmt.Errorf("-service needs -lambda > 0 (the offered arrival rate)"))
-	case f.capacity && f.backend != "sim":
-		return fail(fmt.Errorf("-capacity bisects many runs and requires -backend sim"))
-	case f.capacity && f.heavytail > 0:
-		return fail(fmt.Errorf("-capacity does not support -heavytail (the capacity point is workload-flag driven)"))
 	}
 	pol, err := f.policy()
 	if err != nil {
@@ -180,13 +166,14 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 	if err != nil {
 		return fail(err)
 	}
-	set := batchsched.NewStreamSet()
-	b.SetStream(set)
 	var epochs []batchsched.EpochStats
 	b.SetEpochHook(func(es batchsched.EpochStats) { epochs = append(epochs, es) })
 
 	if f.serveAddr != "" {
-		srv, err := serveLive(f.serveAddr, b, set)
+		// Metrics only: spans and the audit would grow with the run.
+		ob := obs.NewMetricsOnly()
+		b.SetObs(ob)
+		srv, err := serveLive(f.serveAddr, b, ob)
 		if err != nil {
 			return fail(err)
 		}

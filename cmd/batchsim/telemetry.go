@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"batchsched"
+	"batchsched/internal/obs"
 	"batchsched/internal/obs/serve"
 	"batchsched/internal/obs/sli"
 )
@@ -23,20 +24,19 @@ type telemetryOpts struct {
 }
 
 // runLiveTelemetry executes the live batch with the telemetry stack up:
-// streaming instruments on the backend's hot paths, the HTTP scrape
-// endpoint for the duration of the run (plus -serve-linger), and one
-// appended SLI ledger line.
+// the observability layer on the backend, the HTTP scrape endpoint for the
+// duration of the run (plus -serve-linger), and one appended SLI ledger
+// line.
 func runLiveTelemetry(lcfg batchsched.LiveConfig, schedName string, params batchsched.Params, batch [][]batchsched.Step, opt telemetryOpts) (batchsched.Summary, error) {
 	b, err := batchsched.NewLiveBackend(lcfg, schedName, params)
 	if err != nil {
 		return batchsched.Summary{}, err
 	}
-	set := batchsched.NewStreamSet()
-	b.SetStream(set)
-	b.SetObs(batchsched.NewObs())
+	ob := batchsched.NewObs()
+	b.SetObs(ob)
 
 	if opt.serveAddr != "" {
-		srv, err := serveLive(opt.serveAddr, b, set)
+		srv, err := serveLive(opt.serveAddr, b, ob)
 		if err != nil {
 			return batchsched.Summary{}, err
 		}
@@ -71,11 +71,12 @@ func runLiveTelemetry(lcfg batchsched.LiveConfig, schedName string, params batch
 	return res.Summary, err
 }
 
-// serveLive starts the -serve endpoint of live run b: /metrics renders set
-// on b's clock, /slo snapshots b. Close the server when the run is done.
-func serveLive(addr string, b *batchsched.LiveBackend, set *batchsched.StreamSet) (*serve.Server, error) {
+// serveLive starts the -serve endpoint of live run b, which ob observes:
+// /metrics renders ob's registry on b's clock, /slo snapshots b. Close the
+// server when the run is done.
+func serveLive(addr string, b *batchsched.LiveBackend, ob *obs.Observer) (*serve.Server, error) {
 	srv := serve.New()
-	srv.AddMetrics(func(w http.ResponseWriter) error { return set.WritePrometheus(w, b.Now()) })
+	srv.AddMetrics(func(w http.ResponseWriter) error { return ob.Metrics().WritePrometheus(w, b.Now()) })
 	srv.SetSLO(func() any { return b.Snapshot() })
 	addr, err := srv.Start(addr)
 	if err != nil {

@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"os"
 
+	"batchsched/internal/obs"
 	"batchsched/internal/obs/sli"
-	"batchsched/internal/obs/stream"
 )
 
 func main() {
@@ -108,7 +108,7 @@ func validate(ledger, prom string) {
 		check(ledger, func(f *os.File) error { return sli.ValidateLedger(f) }, "SLI ledger")
 	}
 	if prom != "" {
-		check(prom, func(f *os.File) error { return stream.ValidatePrometheus(f) }, "Prometheus text")
+		check(prom, func(f *os.File) error { return obs.ValidatePrometheus(f) }, "Prometheus text")
 	}
 }
 

@@ -6,32 +6,31 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"batchsched/internal/metrics"
+	"batchsched/internal/obs"
 	"batchsched/internal/obs/serve"
 	"batchsched/internal/obs/sli"
-	"batchsched/internal/obs/stream"
 	"batchsched/internal/sim"
 	"batchsched/internal/sweep"
 )
 
-// sweepTelemetry is the sweep engine's -serve surface: streaming
-// instruments over cell progress and worker activity, rendered as
-// Prometheus text on /metrics, with the last engine Progress snapshot (and
-// the busy-worker count) as JSON on /slo.
+// sweepTelemetry is the sweep engine's -serve surface: a metric registry
+// over cell progress and worker activity, rendered as Prometheus text on
+// /metrics, with the last engine Progress snapshot (and the busy-worker
+// count) as JSON on /slo.
 type sweepTelemetry struct {
 	start time.Time
-	set   *stream.Set
+	reg   *obs.Registry
 	srv   *serve.Server
 
-	unitsRate *stream.Rate
-	unitsDone *stream.Gauge
-	unitsTot  *stream.Gauge
-	resumed   *stream.Gauge
-	busy      atomic.Int64
-	unitSecs  *stream.Sketch
+	unitsRate *obs.Counter
+	unitsDone *obs.Gauge
+	unitsTot  *obs.Gauge
+	resumed   *obs.Gauge
+	busy      *obs.Gauge
+	unitSecs  *obs.Histogram
 
 	mu   sync.Mutex
 	last progressSnapshot
@@ -50,25 +49,29 @@ type progressSnapshot struct {
 }
 
 func newSweepTelemetry(totalUnits int) *sweepTelemetry {
-	t := &sweepTelemetry{start: time.Now(), set: stream.NewSet()}
-	t.unitsRate = t.set.Rate("sweep_units", "Completed (cell, replication) units.", 30*time.Second, time.Second)
-	t.unitsDone = t.set.Gauge("sweep_units_done", "Units completed so far, including resumed ones.")
-	t.unitsTot = t.set.Gauge("sweep_units_total_planned", "Units the sweep will run in total.")
-	t.resumed = t.set.Gauge("sweep_units_resumed", "Units skipped by checkpoint resume.")
-	t.set.GaugeFunc("sweep_workers_busy", "Worker goroutines currently executing a unit.",
-		func() float64 { return float64(t.busy.Load()) })
-	t.unitSecs = t.set.Sketch("sweep_unit_seconds", "Wall-clock duration of one executed unit in seconds.")
-	t.unitsTot.Set(int64(totalUnits))
+	reg := obs.NewRegistry()
+	t := &sweepTelemetry{
+		start:     time.Now(),
+		reg:       reg,
+		unitsRate: reg.Rate("sweep_units", "Completed (cell, replication) units.", 30*sim.Second),
+		unitsDone: reg.Gauge("sweep_units_done", "Units completed so far, including resumed ones."),
+		unitsTot:  reg.Gauge("sweep_units_total_planned", "Units the sweep will run in total."),
+		resumed:   reg.Gauge("sweep_units_resumed", "Units skipped by checkpoint resume."),
+		busy:      reg.Gauge("sweep_workers_busy", "Worker goroutines currently executing a unit."),
+		unitSecs: reg.Histogram("sweep_unit_seconds", "Wall-clock duration of one executed unit in seconds.",
+			[]float64{0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10, 30, 60, 300}),
+	}
+	t.unitsTot.Set(float64(totalUnits))
 	return t
 }
 
-// now maps wall time since telemetry start onto the stream clock.
+// now maps wall time since telemetry start onto the registry's clock.
 func (t *sweepTelemetry) now() sim.Time {
 	return sim.Time(time.Since(t.start) / time.Microsecond)
 }
 
 // wrapRun instruments a RunFunc with worker-activity accounting: the
-// busy-worker gauge and the per-unit wall-duration sketch. The wrapped
+// busy-worker gauge and the per-unit wall-duration histogram. The wrapped
 // function runs on the engine's worker goroutines; everything it touches is
 // atomic.
 func (t *sweepTelemetry) wrapRun(run sweep.RunFunc) sweep.RunFunc {
@@ -86,8 +89,8 @@ func (t *sweepTelemetry) wrapRun(run sweep.RunFunc) sweep.RunFunc {
 // the engine's mutex) into gauges and the /slo snapshot.
 func (t *sweepTelemetry) onProgress(p sweep.Progress) {
 	t.unitsRate.Add(t.now(), 1)
-	t.unitsDone.Set(int64(p.Done))
-	t.resumed.Set(int64(p.Resumed))
+	t.unitsDone.Set(float64(p.Done))
+	t.resumed.Set(float64(p.Resumed))
 	t.mu.Lock()
 	t.last = progressSnapshot{
 		Done: p.Done, Total: p.Total, Resumed: p.Resumed,
@@ -109,14 +112,14 @@ func (t *sweepTelemetry) snapshot() progressSnapshot {
 	t.mu.Lock()
 	s := t.last
 	t.mu.Unlock()
-	s.BusyWorkers = t.busy.Load()
+	s.BusyWorkers = int64(t.busy.Value())
 	return s
 }
 
 // serveOn starts the HTTP endpoint and prints the scrape URL.
 func (t *sweepTelemetry) serveOn(addr string) error {
 	t.srv = serve.New()
-	t.srv.AddMetrics(func(w http.ResponseWriter) error { return t.set.WritePrometheus(w, t.now()) })
+	t.srv.AddMetrics(func(w http.ResponseWriter) error { return t.reg.WritePrometheus(w, t.now()) })
 	t.srv.SetSLO(func() any { return t.snapshot() })
 	bound, err := t.srv.Start(addr)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"batchsched/internal/model"
-	"batchsched/internal/obs/stream"
 	"batchsched/internal/sim"
 )
 
@@ -30,8 +29,9 @@ type liveCohort struct {
 type completion struct {
 	run        *liveRun
 	node       int
-	start, end sim.Time // cohort residency on the shared wall clock
-	sum        uint64   // read checksum (defeats dead-code elimination)
+	start, end sim.Time      // cohort residency on the shared wall clock
+	sum        uint64        // read checksum (defeats dead-code elimination)
+	busy       time.Duration // the node's cumulative busy time at completion
 }
 
 // dpnWorker is one data-processing node: a goroutine owning a partition
@@ -57,13 +57,6 @@ type dpnWorker struct {
 	busy       time.Duration
 	violations int
 	wg         *sync.WaitGroup
-
-	// Streaming telemetry for this node (nil when telemetry is off). Updated
-	// once per service quantum; all atomic, so the scrape goroutine reads
-	// them while the node serves.
-	strQueue  *stream.Gauge
-	strBusyUS *stream.Gauge
-	strRows   *stream.Rate
 }
 
 // loop is the node's goroutine: admit every waiting cohort, serve one
@@ -155,17 +148,12 @@ func (d *dpnWorker) serve() {
 		// The completions channel is sized for every submitted transaction
 		// to have a resident cohort here at once, so this send cannot block
 		// — the deadlock-freedom argument of DESIGN.md §12.
-		d.comp <- completion{run: c.run, node: d.id, start: c.arrived, end: d.clk.Now(), sum: c.sum}
+		d.comp <- completion{run: c.run, node: d.id, start: c.arrived, end: d.clk.Now(), sum: c.sum, busy: d.busy}
 		d.ring = append(d.ring[:d.cur], d.ring[d.cur+1:]...)
 		if d.cur >= len(d.ring) {
 			d.cur = 0
 		}
 	} else {
 		d.cur = (d.cur + 1) % len(d.ring)
-	}
-	if d.strRows != nil {
-		d.strRows.Add(d.clk.Now(), int64(n))
-		d.strBusyUS.Set(int64(d.busy / time.Microsecond))
-		d.strQueue.Set(int64(len(d.ring)))
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"batchsched/internal/metrics"
 	"batchsched/internal/model"
 	"batchsched/internal/obs"
-	"batchsched/internal/obs/stream"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
@@ -74,9 +73,6 @@ type Config struct {
 	// Deadline aborts a stalled run (lost completion, scheduler livelock)
 	// instead of hanging the process; Err reports the stall. Default 30s.
 	Deadline time.Duration
-	// SampleEvery is the observability sampling period on the wall clock
-	// (0 = sample only at Finish).
-	SampleEvery time.Duration
 	// Service switches the backend into streaming-admission mode
 	// (internal/admit; see service.go): use RunService instead of
 	// Submit+Run. The window bound comes from Service.MPL, so MPL must be 0.
@@ -132,11 +128,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// nodeObs is one DPN as the CN sees it, for the observed run's per-node
+// instruments: cohorts dispatched and not yet complete, and the busy time
+// the node reported with its last completion.
+type nodeObs struct {
+	cohorts int
+	busy    time.Duration
+	rows    *obs.Counter
+}
+
 // liveRun is one step dispatch: DD cohorts in flight, counted down by
 // completions.
 type liveRun struct {
 	e       *engine.Exec
 	pending int
+	rows    int // each cohort's rows
 }
 
 // Backend is one live run: build with New, Submit the batch, call Run once.
@@ -157,15 +163,12 @@ type Backend struct {
 	restartQ       chan *engine.Exec
 	restartPending int
 
-	ob         *obs.Observer
-	rec        *engine.ObsRecorder // the CN's spans and instruments in ob
-	lastSample sim.Time
-
-	// Streaming instruments (telemetry for the /metrics endpoint): nil when
-	// telemetry is off. str observes the CN's event stream; every update
-	// is nil-receiver safe or guarded on stream.
-	stream *stream.Set
-	str    *streamObserver
+	ob  *obs.Observer
+	rec *engine.ObsRecorder // the CN's spans and instruments in ob
+	// nodes is each DPN's state as the CN sees it (nil when unobserved),
+	// which the registry's per-node instruments read: the DPN goroutines
+	// themselves touch no instrument.
+	nodes []nodeObs
 
 	txns []*model.Txn
 
@@ -204,10 +207,14 @@ func (h cnHost) Dispatch(e *engine.Exec, _ int) {
 	if rows < 1 {
 		rows = 1
 	}
+	run.rows = rows
 	for _, node := range h.nodesBuf {
 		h.dpns[node].in <- &liveCohort{
 			run: run, txn: e.Txn.ID, file: st.File,
 			mode: st.LockMode, write: st.Write, rows: rows,
+		}
+		if h.nodes != nil {
+			h.nodes[node].cohorts++
 		}
 	}
 }
@@ -246,6 +253,13 @@ func New(cfg Config, s sched.Scheduler) (*Backend, error) {
 		RestartDelay:  sim.Time((cfg.RestartDelay + time.Microsecond - 1) / time.Microsecond),
 		RestartJitter: cfg.RestartJitter,
 	}, cnHost{b}, s, b.met, sim.NewRNG(1).Stream("restart"))
+	if cfg.Service != nil {
+		svc, err := admit.NewService(*cfg.Service)
+		if err != nil {
+			return nil, err
+		}
+		b.cn.EnableService(svc)
+	}
 	return b, nil
 }
 
@@ -259,44 +273,32 @@ func (b *Backend) Now() sim.Time { return b.clk.Now() }
 func (b *Backend) SetObserver(o engine.Observer) { b.cn.SetObserver(o) }
 
 // SetObs attaches the observability layer, as machine.SetObs does:
-// lifecycle, CN-job and cohort spans, decision counters and histograms,
-// scheduler audit (stamped with the wall clock) and registry gauges sampled
-// on cfg.SampleEvery. Call before Run.
+// lifecycle, CN-job and cohort spans, the scheduler audit (stamped with the
+// wall clock), and the CN's and the DPNs' instruments in o's registry,
+// labelled backend="live" and sampled on o's interval. The registry may be
+// rendered (o.Metrics().WritePrometheus) and Snapshot taken from another
+// goroutine while the run executes. Call before Run.
 func (b *Backend) SetObs(o *obs.Observer) {
 	if o == nil {
 		return
 	}
 	b.ob = o
+	reg := o.Metrics()
+	reg.Label("backend", "live")
 	b.rec = engine.NewObsRecorder(b.cn, o)
-	o.Gauge("cn_busy_ms", func() float64 { return float64(b.cnBusy) / float64(time.Millisecond) })
-}
-
-// SetStream attaches the streaming telemetry registry: wall-clock decision
-// and commit rates, the response-time quantile sketch, active/waiting
-// gauges, clamp counters, and (registered in Run, once the workers exist)
-// per-DPN queue-depth, busy-time and row-scan instruments. Unlike SetObs,
-// these are written on the hot path and read concurrently by the scrape
-// endpoint — which is why they are stream instruments (atomics) and not
-// registry gauges over CN fields. Call before Run; a nil set disables.
-func (b *Backend) SetStream(set *stream.Set) {
-	if set == nil {
-		return
+	reg.GaugeFunc("cn_busy_ms", "Cumulative CN busy time, in milliseconds.",
+		func() float64 { return float64(b.cnBusy) / float64(time.Millisecond) })
+	b.nodes = make([]nodeObs, b.cfg.NumNodes)
+	for i := range b.nodes {
+		n, node := &b.nodes[i], strconv.Itoa(i)
+		reg.GaugeFunc("dpn_queue", "Cohorts at the node: dispatched and not yet complete.",
+			func() float64 { return float64(n.cohorts) }, "node", node)
+		reg.GaugeFunc("dpn_busy_ms", "Cumulative busy time at the node, in milliseconds.",
+			func() float64 { return float64(n.busy) / float64(time.Millisecond) }, "node", node)
+		n.rows = reg.Rate("dpn_rows_scanned", "Rows the node scanned.", 10*sim.Second, "node", node)
 	}
-	b.stream = set
-	const win, slot = 10 * time.Second, time.Second
-	b.str = &streamObserver{
-		cn:       b.cn,
-		grants:   set.Rate("live_grants", "Scheduler grant decisions.", win, slot),
-		blocks:   set.Rate("live_blocks", "Scheduler block decisions.", win, slot),
-		restarts: set.Rate("live_restarts", "Transaction aborts and restarts.", win, slot),
-		commits:  set.Rate("live_commits", "Committed transactions.", win, slot),
-		rt:       set.Sketch("live_rt_seconds", "Transaction response time in seconds."),
-		active:   set.Gauge("live_active_txns", "Admitted and uncommitted transactions."),
-		waiting:  set.Gauge("live_waiting_txns", "Blocked, policy-delayed, or admission-parked transactions."),
-	}
-	b.cn.SetObserver(b.str)
-	set.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps in the observability layer (span ends plus samples).", func() float64 {
-		ends, samples := b.ob.ClockClamps()
+	reg.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps in the observability layer (span ends plus samples).", func() float64 {
+		ends, samples := o.ClockClamps()
 		return float64(ends + samples)
 	})
 }
@@ -305,43 +307,9 @@ func (b *Backend) SetStream(set *stream.Set) {
 // counters (zero when no observer is attached). Safe from any goroutine.
 func (b *Backend) ClockClamps() (spanEnds, samples int64) { return b.ob.ClockClamps() }
 
-// SLOSnapshot is the /slo endpoint's view of a run in flight, assembled
-// entirely from streaming instruments (atomics), so it can be taken from
-// the scrape goroutine while the CN and DPNs execute.
-type SLOSnapshot struct {
-	ActiveTxns    int64   `json:"activeTxns"`
-	WaitingTxns   int64   `json:"waitingTxns"`
-	Commits       int64   `json:"commits"`
-	CommitsPerSec float64 `json:"commitsPerSec"`
-	Grants        int64   `json:"grants"`
-	Blocks        int64   `json:"blocks"`
-	Restarts      int64   `json:"restarts"`
-	P50RTSeconds  float64 `json:"p50RtSeconds"`
-	P95RTSeconds  float64 `json:"p95RtSeconds"`
-	ClockClamps   int64   `json:"clockClamps"`
-}
-
-// Snapshot returns the current SLO snapshot (zero value when no stream set
-// is attached). Safe from any goroutine.
-func (b *Backend) Snapshot() SLOSnapshot {
-	if b.stream == nil {
-		return SLOSnapshot{}
-	}
-	st := b.str
-	ends, samples := b.ClockClamps()
-	return SLOSnapshot{
-		ActiveTxns:    st.active.Value(),
-		WaitingTxns:   st.waiting.Value(),
-		Commits:       st.commits.Total(),
-		CommitsPerSec: st.commits.RatePerSec(b.clk.Now()),
-		Grants:        st.grants.Total(),
-		Blocks:        st.blocks.Total(),
-		Restarts:      st.restarts.Total(),
-		P50RTSeconds:  st.rt.Quantile(0.5),
-		P95RTSeconds:  st.rt.Quantile(0.95),
-		ClockClamps:   ends + samples,
-	}
-}
+// Snapshot returns the /slo view of the run (the zero value when no
+// observer is attached). Safe from any goroutine.
+func (b *Backend) Snapshot() engine.SLOSnapshot { return b.rec.Snapshot(b.clk.Now()) }
 
 // Submit adds one transaction to the batch. Call before Run.
 func (b *Backend) Submit(steps []model.Step) *model.Txn {
@@ -409,15 +377,6 @@ func (b *Backend) start(active int) {
 			guard:       newDataGuard(),
 			wg:          &b.wg,
 		}
-		if b.stream != nil {
-			node := strconv.Itoa(i)
-			d.strQueue = b.stream.Gauge("live_dpn_queue_depth",
-				"Cohorts resident in the node's service ring.", "node", node)
-			d.strBusyUS = b.stream.Gauge("live_dpn_busy_us",
-				"Cumulative busy time at the node in microseconds.", "node", node)
-			d.strRows = b.stream.Rate("live_dpn_rows_scanned",
-				"Rows scanned by the node.", 10*time.Second, time.Second, "node", node)
-		}
 		b.dpns[i] = d
 		b.wg.Add(1)
 		go d.loop()
@@ -431,20 +390,9 @@ func (b *Backend) serve(t0 time.Time) {
 	b.cnBusy += time.Since(t0)
 }
 
-// sample refreshes the CN-owned stream gauges (so the scrape endpoint never
-// reads CN fields directly) and takes a registry sample when one is due.
-func (b *Backend) sample() {
-	if b.str != nil {
-		b.str.active.Set(int64(b.cn.Active()))
-		b.str.waiting.Set(int64(b.cn.Waiting()))
-	}
-	if b.ob.Enabled() && b.cfg.SampleEvery > 0 {
-		if now := b.clk.Now(); now-b.lastSample >= sim.Time(b.cfg.SampleEvery/time.Microsecond) {
-			b.lastSample = now
-			b.ob.SampleNow(now)
-		}
-	}
-}
+// sample takes a metrics sample when one is due, on the CN goroutine,
+// which owns the state the registry's callback gauges read.
+func (b *Backend) sample() { b.ob.Tick(b.clk.Now) }
 
 // finish stops the DPN workers and digests the run.
 func (b *Backend) finish() metrics.Summary {
@@ -529,6 +477,12 @@ func (b *Backend) handleCompletion(c completion) {
 	if b.ob.Enabled() {
 		sp := b.ob.Begin("cohort", "io", e.Txn.ID, c.node, e.Txn.StepIndex, b.rec.StepSpan(e.Txn.ID), c.start)
 		b.ob.End(sp, c.end)
+	}
+	if b.nodes != nil {
+		n := &b.nodes[c.node]
+		n.cohorts--
+		n.busy = c.busy
+		n.rows.Add(c.end, int64(c.run.rows))
 	}
 	b.checksum += c.sum
 	c.run.pending--

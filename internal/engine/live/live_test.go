@@ -157,7 +157,6 @@ func TestLiveMPL(t *testing.T) {
 // stamps from racing goroutines, and the audit log must be monotone.
 func TestLiveObservability(t *testing.T) {
 	cfg := liveConfig(6, 2)
-	cfg.SampleEvery = time.Millisecond
 	b, err := live.New(cfg, sched.MustNew("GOW", sched.DefaultParams()))
 	if err != nil {
 		t.Fatal(err)

@@ -46,19 +46,7 @@ func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed
 		panic("live: RunService needs a generator and an arrival process")
 	}
 	b.ran = true
-	svc, err := admit.NewService(*b.cfg.Service)
-	if err != nil {
-		panic(err) // Config.Validate already vetted the policy
-	}
-	b.cn.EnableService(svc)
-	if b.str != nil {
-		b.str.sheds = b.stream.Rate("live_sheds",
-			"Transactions turned away by admission backpressure.", 10*time.Second, time.Second)
-		b.str.queueDepth = b.stream.Gauge("live_admit_queue_depth",
-			"Admission-queue depth at the last epoch boundary.")
-		b.str.sojournUS = b.stream.Gauge("live_admit_p95_sojourn_us",
-			"Sliding p95 admission sojourn in microseconds at the last epoch boundary.")
-	}
+	svc := b.cn.Service()
 	// At most MPL transactions are admitted at once.
 	b.start(b.cfg.Service.MPL)
 
@@ -130,10 +118,6 @@ func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed
 			t0 := time.Now()
 			b.cn.Epoch(b.clk.Now())
 			b.serve(t0)
-			if b.str != nil {
-				b.str.queueDepth.Set(int64(svc.Depth()))
-				b.str.sojournUS.Set(int64(svc.P95Sojourn()))
-			}
 		case <-deadline.C:
 			b.err = fmt.Errorf("live: service run stalled %v past its %v duration: active=%d queue=%d restarting=%d: %s",
 				b.cfg.Deadline, b.cfg.ServiceDuration, b.cn.Active(), svc.Depth(), b.restartPending, b.cn.WaitReport())

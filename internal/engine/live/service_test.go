@@ -2,13 +2,14 @@ package live_test
 
 import (
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"batchsched/internal/admit"
 	"batchsched/internal/engine/live"
-	"batchsched/internal/obs/stream"
+	"batchsched/internal/obs"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/workload"
@@ -71,8 +72,8 @@ func TestLiveServiceOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := stream.NewSet()
-	b.SetStream(set)
+	o := obs.NewMetricsOnly()
+	b.SetObs(o)
 	var epochs []admit.EpochStats
 	b.SetEpochHook(func(es admit.EpochStats) { epochs = append(epochs, es) })
 
@@ -115,14 +116,17 @@ func TestLiveServiceOverload(t *testing.T) {
 		t.Fatalf("data-guard violations: %d", b.Violations())
 	}
 
-	// Streaming instruments saw the traffic.
+	// The registry saw the traffic.
 	var prom strings.Builder
-	if err := set.WritePrometheus(&prom, b.Now()); err != nil {
+	if err := o.Metrics().WritePrometheus(&prom, b.Now()); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	for _, metric := range []string{"live_sheds_total", "live_admit_queue_depth", "live_commits_total"} {
+	for _, metric := range []string{
+		`sheds_total{backend="live"} ` + strconv.Itoa(st.TotalShed()),
+		`admit_queue_depth{backend="live"}`, `commits_total{backend="live"}`,
+	} {
 		if !strings.Contains(prom.String(), metric) {
-			t.Fatalf("stream exposition missing %s:\n%s", metric, prom.String())
+			t.Fatalf("exposition missing %s:\n%s", metric, prom.String())
 		}
 	}
 

@@ -1,40 +1,82 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"batchsched/internal/workload"
 )
+
+// liveReps is the number of live draws per scheduler in
+// TestSimVsLiveRankings. Two tied schedulers have all R draws of one above
+// all R of the other with chance 2/C(2R, R): 1 in 1716 at R = 7.
+const liveReps = 7
 
 // TestSimVsLiveRankings is the acceptance check the real-execution-backend
 // PR names: on the Exp-1 grid, the simulator and the live backend must
-// agree on the schedulers' relative throughput ranking (every pair both
-// backends separate beyond the noise margin must be ordered identically),
-// and NODC — which never blocks anything — must be the fastest on both.
+// agree on the schedulers' relative throughput ranking, and NODC — which
+// never blocks anything — must be the fastest on both.
+//
+// The simulator is deterministic, so one run per scheduler and a 10%
+// margin separate a pair there. One live run is one wall-clock draw, and
+// the draws spread wider than that margin, so each scheduler runs liveReps
+// times live, round-robin so host drift hits all alike, and a live pair
+// counts as separated only when every draw of one lies above every draw
+// of the other. Every pair both backends separate must be ordered alike.
 func TestSimVsLiveRankings(t *testing.T) {
 	n := 32
 	if testing.Short() {
 		n = 16
 	}
-	results, err := RunSimVsLive(7, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(SimVsLiveGrid) {
-		t.Fatalf("got %d cells, want %d", len(results), len(SimVsLiveGrid))
-	}
-	for _, r := range results {
-		if err := RankingsAgree(r.SimTPS, r.LiveTPS, 0.10); err != nil {
-			t.Errorf("cell %v: %v", r.Cell, err)
+	for _, cell := range SimVsLiveGrid {
+		batch := workload.DrawBatch(workload.NewExp1(cell.NumFiles), 7, n)
+		simTPS := make(map[string]float64)
+		for _, name := range SimVsLiveSchedulers {
+			tps, err := simVsLiveSim(cell, name, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simTPS[name] = tps
 		}
-		simRank, liveRank := Ranking(r.SimTPS), Ranking(r.LiveTPS)
-		t.Logf("cell %v: sim ranking %v, live ranking %v", r.Cell, simRank, liveRank)
-		if simRank[0] != "NODC" {
-			t.Errorf("cell %v: sim ranks %s fastest, want NODC (it never blocks)", r.Cell, simRank[0])
+		liveTPS := make(map[string][]float64)
+		for r := 0; r < liveReps; r++ {
+			for _, name := range SimVsLiveSchedulers {
+				tps, err := simVsLiveLive(cell, name, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				liveTPS[name] = append(liveTPS[name], tps)
+			}
 		}
-		if liveRank[0] != "NODC" {
-			t.Errorf("cell %v: live ranks %s fastest, want NODC (it never blocks)", r.Cell, liveRank[0])
+		for _, name := range SimVsLiveSchedulers {
+			t.Logf("cell %v: %-4s sim %.3f TPS, live %.0f..%.0f TPS", cell, name,
+				simTPS[name], slices.Min(liveTPS[name]), slices.Max(liveTPS[name]))
+		}
+
+		names := Ranking(simTPS)
+		if names[0] != "NODC" {
+			t.Errorf("cell %v: sim ranks %s fastest, want NODC (it never blocks)", cell, names[0])
+		}
+		for i, x := range names {
+			for _, y := range names[i+1:] {
+				// x is ahead of y in sim; live must not put y wholly ahead.
+				if separated(simTPS[x], simTPS[y], 0.10) && allAbove(liveTPS[y], liveTPS[x]) {
+					t.Errorf("cell %v: ranking disagrees on %s vs %s: sim %.3g/%.3g, every live draw of %s above every one of %s (%v / %v)",
+						cell, x, y, simTPS[x], simTPS[y], y, x, liveTPS[x], liveTPS[y])
+				}
+			}
+			if x != "NODC" && allAbove(liveTPS[x], liveTPS["NODC"]) {
+				t.Errorf("cell %v: every live draw of %s beats every one of NODC (%v / %v), want NODC fastest (it never blocks)",
+					cell, x, liveTPS[x], liveTPS["NODC"])
+			}
 		}
 	}
+}
+
+// allAbove reports whether every draw in a lies above every draw in b.
+func allAbove(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && slices.Min(a) > slices.Max(b)
 }
 
 func TestRankingsAgreeMargin(t *testing.T) {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"batchsched/internal/admit"
 	"batchsched/internal/engine"
@@ -229,29 +230,33 @@ func (m *Machine) retireRun(run *stepRun) {
 func (m *Machine) SetObserver(o engine.Observer) { m.cn.SetObserver(o) }
 
 // SetObs attaches the virtual-time observability layer: spans over the
-// transaction lifecycle, control-node jobs and DPN cohorts; counters,
-// gauges and histograms in o's registry; and the scheduler decision audit
-// where the scheduler supports it. Call before Run. A nil o is ignored —
-// the layer stays disabled and the instrumented paths reduce to nil checks,
-// leaving the event sequence (and thus the summary) identical to an
-// unobserved run.
+// transaction lifecycle, control-node jobs and DPN cohorts; the CN's and
+// the DPNs' instruments in o's registry, labelled backend="sim"; and the
+// scheduler decision audit where the scheduler supports it. Call before
+// Run. A nil o is ignored — the layer stays disabled and the instrumented
+// paths reduce to nil checks, leaving the event sequence (and thus the
+// summary) identical to an unobserved run.
 func (m *Machine) SetObs(o *obs.Observer) {
 	if o == nil {
 		return
 	}
 	m.ob = o
+	reg := o.Metrics()
+	reg.Label("backend", "sim")
 	rec := engine.NewObsRecorder(m.cn, o)
 	for _, d := range m.dpns {
 		d.ob, d.rec = o, rec
 	}
-	o.Gauge("cn_busy_ms", func() float64 { return m.met.CNBusyTime().Milliseconds() })
-	for i := range m.dpns {
-		i := i
-		o.Gauge(fmt.Sprintf("dpn%d_queue", i), func() float64 { return float64(m.dpns[i].queueLen()) })
-		o.Gauge(fmt.Sprintf("dpn%d_busy_ms", i), func() float64 {
-			m.dpns[i].sync() // replay fast-forwarded boundaries into the collector
+	reg.GaugeFunc("cn_busy_ms", "Cumulative CN busy time, in milliseconds.",
+		func() float64 { return m.met.CNBusyTime().Milliseconds() })
+	for i, d := range m.dpns {
+		node := strconv.Itoa(i)
+		reg.GaugeFunc("dpn_queue", "Cohorts resident at the node.",
+			func() float64 { return float64(d.queueLen()) }, "node", node)
+		reg.GaugeFunc("dpn_busy_ms", "Cumulative busy time at the node, in milliseconds.", func() float64 {
+			d.sync() // replay fast-forwarded boundaries into the collector
 			return m.met.DPNBusyTime(i).Milliseconds()
-		})
+		}, "node", node)
 	}
 }
 

@@ -169,7 +169,7 @@ func (o *Observer) WriteMetricsCSV(w io.Writer) error {
 		bw.WriteString(h)
 	}
 	bw.WriteByte('\n')
-	for _, row := range o.reg.samples {
+	for _, row := range o.rows {
 		for i, v := range row {
 			if i > 0 {
 				bw.WriteByte(',')
@@ -178,8 +178,8 @@ func (o *Observer) WriteMetricsCSV(w io.Writer) error {
 		}
 		bw.WriteByte('\n')
 	}
-	for _, h := range o.reg.hists {
-		for i, c := range h.counts {
+	for _, h := range o.reg.histograms() {
+		for i, c := range h.Counts() {
 			le := "+Inf"
 			if i < len(h.bounds) {
 				le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
@@ -187,7 +187,7 @@ func (o *Observer) WriteMetricsCSV(w io.Writer) error {
 			fmt.Fprintf(bw, "# histogram,%s,%s,%d\n", h.name, le, c)
 		}
 		fmt.Fprintf(bw, "# histogram_summary,%s,%d,%s\n",
-			h.name, h.n, strconv.FormatFloat(h.sum, 'g', -1, 64))
+			h.name, h.Count(), strconv.FormatFloat(h.Sum(), 'g', -1, 64))
 	}
 	return bw.Flush()
 }

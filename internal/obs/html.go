@@ -40,39 +40,35 @@ func (o *Observer) HTMLSections(label string) []string {
 
 	// Cumulative "*_busy_ms" gauges become utilization timelines; other
 	// gauges and all counters plot raw.
-	hdr := o.SampleHeader()
-	ncounters := len(o.reg.counters)
 	var util, raw, counters report.Chart
 	util = report.Chart{Title: "Utilization (fraction busy per sample interval)", XLabel: "virtual time (s)", YLabel: "util", YMax: 1}
 	raw = report.Chart{Title: "Gauges", XLabel: "virtual time (s)"}
 	counters = report.Chart{Title: "Counters (cumulative)", XLabel: "virtual time (s)"}
-	for col := 1; col < len(hdr); col++ {
-		ts, vs := o.TimeSeries(hdr[col])
-		if len(ts) < 2 {
-			continue
+	for col, c := range o.cols {
+		if len(o.rows) < 2 {
+			break
 		}
-		xs := make([]float64, len(ts))
-		for i, t := range ts {
-			xs[i] = t / 1000 // ms -> s
+		xs := make([]float64, len(o.rows))
+		vs := make([]float64, len(o.rows))
+		for i, row := range o.rows {
+			xs[i], vs[i] = row[0]/1000, row[col+1] // ms -> s
 		}
 		switch {
-		case strings.HasSuffix(hdr[col], "_busy_ms"):
+		case strings.Contains(c.name, "_busy_ms"):
 			// Difference the cumulative busy time into per-interval
 			// utilization, plotted at the interval's end tick.
-			ux := xs[1:]
 			uy := make([]float64, len(vs)-1)
 			for i := 1; i < len(vs); i++ {
-				dt := ts[i] - ts[i-1]
-				if dt > 0 {
+				if dt := o.rows[i][0] - o.rows[i-1][0]; dt > 0 {
 					uy[i-1] = (vs[i] - vs[i-1]) / dt
 				}
 			}
 			util.Series = append(util.Series, report.Series{
-				Name: strings.TrimSuffix(hdr[col], "_busy_ms"), X: ux, Y: uy})
-		case col <= ncounters:
-			counters.Series = append(counters.Series, report.Series{Name: hdr[col], X: xs, Y: vs})
+				Name: strings.Replace(c.name, "_busy_ms", "", 1), X: xs[1:], Y: uy})
+		case c.counter:
+			counters.Series = append(counters.Series, report.Series{Name: c.name, X: xs, Y: vs})
 		default:
-			raw.Series = append(raw.Series, report.Series{Name: hdr[col], X: xs, Y: vs})
+			raw.Series = append(raw.Series, report.Series{Name: c.name, X: xs, Y: vs})
 		}
 	}
 	for _, c := range []*report.Chart{&util, &raw, &counters} {
@@ -81,16 +77,16 @@ func (o *Observer) HTMLSections(label string) []string {
 		}
 	}
 
-	for _, h := range o.Histograms() {
+	for _, h := range o.reg.histograms() {
 		t := &report.Table{
-			Title:  "Histogram: " + h.Name(),
+			Title:  "Histogram: " + h.name,
 			Note:   fmt.Sprintf("count=%d sum=%s mean=%s", h.Count(), report.F(h.Sum(), 1), report.F(h.Mean(), 2)),
 			Header: []string{"le", "count"},
 		}
 		for i, c := range h.Counts() {
 			le := "+Inf"
-			if i < len(h.Bounds()) {
-				le = report.F(h.Bounds()[i], 6)
+			if i < len(h.bounds) {
+				le = report.F(h.bounds[i], 6)
 			}
 			t.AddRow(le, fmt.Sprint(c))
 		}

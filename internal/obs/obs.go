@@ -1,16 +1,17 @@
-// Package obs is the virtual-time observability layer of the simulator: a
-// deterministic recorder of spans (nested intervals of virtual time), a
-// registry of counters, gauges and fixed-bucket histograms sampled into
-// time-series on a virtual-time interval, and a scheduler decision audit
-// log. Exporters render the recording as Chrome trace_event JSON (loadable
-// in chrome://tracing and Perfetto), CSV time-series, and a self-contained
-// HTML report.
+// Package obs is the observability layer: a recorder of spans (nested
+// intervals of a run's clock), one metric registry (counters, gauges and
+// fixed-bucket histograms, see Registry) sampled into time-series on an
+// interval, and a scheduler decision audit log. Exporters render the
+// recording as Chrome trace_event JSON (loadable in chrome://tracing and
+// Perfetto), CSV time-series, a self-contained HTML report and Prometheus
+// text.
 //
-// Everything is driven by the simulation's virtual clock, so two runs with
-// the same seed produce byte-identical output. A nil *Observer is the
-// disabled layer: every method is nil-receiver safe and returns immediately,
-// which keeps the instrumented hot paths allocation-free when observability
-// is off.
+// The clock is an input: the simulator drives everything from its virtual
+// clock, so two runs with the same seed produce byte-identical output, and
+// the live backend from the wall clock. A nil *Observer is the disabled
+// layer: every method is nil-receiver safe and returns immediately, which
+// keeps the instrumented hot paths allocation-free when observability is
+// off.
 //
 // Naming conventions consumed by the HTML exporter: gauges named
 // "<resource>_busy_ms" are treated as cumulative busy-time series and
@@ -58,12 +59,20 @@ func (s Span) Duration() sim.Time {
 	return s.End - s.Start
 }
 
-// Observer is the recording half of the layer. Create with New; a nil
-// Observer is the disabled layer (all methods no-op).
+// Observer is the recording half of the layer. Create with New or
+// NewMetricsOnly; a nil Observer is the disabled layer (all methods no-op).
 type Observer struct {
 	spans []Span
-	reg   registry
+	reg   *Registry
 	audit Audit
+	// metricsOnly keeps the registry's current values and nothing that
+	// grows with the run: no spans, no audit, no sampled rows.
+	metricsOnly bool
+
+	// cols are the sampled columns, frozen by the first sample; rows holds
+	// one [t_ms, cols...] row per sample.
+	cols []column
+	rows [][]float64
 
 	// interval is the metrics sampling period (SetSampleInterval).
 	interval sim.Time
@@ -82,9 +91,28 @@ type Observer struct {
 // DefaultSampleInterval is the metrics sampling period of a fresh Observer.
 const DefaultSampleInterval = 1000 * sim.Millisecond
 
-// New returns an enabled observer with the default sampling interval.
+// New returns an observer that records spans, metrics and the decision
+// audit, sampling metrics at the default interval.
 func New() *Observer {
-	return &Observer{interval: DefaultSampleInterval}
+	return &Observer{reg: NewRegistry(), interval: DefaultSampleInterval}
+}
+
+// NewMetricsOnly returns an observer that keeps only the registry's
+// current values, refreshed at the default interval: no spans, no audit
+// and no sampled rows, so its memory does not grow with the run. It is the
+// telemetry of long-running services.
+func NewMetricsOnly() *Observer {
+	o := New()
+	o.metricsOnly = true
+	return o
+}
+
+// Metrics returns the observer's metric registry (nil when disabled).
+func (o *Observer) Metrics() *Registry {
+	if o == nil {
+		return nil
+	}
+	return o.reg
 }
 
 // Enabled reports whether the observer records anything (false on nil).
@@ -102,7 +130,7 @@ func (o *Observer) SetSampleInterval(d sim.Time) {
 // Begin opens a span at virtual time at and returns its id. node and extra
 // may be -1; parent may be 0.
 func (o *Observer) Begin(name, cat string, txn int64, node, extra int, parent SpanID, at sim.Time) SpanID {
-	if o == nil {
+	if o == nil || o.metricsOnly {
 		return 0
 	}
 	o.spans = append(o.spans, Span{
@@ -153,10 +181,10 @@ func (o *Observer) Spans() []Span {
 	return o.spans
 }
 
-// Audit returns the scheduler decision audit log (nil when disabled), ready
-// to hand to sched.Audited implementations.
+// Audit returns the scheduler decision audit log (nil when disabled or
+// metrics-only), ready to hand to sched.Audited implementations.
 func (o *Observer) Audit() *Audit {
-	if o == nil {
+	if o == nil || o.metricsOnly {
 		return nil
 	}
 	return &o.audit
@@ -188,23 +216,39 @@ func (o *Observer) sample(now sim.Time) {
 		o.clampedSamples.Add(1)
 	}
 	o.lastTick = now
-	o.reg.sample(now)
+	if o.metricsOnly {
+		o.reg.Refresh()
+		return
+	}
+	if o.cols == nil {
+		o.cols = o.reg.columns()
+	}
+	row := make([]float64, 0, 1+len(o.cols))
+	row = append(row, now.Milliseconds())
+	for _, c := range o.cols {
+		row = append(row, c.read())
+	}
+	o.rows = append(o.rows, row)
 }
 
-// SampleNow takes one metrics sample at the given clock reading — the
-// sampling hook for backends that do not run on a sim.Engine (wall-clock
-// execution). Callers drive it on their own period; Finish then takes the
-// final sample as usual.
-func (o *Observer) SampleNow(now sim.Time) {
+// Tick is the sampling hook for hosts that do not run on a sim.Engine (the
+// live backend): called as often as the host likes, it takes a metrics
+// sample at clock's reading when one is due — on the first call, then once
+// an interval has passed since the last sample. It reads the clock only
+// when sampling is on. Finish takes the final sample as usual.
+func (o *Observer) Tick(clock func() sim.Time) {
 	if o == nil || o.interval <= 0 {
 		return
 	}
-	o.sampling = true
-	o.sample(now)
+	if now := clock(); !o.sampling || now-o.lastTick >= o.interval {
+		o.sampling = true
+		o.sample(now)
+	}
 }
 
 // Finish seals the recording at the end of a run: it closes every span
-// still open at the horizon and takes a final metrics sample.
+// still open at the horizon and takes a final metrics sample (without
+// sampling, it still refreshes the registry's callback gauges).
 func (o *Observer) Finish(now sim.Time) {
 	if o == nil {
 		return
@@ -214,9 +258,40 @@ func (o *Observer) Finish(now sim.Time) {
 			o.spans[i].End = now
 		}
 	}
-	if o.sampling && o.lastTick != now {
+	switch {
+	case !o.sampling:
+		o.reg.Refresh()
+	case o.lastTick != now:
 		o.sample(now)
 	}
+}
+
+// SampleHeader returns the column names of the sampled time-series:
+// "t_ms" followed by the counters and gauges in registration order, a
+// labelled instance as name{key=value;...}.
+func (o *Observer) SampleHeader() []string {
+	if o == nil {
+		return nil
+	}
+	cols := o.cols
+	if cols == nil {
+		cols = o.reg.columns()
+	}
+	out := make([]string, 0, 1+len(cols))
+	out = append(out, "t_ms")
+	for _, c := range cols {
+		out = append(out, c.name)
+	}
+	return out
+}
+
+// Samples returns the sampled rows, one per tick, columns as in
+// SampleHeader.
+func (o *Observer) Samples() [][]float64 {
+	if o == nil {
+		return nil
+	}
+	return o.rows
 }
 
 // PhaseTotal aggregates all spans of one name.

@@ -20,22 +20,15 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.End(1, 0)
 	o.SetSampleInterval(sim.Second)
 	o.Finish(0)
-	if o.Spans() != nil || o.Samples() != nil || o.Histograms() != nil {
+	if o.Spans() != nil || o.Samples() != nil {
 		t.Fatal("nil observer returned non-nil recordings")
 	}
 	if o.Audit() != nil {
 		t.Fatal("nil observer returned a non-nil audit")
 	}
-	var c *Counter
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 0 {
-		t.Fatal("nil counter holds a value")
-	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram holds observations")
+	o.Tick(func() sim.Time { return 0 })
+	if o.Metrics() != nil || o.SampleHeader() != nil {
+		t.Fatal("nil observer has a registry")
 	}
 	var a *Audit
 	a.SetClock(nil)
@@ -96,66 +89,19 @@ func TestPhaseTotals(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketBoundaries pins the boundary semantics: bucket i counts
-// bounds[i-1] < v <= bounds[i], with an implicit overflow bucket above the
-// last bound.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	o := New()
-	h := o.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{
-		0,    // -> bucket 0 (v <= 1)
-		1,    // -> bucket 0 (upper bound inclusive)
-		1.01, // -> bucket 1
-		10,   // -> bucket 1 (upper bound inclusive)
-		10.5, // -> bucket 2
-		100,  // -> bucket 2
-		101,  // -> overflow
-		1e9,  // -> overflow
-	} {
-		h.Observe(v)
-	}
-	want := []uint64{2, 2, 2, 2}
-	if got := h.Counts(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("counts = %v, want %v", got, want)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d, want 8", h.Count())
-	}
-	if got, want := h.Sum(), 0+1+1.01+10+10.5+100+101+1e9; got != want {
-		t.Errorf("Sum = %g, want %g", got, want)
-	}
-	// The create-on-first-use registry must hand back the same histogram.
-	if o.Histogram("lat", []float64{5}) != h {
-		t.Error("second Histogram(\"lat\") returned a different instance")
-	}
-	if len(o.Histograms()) != 1 {
-		t.Errorf("registry holds %d histograms, want 1", len(o.Histograms()))
-	}
-}
-
-func TestCounterRegistryDedup(t *testing.T) {
-	o := New()
-	c := o.Counter("grants")
-	c.Inc()
-	o.Counter("grants").Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %g, want 3 (dedup by name failed?)", got)
-	}
-}
-
 // TestSampling drives the sampler through a real engine and checks the rows
 // line up with the header and tick times.
 func TestSampling(t *testing.T) {
 	eng := sim.NewEngine()
 	o := New()
 	o.SetSampleInterval(10 * sim.Millisecond)
-	c := o.Counter("events")
 	depth := 0.0
-	o.Gauge("depth", func() float64 { return depth })
+	o.Metrics().GaugeFunc("depth", "depth", func() float64 { return depth })
+	c := o.Metrics().Counter("events", "events") // counters come first
 
 	// Model activity between ticks.
-	eng.ScheduleAt(4*sim.Millisecond, func(sim.Time) { c.Inc(); depth = 2 })
-	eng.ScheduleAt(17*sim.Millisecond, func(sim.Time) { c.Inc(); depth = 5 })
+	eng.ScheduleAt(4*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 2 })
+	eng.ScheduleAt(17*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 5 })
 
 	o.StartSampling(eng)
 	eng.RunUntil(25 * sim.Millisecond)
@@ -172,13 +118,6 @@ func TestSampling(t *testing.T) {
 	}
 	if got := o.Samples(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("samples = %v, want %v", got, want)
-	}
-	ts, vs := o.TimeSeries("depth")
-	if !reflect.DeepEqual(ts, []float64{0, 10, 20, 25}) || !reflect.DeepEqual(vs, []float64{0, 2, 5, 5}) {
-		t.Fatalf("TimeSeries(depth) = %v / %v", ts, vs)
-	}
-	if ts, vs := o.TimeSeries("nope"); ts != nil || vs != nil {
-		t.Fatal("TimeSeries of an unknown column returned data")
 	}
 }
 
@@ -198,8 +137,9 @@ func TestClockClamps(t *testing.T) {
 		t.Fatalf("clamped span End = %v, want Start %v", got.End, got.Start)
 	}
 
-	o.SampleNow(2 * sim.Second)
-	o.SampleNow(1 * sim.Second) // regressed sample tick: clamp to lastTick
+	o.Tick(at(2 * sim.Second))
+	o.Tick(at(1 * sim.Second)) // not due: no sample, no clamp
+	o.Finish(1 * sim.Second)   // regressed final sample: clamp to lastTick
 	spanEnds, samples = o.ClockClamps()
 	if spanEnds != 1 || samples != 1 {
 		t.Fatalf("after clamped sample: ClockClamps = %d, %d; want 1, 1", spanEnds, samples)
@@ -208,7 +148,7 @@ func TestClockClamps(t *testing.T) {
 	// Forward motion never counts.
 	id2 := o.Begin("txn", "txn", 2, -1, -1, 0, 3*sim.Second)
 	o.End(id2, 4*sim.Second)
-	o.SampleNow(5 * sim.Second)
+	o.Tick(at(5 * sim.Second))
 	if se, sa := o.ClockClamps(); se != 1 || sa != 1 {
 		t.Fatalf("forward motion counted as clamps: %d, %d", se, sa)
 	}
@@ -218,3 +158,48 @@ func TestClockClamps(t *testing.T) {
 		t.Fatal("nil observer reports clamps")
 	}
 }
+
+// TestTickSamplesWhenDue: Tick, the wall-clock hosts' sampling hook,
+// samples on its first call and then once per interval.
+func TestTickSamplesWhenDue(t *testing.T) {
+	o := New()
+	o.SetSampleInterval(10 * sim.Millisecond)
+	for _, t := range []sim.Time{3, 5, 12, 13, 25} {
+		o.Tick(at(t * sim.Millisecond))
+	}
+	var ts []float64
+	for _, row := range o.Samples() {
+		ts = append(ts, row[0])
+	}
+	if want := []float64{3, 13, 25}; !reflect.DeepEqual(ts, want) {
+		t.Fatalf("sample times = %v, want %v", ts, want)
+	}
+}
+
+// TestMetricsOnlyKeepsNoHistory: a metrics-only observer records no spans,
+// hands out no audit and keeps no sampled rows, but its callback gauges
+// still refresh.
+func TestMetricsOnlyKeepsNoHistory(t *testing.T) {
+	o := NewMetricsOnly()
+	o.SetSampleInterval(sim.Millisecond)
+	g := o.Metrics().GaugeFunc("g", "g", func() float64 { return 7 })
+	if id := o.Begin("txn", "txn", 1, -1, -1, 0, 0); id != 0 {
+		t.Fatalf("Begin = %d, want no span", id)
+	}
+	if o.Audit() != nil {
+		t.Fatal("metrics-only observer hands out an audit")
+	}
+	for t := sim.Time(0); t < 10; t++ {
+		o.Tick(at(t * sim.Millisecond))
+	}
+	o.Finish(20 * sim.Millisecond)
+	if len(o.Spans()) != 0 || len(o.Samples()) != 0 {
+		t.Fatalf("kept %d spans and %d rows, want none", len(o.Spans()), len(o.Samples()))
+	}
+	if g.Value() != 7 {
+		t.Fatalf("callback gauge = %v, want 7", g.Value())
+	}
+}
+
+// at is a clock stopped at t.
+func at(t sim.Time) func() sim.Time { return func() sim.Time { return t } }

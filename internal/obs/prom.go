@@ -1,4 +1,4 @@
-package stream
+package obs
 
 import (
 	"bufio"
@@ -11,64 +11,75 @@ import (
 	"batchsched/internal/sim"
 )
 
-// WritePrometheus renders the set's current state in the Prometheus text
-// exposition format (version 0.0.4). now is the clock reading used for the
-// sliding-window rates. Output order is deterministic: metric families in
-// first-registration order, instances in registration order, and for each
-// Rate the cumulative "<name>_total" counter followed by the windowed
-// "<name>_per_sec" gauge. Sketches render as summaries (fixed quantiles,
-// _sum, _count). A nil set writes nothing.
-func (s *Set) WritePrometheus(w io.Writer, now sim.Time) error {
-	if s == nil {
+// WritePrometheus renders the registry's current state in the Prometheus
+// text exposition format (version 0.0.4). now is the clock reading the
+// trailing-window rates end at. It reads stored values only (never a gauge
+// callback), so it may run while the run writes the registry. Output order
+// is deterministic: families in first-registration order, instances in
+// registration order. A counter renders as the counter name_total, plus
+// the gauge name_per_sec when it has a rate window; a histogram as
+// cumulative name_bucket samples, name_sum and name_count. Every sample
+// carries the constant labels. A nil registry writes nothing.
+func (r *Registry) WritePrometheus(w io.Writer, now sim.Time) error {
+	if r == nil {
 		return nil
 	}
-	items := s.snapshot()
-	byName := map[string][]item{}
-	for _, it := range items {
-		byName[it.name] = append(byName[it.name], it)
-	}
+	consts, items := r.snapshot()
 	bw := bufio.NewWriter(w)
-	sample := func(name, labels string, v string) {
-		if labels == "" {
+	sample := func(name, labels, v string) {
+		if labels = joinLabels(consts, labels); labels == "" {
 			fmt.Fprintf(bw, "%s %s\n", name, v)
 		} else {
 			fmt.Fprintf(bw, "%s{%s} %s\n", name, labels, v)
 		}
 	}
+	family := func(name, help, typ string) {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
 	fv := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, name := range familyOrder(items) {
-		group := byName[name]
-		switch group[0].kind {
-		case kindRate:
-			fmt.Fprintf(bw, "# HELP %s_total %s\n# TYPE %s_total counter\n", name, group[0].help, name)
-			for _, it := range group {
-				sample(name+"_total", it.labels, strconv.FormatInt(it.rate.Total(), 10))
+	done := map[string]bool{}
+	for _, first := range items {
+		if done[first.name] {
+			continue
+		}
+		done[first.name] = true
+		var group []*desc
+		for _, d := range items {
+			if d.name == first.name {
+				group = append(group, d)
 			}
-			fmt.Fprintf(bw, "# HELP %s_per_sec %s (trailing-window rate)\n# TYPE %s_per_sec gauge\n", name, group[0].help, name)
-			for _, it := range group {
-				sample(name+"_per_sec", it.labels, fv(it.rate.RatePerSec(now)))
+		}
+		switch first.kind {
+		case kindCounter:
+			family(first.name+"_total", first.help, "counter")
+			for _, d := range group {
+				sample(first.name+"_total", d.labels, strconv.FormatInt(d.c.Value(), 10))
 			}
-		case kindGauge, kindGaugeFunc:
-			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n", name, group[0].help, name)
-			for _, it := range group {
-				if it.kind == kindGaugeFunc {
-					sample(name, it.labels, fv(it.fn()))
-				} else {
-					sample(name, it.labels, strconv.FormatInt(it.gauge.Value(), 10))
+			if first.c.slots != nil {
+				family(first.name+"_per_sec", first.help+" (trailing-window rate)", "gauge")
+				for _, d := range group {
+					sample(first.name+"_per_sec", d.labels, fv(d.c.RatePerSec(now)))
 				}
 			}
-		case kindSketch:
-			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s summary\n", name, group[0].help, name)
-			for _, it := range group {
-				for _, q := range sketchQuantiles {
-					ql := fmt.Sprintf("quantile=%q", strconv.FormatFloat(q, 'g', -1, 64))
-					if it.labels != "" {
-						ql = it.labels + "," + ql
+		case kindGauge:
+			family(first.name, first.help, "gauge")
+			for _, d := range group {
+				sample(first.name, d.labels, fv(d.g.Value()))
+			}
+		case kindHistogram:
+			family(first.name, first.help, "histogram")
+			for _, d := range group {
+				var cum uint64
+				for i, c := range d.h.Counts() {
+					cum += c
+					le := "+Inf"
+					if i < len(d.h.bounds) {
+						le = fv(d.h.bounds[i])
 					}
-					sample(name, ql, fv(it.sketch.Quantile(q)))
+					sample(first.name+"_bucket", joinLabels(d.labels, fmt.Sprintf("le=%q", le)), strconv.FormatUint(cum, 10))
 				}
-				sample(name+"_sum", it.labels, fv(it.sketch.Sum()))
-				sample(name+"_count", it.labels, strconv.FormatInt(it.sketch.Count(), 10))
+				sample(first.name+"_sum", d.labels, fv(d.h.Sum()))
+				sample(first.name+"_count", d.labels, strconv.FormatUint(cum, 10))
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package stream
+package obs
 
 import (
 	"bytes"
@@ -7,43 +7,45 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"batchsched/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// deterministicSet builds a fixed registry in a fixed state, mirroring the
-// instrument shapes the live backend registers.
-func deterministicSet() *Set {
-	s := NewSet()
-	commits := s.Rate("live_commits", "Committed transactions.", 10*time.Second, time.Second)
-	rt := s.Sketch("live_rt_seconds", "Transaction response time in seconds.")
-	active := s.Gauge("live_active_txns", "Admitted and uncommitted transactions.")
-	s.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps.", func() float64 { return 2 })
-	q0 := s.Gauge("live_dpn_queue_depth", "Cohorts resident in the node's service ring.", "node", "0")
-	q1 := s.Gauge("live_dpn_queue_depth", "Cohorts resident in the node's service ring.", "node", "1")
+// deterministicRegistry builds a fixed registry in a fixed state, with the
+// instrument shapes a live run registers: a labelled backend, a counter with
+// a rate window, a histogram, set and callback gauges, labelled instances.
+func deterministicRegistry() *Registry {
+	r := NewRegistry()
+	r.Label("backend", "live")
+	commits := r.Rate("commits", "Committed transactions.", 10*sim.Second)
+	rt := r.Histogram("response_time_ms", "Transaction response time in milliseconds.", []float64{100, 1000, 10000})
+	active := r.Gauge("active_txns", "Admitted and uncommitted transactions.")
+	r.GaugeFunc("obs_clock_clamps", "Monotone clock-regression clamps.", func() float64 { return 2 })
+	q0 := r.Gauge("dpn_queue", "Cohorts resident at the node.", "node", "0")
+	q1 := r.Gauge("dpn_queue", "Cohorts resident at the node.", "node", "1")
 
 	for i := 0; i < 30; i++ {
 		commits.Add(sim.Time(i)*sim.Second/3, 1)
 	}
 	for i := 1; i <= 100; i++ {
-		rt.Observe(float64(i) / 10) // 0.1s .. 10s
+		rt.Observe(float64(i) * 100) // 0.1s .. 10s
 	}
 	active.Set(4)
 	q0.Set(2)
 	q1.Set(5)
-	return s
+	r.Refresh()
+	return r
 }
 
 // TestWritePrometheusGolden pins the exact exposition bytes for a
 // deterministic instrument state. Regenerate with:
 //
-//	go test ./internal/obs/stream -run Golden -update
+//	go test ./internal/obs -run Golden -update
 func TestWritePrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := deterministicSet().WritePrometheus(&buf, 10*sim.Second); err != nil {
+	if err := deterministicRegistry().WritePrometheus(&buf, 10*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -64,7 +66,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 	// Rendering twice must be byte-identical (deterministic family order).
 	var again bytes.Buffer
-	if err := deterministicSet().WritePrometheus(&again, 10*sim.Second); err != nil {
+	if err := deterministicRegistry().WritePrometheus(&again, 10*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -74,7 +76,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 
 func TestWritePrometheusValidates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := deterministicSet().WritePrometheus(&buf, 10*sim.Second); err != nil {
+	if err := deterministicRegistry().WritePrometheus(&buf, 10*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidatePrometheus(&buf); err != nil {

@@ -1,15 +1,16 @@
 // Package serve exposes a running batch execution or sweep over HTTP: the
 // operational scrape surface of the telemetry subsystem (DESIGN.md §14).
 //
-//	/metrics      Prometheus text exposition (internal/obs/stream sets)
+//	/metrics      Prometheus text exposition (obs.Registry.WritePrometheus)
 //	/healthz      liveness: "ok" (200) or the registered health error (503)
 //	/slo          JSON snapshot of the current SLO evaluation / progress
 //	/debug/pprof  net/http/pprof profiles of the live process
 //
 // The server owns no instruments: callers register render callbacks
 // (AddMetrics, SetSLO, SetHealth) whose implementations must be safe to run
-// concurrently with the workload — in practice, reads of stream instruments
-// (atomics) and snapshots taken under the caller's own locks.
+// concurrently with the workload — in practice, renders of an obs.Registry
+// (which read stored values, never run state) and snapshots taken under
+// the caller's own locks.
 package serve
 
 import (
@@ -39,7 +40,7 @@ type Server struct {
 func New() *Server { return &Server{} }
 
 // AddMetrics registers one /metrics renderer (typically a closure over
-// stream.Set.WritePrometheus). Renderers run in registration order and
+// obs.Registry.WritePrometheus). Renderers run in registration order and
 // their output is concatenated.
 func (s *Server) AddMetrics(fn func(w http.ResponseWriter) error) {
 	s.mu.Lock()

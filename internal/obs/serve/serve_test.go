@@ -9,16 +9,16 @@ import (
 	"testing"
 	"time"
 
-	"batchsched/internal/obs/stream"
+	"batchsched/internal/obs"
 )
 
-func testServer() (*Server, *stream.Set) {
-	set := stream.NewSet()
-	g := set.Gauge("test_gauge", "A test gauge.")
+func testServer() (*Server, *obs.Registry) {
+	reg := obs.NewRegistry()
+	g := reg.Gauge("test_gauge", "A test gauge.")
 	g.Set(42)
 	s := New()
-	s.AddMetrics(func(w http.ResponseWriter) error { return set.WritePrometheus(w, 0) })
-	return s, set
+	s.AddMetrics(func(w http.ResponseWriter) error { return reg.WritePrometheus(w, 0) })
+	return s, reg
 }
 
 func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
@@ -49,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, "test_gauge 42") {
 		t.Fatalf("body missing gauge sample:\n%s", body)
 	}
-	if err := stream.ValidatePrometheus(strings.NewReader(body)); err != nil {
+	if err := obs.ValidatePrometheus(strings.NewReader(body)); err != nil {
 		t.Fatalf("endpoint output is not valid exposition format: %v", err)
 	}
 }
@@ -120,15 +120,15 @@ func TestStartAndClose(t *testing.T) {
 }
 
 func TestMultipleMetricsSourcesConcatenate(t *testing.T) {
-	set2 := stream.NewSet()
-	set2.Gauge("second_gauge", "Another.").Set(1)
+	reg2 := obs.NewRegistry()
+	reg2.Gauge("second_gauge", "Another.").Set(1)
 	s, _ := testServer()
-	s.AddMetrics(func(w http.ResponseWriter) error { return set2.WritePrometheus(w, 0) })
+	s.AddMetrics(func(w http.ResponseWriter) error { return reg2.WritePrometheus(w, 0) })
 	_, body := get(t, s.Handler(), "/metrics")
 	if !strings.Contains(body, "test_gauge 42") || !strings.Contains(body, "second_gauge 1") {
 		t.Fatalf("concatenated body missing a source:\n%s", body)
 	}
-	if err := stream.ValidatePrometheus(strings.NewReader(body)); err != nil {
+	if err := obs.ValidatePrometheus(strings.NewReader(body)); err != nil {
 		t.Fatalf("concatenated output invalid: %v", err)
 	}
 }
