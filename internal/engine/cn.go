@@ -21,6 +21,10 @@ type Host interface {
 	// CN.JobDone once it has elapsed: the simulator books a calendar event
 	// cpu later, the live backend drains the queue from its loop at once.
 	Charge(cpu sim.Time)
+	// ChargesCPU reports whether Charge spends the CPU time it is given.
+	// The simulator's does; the live CN's CPU is the wall time it measures,
+	// so the modelled decision CPU is no cost there.
+	ChargesCPU() bool
 	// Dispatch sends e's granted current step to its data-processing nodes
 	// (attempt > 0 after message-timeout retries). The host reports the
 	// step's completion with CN.StepReturned.

@@ -43,6 +43,8 @@ func (h *calendarHost) Charge(cpu sim.Time) {
 	})
 }
 
+func (h *calendarHost) ChargesCPU() bool { return true }
+
 func (h *calendarHost) Dispatch(*engine.Exec, int) {}
 
 func (h *calendarHost) RestartAfter(e *engine.Exec, d sim.Time) {
@@ -158,6 +160,7 @@ type drainHost struct {
 
 func (h *drainHost) Now() sim.Time                       { h.reads++; return 0 }
 func (h *drainHost) Charge(sim.Time)                     {}
+func (h *drainHost) ChargesCPU() bool                    { return false }
 func (h *drainHost) Dispatch(e *engine.Exec, _ int)      { h.pending = append(h.pending, e) }
 func (h *drainHost) RestartAfter(*engine.Exec, sim.Time) {}
 

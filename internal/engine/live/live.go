@@ -195,6 +195,9 @@ type cnHost struct{ *Backend }
 // Charge does nothing: the CN loop drains the queue right away.
 func (cnHost) Charge(sim.Time) {}
 
+// ChargesCPU is false: the CN's CPU is measured wall time (cn_busy_ms).
+func (cnHost) ChargesCPU() bool { return false }
+
 // Dispatch sends the granted step as DD cohorts to the file's nodes. The
 // per-node inbox is sized for every active transaction, so these sends
 // never block.

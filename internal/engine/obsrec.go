@@ -9,13 +9,15 @@ import (
 // ObsRecorder is the observer that records the control node in the
 // observability layer: lifecycle and CN job spans, and every CN metric on
 // both backends — decision, restart, commit and shed counters, histograms
-// and CN gauges. The backends record DPN cohort spans, parented on
-// StepSpan, and register their CN busy time and DPN instruments.
+// and CN gauges, with request_cpu_ms only where the host charges CPU. The
+// backends record DPN cohort spans, parented on StepSpan, and register
+// their CN busy time and DPN instruments.
 type ObsRecorder struct {
 	ob                                        *obs.Observer
 	grants, blocks, delays, restarts, commits *obs.Counter
 	sheds                                     *obs.Counter // service mode only
-	lockWait, reqCPU, retries, rt             *obs.Histogram
+	lockWait, retries, rt                     *obs.Histogram
+	reqCPU                                    *obs.Histogram // simulator only
 	active, waiting                           *obs.Gauge
 
 	job obs.SpanID // the CN job span in service
@@ -55,11 +57,13 @@ func NewObsRecorder(c *CN, o *obs.Observer) *ObsRecorder {
 		commits:  rate("commits", "Committed transactions."),
 		lockWait: reg.Histogram("lock_wait_ms", "Time from a blocked or delayed request to its grant, in milliseconds.",
 			[]float64{1, 10, 100, 1_000, 10_000, 60_000, 300_000}),
-		reqCPU: reg.Histogram("request_cpu_ms", "CN CPU time of one lock-request decision, in milliseconds.",
-			[]float64{0.5, 1, 2, 5, 10, 20, 50, 100}),
-		retries: reg.Histogram("restarts_per_txn", "Restarts of each committed transaction.",
-			[]float64{0, 1, 2, 5, 10}),
 	}
+	if c.host.ChargesCPU() { // simulator only: the live CN spends no modelled CPU
+		r.reqCPU = reg.Histogram("request_cpu_ms", "CN CPU time of one lock-request decision, in milliseconds.",
+			[]float64{0.5, 1, 2, 5, 10, 20, 50, 100})
+	}
+	r.retries = reg.Histogram("restarts_per_txn", "Restarts of each committed transaction.",
+		[]float64{0, 1, 2, 5, 10})
 	hCNQ := reg.Histogram("cn_queue_depth", "CN job queue length at each metrics sample.",
 		[]float64{0, 1, 2, 4, 8, 16, 32, 64})
 	r.rt = reg.Histogram("response_time_ms", "Response time of each committed transaction, arrival to commit, in milliseconds.",

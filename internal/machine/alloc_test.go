@@ -15,7 +15,24 @@ import (
 // (ScheduleAtTie) is canceled and rebooked throughout. Everything reusable
 // is created at setup: cohorts, their done closures, and the prebound
 // redelivery and toggle handlers.
+//
+// Short cohorts are a few quanta each and a toggle lands inside every
+// round. Long cohorts are a thousand quanta each and several rounds pass
+// between toggles, so each replay takes the whole-round skip; their
+// windows are long enough to hold completions and redeliveries.
 func TestDPNSteadyStateAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		demand, toggle, window sim.Time
+	}{
+		{"short", 7 * sim.Millisecond, 5 * sim.Millisecond, 100 * sim.Millisecond},
+		{"long", 2000 * sim.Millisecond, 50 * sim.Millisecond, 10 * sim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) { dpnSteadyStateAllocs(t, tc.demand, tc.toggle, tc.window) })
+	}
+}
+
+func dpnSteadyStateAllocs(t *testing.T, demand, toggleEvery, window sim.Time) {
 	eng := sim.NewEngine()
 	met := metrics.NewCollector(1, 0)
 	d := newDPN(0, eng, met)
@@ -27,11 +44,11 @@ func TestDPNSteadyStateAllocFree(t *testing.T) {
 	// the engine's no-closure path.
 	readd := func(now sim.Time, arg any) {
 		c := arg.(*cohort)
-		c.remaining = 7 * sim.Millisecond
+		c.remaining = demand
 		d.add(c)
 	}
 	for i := range cohorts {
-		c := &cohort{remaining: 7 * sim.Millisecond, quantum: 2 * sim.Millisecond}
+		c := &cohort{remaining: demand, quantum: 2 * sim.Millisecond}
 		c.done = func() {
 			eng.SchedulePayload(2*sim.Millisecond, readd, c)
 		}
@@ -48,20 +65,20 @@ func TestDPNSteadyStateAllocFree(t *testing.T) {
 		} else {
 			d.setSlow(1.5)
 		}
-		eng.Schedule(5*sim.Millisecond, toggle)
+		eng.Schedule(toggleEvery, toggle)
 	}
-	eng.Schedule(5*sim.Millisecond, toggle)
+	eng.Schedule(toggleEvery, toggle)
 
 	// Warm the free lists, the ring, and the calendar.
 	horizon := sim.Time(0)
 	step := func() {
-		horizon += 100 * sim.Millisecond
+		horizon += window
 		for eng.Step(horizon) {
 		}
 	}
 	step()
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
-		t.Fatalf("steady-state allocations: %v per 100ms window, want 0", avg)
+		t.Fatalf("steady-state allocations: %v per %v window, want 0", avg, window)
 	}
 	if eng.Executed() == 0 || met.DPNBusyTime(0) == 0 {
 		t.Fatal("steady-state loop did not actually run")

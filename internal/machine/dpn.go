@@ -178,7 +178,7 @@ func (d *dpn) sync() {
 		return
 	}
 	now := d.eng.Now()
-	d.advanceTo(now)
+	d.advanceTo(now, false)
 	prio := d.eng.CurPrio()
 	for d.busy && d.svcEnd == now && d.svcStart < prio {
 		if c := d.ring[d.cur]; !c.dead && c.remaining <= d.svcSlice {

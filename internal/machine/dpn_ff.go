@@ -87,18 +87,71 @@ func (d *dpn) applyBoundary() {
 	d.startService(b)
 }
 
-// advanceTo replays every service boundary strictly before t. Inside an
-// epoch all such boundaries are full quanta or dead-cohort drops; crossing
-// a completion would mean the forecast missed a ring change, which is a
-// bug worth dying loudly for.
-func (d *dpn) advanceTo(t sim.Time) {
-	for d.busy && d.svcEnd < t {
-		if c := d.ring[d.cur]; !c.dead && c.remaining <= d.svcSlice {
+// advanceTo replays every service boundary strictly before t, or up to and
+// including t when through is set (flush). Inside an epoch all such
+// boundaries are full quanta or dead-cohort drops; crossing a completion on
+// the way to a strict bound would mean the forecast missed a ring change,
+// which is a bug worth dying loudly for.
+//
+// Whole rounds are applied at once (skipRounds); the boundaries left over,
+// fewer than one round, and those on the way to a state skipRounds accepts
+// are applied one at a time. Each attempt is followed by one pass of the
+// ring before the next, so the replay stays linear in the boundaries it
+// covers.
+func (d *dpn) advanceTo(t sim.Time, through bool) {
+	wait := 0 // boundaries to apply before the next whole-round attempt
+	for d.busy && (d.svcEnd < t || through && d.svcEnd == t) {
+		c := d.ring[d.cur]
+		if wait == 0 && d.svcSlice == c.quantum && d.svcElapsed == d.slowRound(c.quantum) {
+			wait = len(d.ring)
+			if d.skipRounds(t, through) {
+				continue
+			}
+		}
+		if !through && !c.dead && c.remaining <= d.svcSlice {
 			panic(fmt.Sprintf("machine: dpn %d fast-forward crossed a completion at %v advancing to %v",
 				d.id, d.svcEnd, t))
 		}
 		d.applyBoundary()
+		if wait > 0 {
+			wait--
+		}
 	}
+}
+
+// skipRounds applies m whole round-robin rounds in one pass and reports
+// whether m was positive. The caller guarantees that the in-flight service
+// is a full quantum at the current straggler speed. With no resident
+// cohort dead the ring is then periodic: every round serves each cohort i
+// one full quantum q_i and lasts R = Σ slowRound(q_i), exactly the services
+// the stepped engine would book. m is the largest count whose rounds end
+// (at svcStart + m·R, the last boundary of round m) before t — or at t
+// when through is set — and cross no completion: m·q_i < remaining_i for
+// every cohort. Every skipped boundary is regular, so the anchor and its
+// Executed() stamp stand, and the busy time is the same integer sum.
+func (d *dpn) skipRounds(t sim.Time, through bool) bool {
+	span := t - d.svcStart
+	if !through {
+		span-- // the last skipped boundary must lie strictly before t
+	}
+	var round sim.Time
+	m := span // at least one microsecond per round: span bounds m
+	for _, c := range d.ring {
+		if c.dead {
+			return false
+		}
+		round += d.slowRound(c.quantum)
+		m = min(m, (c.remaining-1)/c.quantum)
+	}
+	if m = min(m, span/round); m <= 0 {
+		return false
+	}
+	for _, c := range d.ring {
+		c.remaining -= m * c.quantum
+	}
+	d.met.DPNBusy(d.id, m*round)
+	d.startService(d.svcStart + m*round)
+	return true
 }
 
 // flush applies every boundary up to and including the measurement horizon
@@ -112,9 +165,7 @@ func (d *dpn) flush(t sim.Time) {
 	if d.stepped {
 		return
 	}
-	for d.busy && d.svcEnd <= t {
-		d.applyBoundary()
-	}
+	d.advanceTo(t, true)
 }
 
 // ringChange (pre-bound as d.onRing) is the single fast-forward calendar
@@ -124,7 +175,7 @@ func (d *dpn) flush(t sim.Time) {
 // its next quantum.
 func (d *dpn) ringChange(now sim.Time) {
 	d.ffEvent = nil
-	d.advanceTo(now)
+	d.advanceTo(now, false)
 	if !d.busy || d.svcEnd != now {
 		// (unreachable when the reschedule discipline is intact)
 		panic(fmt.Sprintf("machine: dpn %d ring-change event at %v found no boundary (busy=%v svcEnd=%v)",

@@ -81,6 +81,9 @@ func (h cnHost) Charge(cpu sim.Time) {
 	h.eng.Schedule(cpu, h.onCNDone)
 }
 
+// ChargesCPU is true: every job's CPU time is served on the calendar.
+func (cnHost) ChargesCPU() bool { return true }
+
 // Dispatch places the granted step's cohorts (placeStep).
 func (h cnHost) Dispatch(e *engine.Exec, attempt int) { h.placeStep(e, attempt) }
 
