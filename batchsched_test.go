@@ -26,6 +26,25 @@ func TestFacadeRun(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsZeroQuantum: an object time below DD microseconds leaves
+// no whole microsecond for the 1/DD-object round-robin quantum, and Run
+// must say so rather than start the run. One microsecond per node is the
+// smallest machine that runs.
+func TestFacadeRejectsZeroQuantum(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumNodes, cfg.DD = 16, 16
+	cfg.ObjTime = Millisecond / 100
+	_, err := Run(cfg, "GOW", DefaultParams(), NewExp1Workload(16), 1)
+	if err == nil || !strings.Contains(err.Error(), "ObjTime") {
+		t.Fatalf("ObjTime 10µs at DD 16: err = %v, want an ObjTime error", err)
+	}
+	cfg.ObjTime = 16
+	cfg.Duration = Second
+	if _, err := Run(cfg, "GOW", DefaultParams(), NewExp1Workload(16), 1); err != nil {
+		t.Fatalf("ObjTime 16µs at DD 16: %v", err)
+	}
+}
+
 func TestFacadeRunChecked(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ArrivalRate = 0.8

@@ -116,6 +116,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: DD must be in [1, NumNodes], got %d", c.DD)
 	case c.ObjTime <= 0:
 		return fmt.Errorf("machine: ObjTime must be positive, got %v", c.ObjTime)
+	case c.ObjTime < sim.Time(c.DD):
+		// The round-robin quantum, 1/DD object, would round down to zero.
+		return fmt.Errorf("machine: ObjTime must be at least DD microseconds, got %v at DD %d", c.ObjTime, c.DD)
 	case c.Duration <= 0:
 		return fmt.Errorf("machine: Duration must be positive, got %v", c.Duration)
 	case c.ArrivalRate < 0:

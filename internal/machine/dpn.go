@@ -24,6 +24,10 @@ type cohort struct {
 	// node is the DPN the cohort is addressed to (used by the delivery
 	// event); nil in tests that call dpn.add directly.
 	node *dpn
+	// next is the cohort of the same step placed right after this one when
+	// both land at the same instant: one delivery event lands them all, in
+	// placement order (Machine.deliver).
+	next *cohort
 	// dead marks a cohort whose transaction aborted (crash on a sibling
 	// node, or step retry); the serving node drops it without calling done.
 	dead bool
@@ -103,6 +107,10 @@ type dpn struct {
 	anchor      sim.Time
 	anchorPre   sim.Time
 	anchorStamp uint64
+	// folded points at the machine's count of cohort deliveries folded into
+	// an earlier cohort's delivery event (Machine.deliver), which stamp
+	// adds back; a node built outside a machine owns a count that stays 0.
+	folded *uint64
 	// Forecast scratch (reused across calls to keep the hot path
 	// allocation-free): post-round-one remainders, quanta and full-quantum
 	// elapsed times of the surviving cohorts, in service order.
@@ -117,7 +125,7 @@ type dpn struct {
 }
 
 func newDPN(id int, eng *sim.Engine, met *metrics.Collector) *dpn {
-	d := &dpn{id: id, eng: eng, met: met}
+	d := &dpn{id: id, eng: eng, met: met, folded: new(uint64)}
 	d.onQuantum = d.quantumDone
 	d.onRing = d.ringChange
 	return d
@@ -151,11 +159,17 @@ func (d *dpn) add(c *cohort) {
 		// this very delivery event: the booking chain starts here.
 		d.anchor = d.eng.Now()
 		d.anchorPre = d.eng.CurPrio()
-		d.anchorStamp = d.eng.Executed()
+		d.anchorStamp = d.stamp()
 		d.startService(d.eng.Now())
 	}
 	d.reschedule()
 }
+
+// stamp is the dispatch-order stamp of the running event, for tie keys: the
+// number of events dispatched so far, counting every cohort delivery as an
+// event of its own however the machine groups them. Tie keys then order
+// same-instant completions independently of that grouping.
+func (d *dpn) stamp() uint64 { return d.eng.Executed() + *d.folded }
 
 // queueLen reports the number of resident cohorts at the current virtual
 // time (bringing the fast-forward ring up to date first, so load probes and

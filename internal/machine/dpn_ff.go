@@ -24,10 +24,12 @@ import (
 // boundaries strictly before a perturbation can never cross a completion,
 // and per-service busy times (each rounded from the same slice exactly as
 // the stepped engine rounds its booking) sum to the same totals. Second,
-// the completion event is booked with ScheduleAtPrio carrying the virtual
-// time the stepped engine would have booked the final quantum at (the
-// service's start), so among same-timestamp calendar events the coalesced
-// completion sorts exactly where the stepped quantum event would have.
+// the completion event is booked with ScheduleAtTie (and moved with
+// Reschedule) at the priority the stepped engine's final quantum would have
+// had — the virtual time it would have been booked at, the service's start
+// — and a TieKey for the booking chain behind it, so among same-timestamp
+// calendar events the coalesced completion sorts exactly where the stepped
+// quantum event would have.
 
 // startService begins the next service at virtual time t (which may lie in
 // the past of the engine clock during a replay): dead cohorts at the cursor
@@ -64,7 +66,7 @@ func (d *dpn) applyBoundary() {
 		// this boundary anchors the tie keys of later completions.
 		d.anchor = b
 		d.anchorPre = d.svcStart
-		d.anchorStamp = d.eng.Executed()
+		d.anchorStamp = d.stamp()
 	}
 	if c.dead {
 		d.ring = append(d.ring[:d.cur], d.ring[d.cur+1:]...)
@@ -128,7 +130,7 @@ func (d *dpn) advanceTo(t sim.Time, through bool) {
 // (at svcStart + m·R, the last boundary of round m) before t — or at t
 // when through is set — and cross no completion: m·q_i < remaining_i for
 // every cohort. Every skipped boundary is regular, so the anchor and its
-// Executed() stamp stand, and the busy time is the same integer sum.
+// stamp stand, and the busy time is the same integer sum.
 func (d *dpn) skipRounds(t sim.Time, through bool) bool {
 	span := t - d.svcStart
 	if !through {
@@ -189,7 +191,9 @@ func (d *dpn) ringChange(now sim.Time) {
 // forecast. An unchanged forecast keeps the existing booking: lockstep
 // sibling cohorts on different nodes book their completions in delivery
 // order at the same instant, and keeping the original event preserves that
-// FIFO tie order (and saves two heap operations).
+// FIFO tie order (and saves the heap work). A changed one moves the booked
+// event in place (sim.Engine.Reschedule), to exactly where canceling it and
+// booking anew would put it.
 func (d *dpn) reschedule() {
 	var (
 		at, prio, wq sim.Time
@@ -213,15 +217,16 @@ func (d *dpn) reschedule() {
 		// The completion lies beyond an in-flight service ending in a short
 		// slice (a dying cohort's remainder): that boundary, though not yet
 		// replayed, is the chain's true anchor.
-		tie.Anchor, tie.Pre, tie.Stamp = d.svcEnd, d.svcStart, d.eng.Executed()
+		tie.Anchor, tie.Pre, tie.Stamp = d.svcEnd, d.svcStart, d.stamp()
 	}
-	if d.ffEvent != nil {
-		if at == d.ffAt && prio == d.ffPrio && tie == d.ffTie {
-			return
-		}
-		d.ffEvent.Cancel()
+	if d.ffEvent != nil && at == d.ffAt && prio == d.ffPrio && tie == d.ffTie {
+		return
 	}
 	d.ffAt, d.ffPrio, d.ffTie = at, prio, tie
+	if d.ffEvent != nil {
+		d.eng.Reschedule(d.ffEvent, at, prio, tie)
+		return
+	}
 	d.ffEvent = d.eng.ScheduleAtTie(at, prio, tie, d.onRing)
 }
 

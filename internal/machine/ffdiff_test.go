@@ -320,8 +320,12 @@ func TestFFDiffTraces(t *testing.T) {
 		}
 		m := ffDiffMachine(t, name, cfg, stepped, 11)
 		var buf bytes.Buffer
-		m.SetObserver(trace.NewWriter(&buf))
+		w := trace.NewWriter(&buf)
+		m.SetObserver(w)
 		m.Run()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		return buf.Bytes()
 	}
 	for _, tc := range []struct {
@@ -341,39 +345,76 @@ func TestFFDiffTraces(t *testing.T) {
 	}
 }
 
-// TestFFDiffBatchScan covers the benchmark configuration itself: whole-file
-// 32-object scans at full declustering, where a cohort coalesces the most
-// quanta per completion event and a replay skips the most whole rounds,
-// must still trace byte-identically: failure-free, with stragglers alone
-// (which change service speed mid-round while transactions still commit),
-// and with the whole fault cocktail.
-func TestFFDiffBatchScan(t *testing.T) {
-	run := func(faults fault.Config, stepped bool) []byte {
-		cfg := DefaultConfig()
-		cfg.NumNodes = 16
-		cfg.DD = 16
-		cfg.ArrivalRate = 0.15
-		cfg.Duration = 200_000 * sim.Millisecond
-		cfg.Faults = faults
-		m, err := New(cfg, sched.MustNew("GOW", sched.DefaultParams()), workload.NewBatchScan(16, 32), sim.NewRNG(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.setStepped(stepped)
-		var buf bytes.Buffer
-		m.SetObserver(trace.NewWriter(&buf))
-		m.Run()
-		return buf.Bytes()
+// batchScanFaults is the fault cocktail of the batch-scan runs. At DD 16
+// every transaction has a cohort on every node, so a node crash aborts all
+// of them: a per-node MTBF of 2000 s with jittered restarts lets most
+// transactions commit. MsgDelay jitters each delivery by a few tens of
+// microseconds, so a step's cohorts land at a mix of instants: most alone,
+// some sharing one with the cohort placed before them.
+var batchScanFaults = fault.Config{
+	MTBF: 2000 * sim.Second, MTTR: 5 * sim.Second,
+	StragglerMTBF: 150 * sim.Second, StragglerDuration: 10 * sim.Second, StragglerFactor: 3,
+	MsgLoss: 0.01, MsgDelay: 20 * sim.Microsecond, MsgTimeout: 5 * sim.Second, MsgRetries: 2,
+}
+
+// batchScanCase is one machine-level run of the benchmark configuration.
+type batchScanCase struct {
+	name string
+	cfg  Config
+}
+
+// batchScanCases are the benchmark configuration's machine-level runs:
+// whole-file 32-object scans at full declustering, where a cohort coalesces
+// the most quanta per completion event and a replay skips the most whole
+// rounds. They run failure-free, with stragglers alone (which change
+// service speed mid-round while transactions still commit), and with the
+// whole fault cocktail over a longer window.
+func batchScanCases() []batchScanCase {
+	base := DefaultConfig()
+	base.NumNodes, base.DD = 16, 16
+	base.ArrivalRate = 0.15
+	base.Duration = 200_000 * sim.Millisecond
+	stragglers := base
+	stragglers.Faults = fault.Config{StragglerMTBF: batchScanFaults.StragglerMTBF,
+		StragglerDuration: batchScanFaults.StragglerDuration, StragglerFactor: batchScanFaults.StragglerFactor}
+	cocktail := base
+	cocktail.Duration = 1000 * sim.Second
+	cocktail.RestartDelay, cocktail.RestartJitter = 5*sim.Second, true
+	cocktail.Faults = batchScanFaults
+	return []batchScanCase{{"failure-free", base}, {"stragglers", stragglers}, {"fault cocktail", cocktail}}
+}
+
+// runBatchScan runs GOW on one batch-scan configuration and returns its
+// summary and JSONL execution trace.
+func runBatchScan(t *testing.T, cfg Config, stepped bool) (metrics.Summary, []byte) {
+	t.Helper()
+	m, err := New(cfg, sched.MustNew("GOW", sched.DefaultParams()), workload.NewBatchScan(16, 32), sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	stragglers := fault.Config{StragglerMTBF: ffDiffFaults.StragglerMTBF,
-		StragglerDuration: ffDiffFaults.StragglerDuration, StragglerFactor: ffDiffFaults.StragglerFactor}
-	for _, tc := range []struct {
-		name   string
-		faults fault.Config
-	}{{"failure-free", fault.Config{}}, {"stragglers", stragglers}, {"fault cocktail", ffDiffFaults}} {
-		ff, st := run(tc.faults, false), run(tc.faults, true)
+	m.setStepped(stepped)
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	m.SetObserver(w)
+	sum := m.Run()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sum, buf.Bytes()
+}
+
+// TestFFDiffBatchScan covers the benchmark configuration itself: every
+// batch-scan case must trace byte-identically under both engines.
+func TestFFDiffBatchScan(t *testing.T) {
+	for _, tc := range batchScanCases() {
+		ffSum, ff := runBatchScan(t, tc.cfg, false)
+		_, st := runBatchScan(t, tc.cfg, true)
 		if !bytes.Equal(ff, st) {
 			t.Errorf("batch-scan %s: traces differ (%d vs %d bytes)", tc.name, len(ff), len(st))
+		}
+		if tc.cfg.Faults.MTBF > 0 && ffSum.Completions < 100 {
+			t.Errorf("batch-scan %s: %d commits, want at least 100 for the trace to exercise DPN timing",
+				tc.name, ffSum.Completions)
 		}
 	}
 }

@@ -45,6 +45,10 @@ type Machine struct {
 
 	nextID int64
 
+	// folded counts the cohort deliveries landed by an earlier cohort's
+	// delivery event (deliver); every node's tie-key stamps add it back.
+	folded uint64
+
 	// cnCPU is the CPU time of the CN job in service: the CN is a single
 	// server, so one completion event (onCNDone) is outstanding at a time.
 	cnCPU sim.Time
@@ -64,7 +68,7 @@ type Machine struct {
 	onArrival    sim.Handler
 	onEpoch      sim.Handler
 	onCNDone     sim.Handler
-	onDeliver    sim.PayloadHandler // arg: *cohort
+	onDeliver    sim.PayloadHandler // arg: *cohort, the first it lands
 	onStepReturn sim.PayloadHandler // arg: *stepRun
 	onRetryAdmit sim.PayloadHandler // arg: *engine.Exec
 	onTimeout    sim.PayloadHandler // arg: *stepRun
@@ -142,6 +146,7 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 	for i := range m.dpns {
 		m.dpns[i] = newDPN(i, eng, met)
 		m.dpns[i].complete = m.cohortFinished
+		m.dpns[i].folded = &m.folded
 	}
 	m.onArrival = func(sim.Time) {
 		steps := m.gen.Steps(m.workloadRNG)
@@ -152,7 +157,7 @@ func New(cfg Config, s sched.Scheduler, gen Generator, rng *sim.RNG) (*Machine, 
 		m.met.CNBusy(m.cnCPU)
 		m.cn.JobDone()
 	}
-	m.onDeliver = func(_ sim.Time, arg any) { m.deliverCohort(arg.(*cohort)) }
+	m.onDeliver = func(_ sim.Time, arg any) { m.deliver(arg.(*cohort)) }
 	m.onStepReturn = func(_ sim.Time, arg any) { m.stepReturn(arg.(*stepRun)) }
 	m.onRetryAdmit = func(_ sim.Time, arg any) { m.cn.Readmit(arg.(*engine.Exec)) }
 	m.onTimeout = func(_ sim.Time, arg any) {
@@ -358,6 +363,14 @@ func (m *Machine) scheduleNextArrival() {
 // enabled, the request message may be lost, deliveries pick up injected
 // latency, and a crashed node aborts the transaction; the failure-free path
 // schedules exactly the same events as before the fault subsystem existed.
+//
+// A cohort that lands at the same instant as the cohort placed before it
+// rides on that cohort's delivery event, so a failure-free step books one
+// delivery event for all its cohorts; only injected message delays split a
+// step's deliveries. Grouping changes no dispatch order: one event per
+// cohort would share (time, priority) and take consecutive booking
+// sequence numbers, so no event booked before or after them could fire
+// between them, and one booked while landing them fires later still.
 func (m *Machine) placeStep(e *engine.Exec, attempt int) {
 	st := e.Txn.CurrentStep()
 	run := m.newStepRun(e, m.place.Home(st.File), attempt)
@@ -381,11 +394,31 @@ func (m *Machine) placeStep(e *engine.Exec, attempt int) {
 		}
 	}
 	run.pending = len(m.nodesBuf)
+	var prev *cohort
+	var prevDelay sim.Time
 	for _, n := range m.nodesBuf {
 		c := m.newCohort()
 		*c = cohort{remaining: service, quantum: quantum, run: run, node: m.dpns[n]}
 		run.cohorts = append(run.cohorts, c)
-		m.eng.SchedulePayload(m.msgDelay(), m.onDeliver, c)
+		delay := m.msgDelay()
+		if prev != nil && delay == prevDelay {
+			prev.next = c
+		} else {
+			m.eng.SchedulePayload(delay, m.onDeliver, c)
+		}
+		prev, prevDelay = c, delay
+	}
+}
+
+// deliver is one delivery event: it lands cohort c and the cohorts chained
+// behind it, in placement order. Each chained cohort counts as a folded
+// delivery, keeping the nodes' tie-key stamps those of one delivery event
+// per cohort.
+func (m *Machine) deliver(c *cohort) {
+	m.deliverCohort(c)
+	for c = c.next; c != nil; c = c.next {
+		m.folded++
+		m.deliverCohort(c)
 	}
 }
 

@@ -46,6 +46,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DD = 0 },
 		func(c *Config) { c.DD = c.NumNodes + 1 },
 		func(c *Config) { c.ObjTime = 0 },
+		func(c *Config) { c.NumNodes, c.DD, c.ObjTime = 16, 16, 15 },
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.ArrivalRate = -1 },
 		func(c *Config) { c.Warmup = c.Duration },

@@ -13,7 +13,7 @@ type Handler func(now Time)
 type PayloadHandler func(now Time, arg any)
 
 // Event is a scheduled occurrence on the calendar. It is returned by
-// Schedule so callers can cancel it before it fires.
+// Schedule so callers can cancel or move it before it fires.
 //
 // The reference is valid only until the event fires or, once canceled, until
 // the engine discards it from the calendar: after that the engine recycles
@@ -254,6 +254,27 @@ func (e *Engine) ScheduleAtTie(at, prio Time, tie TieKey, fn Handler) *Event {
 	ev.hasTie = true
 	e.calendar.push(ev)
 	return ev
+}
+
+// Reschedule moves the pending event ev to the key (at, prio, tie), keeping
+// its handler: ev then fires exactly where canceling it and booking its
+// handler afresh with ScheduleAtTie would fire, since it takes the next
+// booking sequence number, but it leaves no tombstone and stays the same
+// *Event. ev must be on this engine's calendar and not canceled.
+func (e *Engine) Reschedule(ev *Event, at, prio Time, tie TieKey) {
+	if ev.eng != e || ev.index < 0 || ev.canceled {
+		panic("sim: reschedule of an event that is not pending")
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
+	}
+	if prio > at {
+		panic(fmt.Sprintf("sim: priority %v after event time %v", prio, at))
+	}
+	e.seq++
+	ev.at, ev.prio, ev.seq = at, prio, e.seq
+	ev.tie, ev.hasTie = tie, true
+	e.calendar.fix(ev.index)
 }
 
 // SchedulePayload books fn(arg) to run after delay. It is Schedule for

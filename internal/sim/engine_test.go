@@ -527,6 +527,154 @@ func TestMergedCalendarTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
+// moveLog is one dispatch of playMoves: the chain whose handler ran and the
+// engine's view at that moment.
+type moveLog struct {
+	chain          int
+	now, prio      Time
+	executed       uint64
+	pending, alive int
+}
+
+// playMoves runs a random tie-keyed calendar: each of several chains keeps
+// one pending event, whose handler books the chain's next event and moves
+// up to two other chains' pending events to fresh keys — with Reschedule
+// when inPlace is set, else with Cancel plus ScheduleAtTie. Keys follow
+// genTieScript's invariants (one quantum per shared instant, short-slice
+// anchors, unique stamps) or repeat the previous key exactly, so the
+// calendar order is total and exact ties fall to booking order; a recurring
+// untied tick keeps its priority clear of the tied events. The draws depend
+// only on the seed and the dispatch order.
+func playMoves(seed int64, inPlace bool) []moveLog {
+	const chains, dispatches = 8, 4000
+	g := NewRNG(seed)
+	e := NewEngine()
+	type bucket struct{ at, prio, q Time }
+	buckets := make([]bucket, 4*dispatches)
+	at := Time(10)
+	for b := range buckets {
+		at += Time(1 + g.Intn(4))
+		buckets[b] = bucket{at: at, prio: at - Time(1+g.Intn(3)), q: Time(2 + g.Intn(3))}
+	}
+	next := 0 // the first bucket after the clock
+	var (
+		stamp          uint64
+		lastAt, lastPr Time
+		lastTie        TieKey
+	)
+	key := func(now Time) (Time, Time, TieKey) {
+		if lastAt > now && g.Intn(4) == 0 {
+			// The previous key again: an exact tie, which booking order
+			// decides.
+			return lastAt, lastPr, lastTie
+		}
+		for buckets[next].at <= now {
+			next++
+		}
+		b := buckets[next+g.Intn(3)]
+		anchor := b.prio - Time(g.Intn(3))*b.q
+		stamp++
+		lastAt, lastPr = b.at, b.prio
+		lastTie = TieKey{Q: b.q, Anchor: anchor, Pre: anchor - b.q + 1 + Time(g.Intn(int(b.q)-1)), Stamp: stamp}
+		return lastAt, lastPr, lastTie
+	}
+	pending := make([]*Event, chains)
+	handlers := make([]Handler, chains)
+	var log []moveLog
+	for s := range handlers {
+		s := s
+		handlers[s] = func(now Time) {
+			pending[s] = nil
+			alive := 1 // the tick, which runs while the chains do
+			for _, ev := range pending {
+				if ev != nil {
+					alive++
+				}
+			}
+			log = append(log, moveLog{s, now, e.CurPrio(), e.Executed(), e.Pending(), alive})
+			at, prio, tie := key(now)
+			pending[s] = e.ScheduleAtTie(at, prio, tie, handlers[s])
+			for n := g.Intn(3); n > 0; n-- {
+				j := g.Intn(chains)
+				if pending[j] == nil {
+					continue
+				}
+				at, prio, tie := key(now)
+				if inPlace {
+					e.Reschedule(pending[j], at, prio, tie)
+				} else {
+					pending[j].Cancel()
+					pending[j] = e.ScheduleAtTie(at, prio, tie, handlers[j])
+				}
+			}
+		}
+	}
+	var tick Handler
+	tick = func(now Time) { e.Schedule(5, tick) }
+	for s := range handlers {
+		at, prio, tie := key(0)
+		pending[s] = e.ScheduleAtTie(at, prio, tie, handlers[s])
+	}
+	e.Schedule(5, tick)
+	for len(log) < dispatches && e.Step(Time(1)<<50) {
+	}
+	return log
+}
+
+// TestEngineRescheduleMatchesCancelAndBook is Reschedule's property test:
+// random tie-keyed calendars moved in place must dispatch exactly as the
+// same moves made by Cancel plus ScheduleAtTie — the same handlers in the
+// same order, seeing the same Executed() and CurPrio() — while the calendar
+// holds no tombstone: Pending() is the live event count at every dispatch.
+func TestEngineRescheduleMatchesCancelAndBook(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		moved := playMoves(500+trial, true)
+		booked := playMoves(500+trial, false)
+		if len(moved) != len(booked) {
+			t.Fatalf("trial %d: %d dispatches in place, %d by cancel-and-book", trial, len(moved), len(booked))
+		}
+		tombstones := 0
+		for i, m := range moved {
+			b := booked[i]
+			if m.chain != b.chain || m.now != b.now || m.prio != b.prio || m.executed != b.executed {
+				t.Fatalf("trial %d dispatch %d: in place %+v, cancel-and-book %+v", trial, i, m, b)
+			}
+			if m.pending != m.alive {
+				t.Fatalf("trial %d dispatch %d: Pending() = %d with %d live events", trial, i, m.pending, m.alive)
+			}
+			tombstones += b.pending - b.alive
+		}
+		if tombstones == 0 {
+			t.Fatalf("trial %d: cancel-and-book left no tombstone; the calendars moved nothing", trial)
+		}
+	}
+}
+
+// TestEngineRescheduleRejects pins Reschedule's preconditions: the event
+// must still be pending on this engine, and the new key must not rewind
+// time or put the priority after the event.
+func TestEngineRescheduleRejects(t *testing.T) {
+	e := NewEngine()
+	ev := e.ScheduleAt(10, func(Time) {})
+	e.Reschedule(ev, 20, 5, TieKey{})
+	if ev.Time() != 20 {
+		t.Fatalf("rescheduled event at %v, want 20", ev.Time())
+	}
+	mustPanic(t, func() { e.Reschedule(ev, 30, 31, TieKey{}) })
+	mustPanic(t, func() { NewEngine().Reschedule(ev, 30, 0, TieKey{}) })
+	fired := e.ScheduleAt(1, func(Time) {})
+	canceled := e.ScheduleAt(40, func(Time) {})
+	canceled.Cancel()
+	e.RunUntil(15)
+	mustPanic(t, func() { e.Reschedule(fired, 30, 0, TieKey{}) })
+	mustPanic(t, func() { e.Reschedule(canceled, 30, 0, TieKey{}) })
+	mustPanic(t, func() { e.Reschedule(ev, 14, 0, TieKey{}) })
+	e.Run(Second)
+	if e.Executed() != 2 || e.Now() != 20 {
+		t.Fatalf("executed %d events, clock at %v; want 2 and 20", e.Executed(), e.Now())
+	}
+}
+
 // TestEngineCompactionMidDispatch forces tombstone compaction from inside a
 // running handler — the calendar is rebuilt while the engine is mid-Step —
 // and checks that the surviving dispatch order and Executed() come through
@@ -571,8 +719,9 @@ func TestEngineCompactionMidDispatch(t *testing.T) {
 // inside handlers so the calendar is thick with tombstones while it drains,
 // and checks that Executed() stays dense — every handler observes exactly
 // the count of live dispatches so far, with canceled events never counted.
-// Tie-key stamps are derived from Executed(), so a gap here would corrupt
-// genealogy keys silently.
+// The machine's tie-key stamps count up from Executed() (adding back the
+// cohort deliveries it folds into shared events), so a gap here would
+// corrupt genealogy keys silently.
 func TestEngineExecutedUnderHeavyLazyDeletion(t *testing.T) {
 	e := NewEngine()
 	const n = 900
@@ -606,8 +755,8 @@ func TestEngineExecutedUnderHeavyLazyDeletion(t *testing.T) {
 
 // TestEngineSteadyStateAllocFree pins the allocation audit at the engine
 // layer: a warmed engine running self-rebooking tie-keyed chains with
-// cancel-and-rebook churn, a recurring payload event and a recurring plain
-// event must dispatch with zero allocations per event.
+// in-place rebooking and cancel-and-rebook churn, a recurring payload event
+// and a recurring plain event must dispatch with zero allocations per event.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	const chains = 4
@@ -620,7 +769,11 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			at := now + Time(s+1)*Millisecond
 			tie := TieKey{Q: Millisecond, Anchor: now, Pre: now - 1, Stamp: e.Executed()}
 			ev := e.ScheduleAtTie(at, now, tie, handlers[s])
-			if fires[s]%7 == 0 {
+			switch {
+			case fires[s]%7 == 0:
+				// Moved in place: no tombstone, no new event.
+				e.Reschedule(ev, at+Millisecond, now, tie)
+			case fires[s]%11 == 0:
 				// Cancel-and-rebook: the canceled booking stays as a
 				// tombstone, the replacement comes off the event free list.
 				ev.Cancel()

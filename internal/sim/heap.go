@@ -59,6 +59,15 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
+// fix restores the heap property after the item at index i changed its key.
+func (h *eventHeap) fix(i int) {
+	if i > 0 && h.less(i, (i-1)/4) {
+		h.up(i)
+		return
+	}
+	h.down(i)
+}
+
 // reheap restores the heap property over the whole slice (after the engine
 // compacts tombstones out of it).
 func (h *eventHeap) reheap() {
