@@ -3,6 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 )
 
 // validateRunFlags rejects flag values the run cannot use, so a bad
@@ -47,7 +49,7 @@ func validateTelemetryFlags(serveAddr, sliLedger, backend string, compare bool) 
 // modeFlags are the flags that choose what one invocation runs and what it
 // records.
 type modeFlags struct {
-	backend                           string
+	backend, sched                    string
 	service, compare, check, progress bool
 	reps                              int
 	faults                            bool // any fault-injection flag
@@ -58,14 +60,23 @@ type modeFlags struct {
 	set                               map[string]bool // every flag given on the command line
 }
 
-// liveBatchIgnores are the flags a closed live batch (-backend live
-// without -service) has no use for: it has no arrival process, no
-// simulated horizon, no service policy and no faults.
-var liveBatchIgnores = []string{
-	"lambda", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries",
-	"arrival", "service-duration", "epoch", "max-queue", "interactive", "slo-batch",
-	"slo-interactive", "overload-p95", "capacity", "cap-lo", "cap-hi", "cap-tol",
-}
+// The flags each run mode ignores; validateModeFlags rejects any of them
+// given on the command line, so no flag is dropped silently. -compare runs
+// its own sim-vs-live grid and takes only compareTakes.
+var (
+	simIgnores = []string{"txns", "pace", "rows", "serve-linger", "arrival", "service-duration", "epoch",
+		"max-queue", "interactive", "slo-batch", "slo-interactive", "overload-p95", "capacity", "cap-lo", "cap-hi", "cap-tol"}
+	liveBatchIgnores = []string{"lambda", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries",
+		"arrival", "service-duration", "epoch", "max-queue", "interactive", "slo-batch",
+		"slo-interactive", "overload-p95", "capacity", "cap-lo", "cap-hi", "cap-tol"}
+	simServiceIgnores = []string{"txns", "pace", "rows", "serve-linger", "service-duration", "metrics-interval"}
+	// -capacity bisects over its own rates on the default machine, with no
+	// faults, warm-up, cost error or ledger line.
+	capacityIgnores = []string{"numnodes", "warmup", "sigma", "k", "restartdelay", "mtbf", "mttr", "straggler",
+		"msgloss", "msgdelay", "msgtimeout", "msgretries", "sli-ledger"}
+	liveServiceIgnores = []string{"txns", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries", "cap-lo", "cap-hi", "cap-tol"}
+	compareTakes       = []string{"compare", "seed", "txns", "cpuprofile", "memprofile"}
+)
 
 // validateModeFlags rejects flag combinations one invocation cannot honour
 // together, so no flag is dropped silently. -check, -trace and the
@@ -94,11 +105,32 @@ func validateModeFlags(f modeFlags) error {
 	case f.backend == "live" && (oneRun || f.progress || f.faults):
 		return errors.New("-backend live takes no -trace, observability outputs, -progress or fault flags; they need -backend sim")
 	}
-	if f.backend == "live" && !f.service && !f.compare {
-		for _, name := range liveBatchIgnores {
-			if f.set[name] {
-				return fmt.Errorf("-backend live runs one closed batch and takes no -%s", name)
+	if !f.service && !f.compare && f.set["mpl"] && f.sched != "C2PL+M" {
+		return fmt.Errorf("-mpl is C2PL+M's admission limit (with -service, the admission window); -sched %s takes none", f.sched)
+	}
+	mode, ignores := "a simulator run", simIgnores
+	switch {
+	case f.compare:
+		mode, ignores = "-compare", nil
+		for name := range f.set {
+			if !slices.Contains(compareTakes, name) {
+				ignores = append(ignores, name)
 			}
+		}
+		sort.Strings(ignores)
+	case f.service && f.backend == "live":
+		mode, ignores = "a live service run", liveServiceIgnores
+	case f.service:
+		mode, ignores = "a simulator service run", append(slices.Clip(simServiceIgnores), "cap-lo", "cap-hi", "cap-tol")
+		if f.capacity {
+			mode, ignores = "-capacity", append(slices.Clip(simServiceIgnores), capacityIgnores...)
+		}
+	case f.backend == "live":
+		mode, ignores = "a closed live batch", liveBatchIgnores
+	}
+	for _, name := range ignores {
+		if f.set[name] {
+			return fmt.Errorf("%s takes no -%s", mode, name)
 		}
 	}
 	return nil

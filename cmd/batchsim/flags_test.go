@@ -99,6 +99,34 @@ func TestFlagCombinations(t *testing.T) {
 		{"live with epoch", modeFlags{backend: "live", reps: 1, set: map[string]bool{"epoch": true}}, outputs{}, true},
 		{"live with its own flags", modeFlags{backend: "live", reps: 1, check: true,
 			set: map[string]bool{"backend": true, "sched": true, "txns": true, "pace": true, "rows": true, "check": true, "seed": true}}, outputs{}, false},
+		{"sim with live and service flags", modeFlags{backend: "sim", reps: 1,
+			set: map[string]bool{"pace": true, "rows": true, "txns": true, "arrival": true, "epoch": true, "service-duration": true}}, outputs{}, true},
+		{"sim with txns", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"txns": true}}, outputs{}, true},
+		{"sim with epoch", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"epoch": true}}, outputs{}, true},
+		{"sim with its own flags", modeFlags{backend: "sim", sched: "LOW", reps: 1,
+			set: map[string]bool{"sched": true, "lambda": true, "duration": true, "warmup": true, "dd": true, "k": true, "mtbf": true, "metrics-interval": true}}, outputs{}, false},
+		{"sim GOW with mpl", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, true},
+		{"sim C2PL+M with mpl", modeFlags{backend: "sim", sched: "C2PL+M", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, false},
+		{"live GOW with mpl", modeFlags{backend: "live", sched: "GOW", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, true},
+		{"live C2PL+M with mpl", modeFlags{backend: "live", sched: "C2PL+M", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, false},
+		{"service GOW with mpl window", modeFlags{backend: "sim", sched: "GOW", reps: 1, service: true, lambda: 0.5,
+			set: map[string]bool{"mpl": true, "epoch": true, "duration": true}}, outputs{}, false},
+		{"sim service with service-duration", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5,
+			set: map[string]bool{"service-duration": true}}, outputs{}, true},
+		{"sim service with pace", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5, set: map[string]bool{"pace": true}}, outputs{}, true},
+		{"sim service with txns", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5, set: map[string]bool{"txns": true}}, outputs{}, true},
+		{"sim service with cap-lo", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5, set: map[string]bool{"cap-lo": true}}, outputs{}, true},
+		{"sim service capacity with cap-lo", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
+			set: map[string]bool{"lambda": true, "duration": true, "cap-lo": true, "cap-hi": true, "cap-tol": true}}, outputs{}, false},
+		{"sim service capacity with numnodes", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
+			set: map[string]bool{"numnodes": true}}, outputs{}, true},
+		{"sim service capacity with mtbf", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
+			set: map[string]bool{"mtbf": true}}, outputs{}, true},
+		{"live service with duration", modeFlags{backend: "live", reps: 1, service: true, lambda: 8, set: map[string]bool{"duration": true}}, outputs{}, true},
+		{"compare with seed and txns", modeFlags{backend: "sim", reps: 1, compare: true,
+			set: map[string]bool{"compare": true, "seed": true, "txns": true}}, outputs{}, false},
+		{"compare with sched", modeFlags{backend: "sim", reps: 1, compare: true, set: map[string]bool{"compare": true, "sched": true}}, outputs{}, true},
+		{"compare with mpl", modeFlags{backend: "sim", reps: 1, compare: true, set: map[string]bool{"compare": true, "mpl": true}}, outputs{}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

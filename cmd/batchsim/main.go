@@ -114,7 +114,7 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	exitOn(2, validateModeFlags(modeFlags{
-		backend: *backend, service: *service, compare: *compare,
+		backend: *backend, sched: *schedName, service: *service, compare: *compare,
 		check: *check, progress: *progress, reps: *reps,
 		faults: *mtbf > 0 || *straggler != "" || *msgloss > 0 || *msgdelay > 0,
 		trace:  *traceFile != "", obsOut: obsOut,
@@ -217,7 +217,6 @@ func main() {
 	switch *backend {
 	case "sim":
 	case "live":
-		lcfg.MPL = *mpl
 		batch := batchsched.GenerateBatch(gen, *seed, *txns)
 		var (
 			sum batchsched.Summary

@@ -131,23 +131,22 @@ func (s *Service) Drain(now sim.Time) []Shed {
 	return out
 }
 
-// EndEpoch recomputes the overload-control state from the sliding sojourn
-// p95 and the queue depth, with hysteresis: on at a p95 breach (or a
-// nearly-full queue), off once the p95 recovers below 3/4 of the bound and
-// the queue has drained below half.
-func (s *Service) EndEpoch(now sim.Time) {
+// EndEpoch recomputes the overload-control state (OverloadedAfterEpoch).
+func (s *Service) EndEpoch(now sim.Time) { s.overload = s.OverloadedAfterEpoch() }
+
+// OverloadedAfterEpoch reports the overload-control state an epoch boundary
+// now would leave, from the sliding sojourn p95 and the queue depth, with
+// hysteresis: on at a p95 breach (or a nearly-full queue), off once the p95
+// recovers below 3/4 of the bound and the queue has drained below half.
+func (s *Service) OverloadedAfterEpoch() bool {
 	p95 := s.P95Sojourn()
-	full := len(s.q)*10 >= s.pol.MaxQueue*9
-	breach := s.pol.OverloadP95 > 0 && p95 > s.pol.OverloadP95
 	if !s.overload {
-		s.overload = breach || full
-		return
+		full := len(s.q)*10 >= s.pol.MaxQueue*9
+		return full || s.pol.OverloadP95 > 0 && p95 > s.pol.OverloadP95
 	}
 	recovered := len(s.q)*2 < s.pol.MaxQueue &&
 		(s.pol.OverloadP95 <= 0 || p95 < s.pol.OverloadP95*3/4)
-	if recovered {
-		s.overload = false
-	}
+	return !recovered
 }
 
 // P95Sojourn returns the nearest-rank p95 of the sliding admission-sojourn

@@ -143,10 +143,14 @@ type CN struct {
 
 	active    int // admitted, uncommitted (machine-level MPL accounting)
 	completed int
-	admitQ    []*Exec
-	blocked   map[model.FileID][]*Exec
-	nBlocked  int
-	delayed   []*Exec
+	// unfinished counts transactions that arrived and were not yet
+	// committed, shed or evicted; closed is set once nothing more arrives.
+	unfinished int
+	closed     bool
+	admitQ     []*Exec
+	blocked    map[model.FileID][]*Exec
+	nBlocked   int
+	delayed    []*Exec
 	// admitSpare/delayedSpare double-buffer the wake queues: a wake-up swaps
 	// the live queue for the (emptied) spare and iterates the old backing
 	// array, so re-parks during the sweep cannot alias the slice being
@@ -218,6 +222,7 @@ func (c *CN) queueLen() int { return len(c.q) - c.head }
 func (c *CN) Arrive(t *model.Txn, class admit.Class) {
 	now := c.host.Now()
 	c.met.Arrival(now)
+	c.unfinished++
 	e := c.newExec(t)
 	if c.observed() {
 		c.Publish(Event{Kind: EvArrive, At: now, Txn: t})
@@ -511,6 +516,7 @@ func (c *CN) commitFinish(e *Exec) {
 	e.phase = phFinished
 	c.active--
 	c.completed++
+	c.unfinished--
 	now := c.host.Now()
 	rt := max(now-e.Txn.Arrival, 0)
 	c.met.Completion(now, rt)
@@ -600,13 +606,39 @@ func (c *CN) wakeDelayed() {
 	c.delayedSpare = q[:0]
 }
 
-// Quiescent reports whether the control node can make no progress on its
-// own with n transactions uncommitted: no job is queued or in service and
-// every one of the n waits in the park, blocked or delayed queue — so none
-// has a step in flight or a restart pending, and only a commit, which
-// cannot come, would wake them.
-func (c *CN) Quiescent(n int) bool {
-	return n > 0 && !c.busy && c.Waiting() == n
+// CloseArrivals marks the end of the arrival stream: nothing arrives after
+// it. In service mode it also sheds everything still queued (service
+// shutdown).
+func (c *CN) CloseArrivals() {
+	c.closed = true
+	if c.svc == nil {
+		return
+	}
+	for _, sh := range c.svc.Drain(c.host.Now()) {
+		c.shed(sh)
+	}
+}
+
+// Done reports whether the run is over: arrivals are closed and every
+// transaction that arrived was committed, shed or evicted. It is the exit
+// rule of every run loop on both backends.
+func (c *CN) Done() bool { return c.closed && c.unfinished == 0 }
+
+// Stuck reports whether the run can make no more progress: nothing more can
+// arrive, no CN job is queued or in service, every unfinished transaction
+// waits in the park, blocked or delayed queue (so none has a step in flight
+// or a restart pending), and no epoch can evict one of them. Only a commit
+// could then wake anyone, and none can come. Every run loop that checks for
+// progress stops on it with StuckError.
+func (c *CN) Stuck() bool {
+	return c.closed && c.unfinished > 0 && !c.busy && c.Waiting() == c.unfinished && !c.canEvict()
+}
+
+// StuckError is the error a run loop reports when Stuck, on either backend:
+// the counts and who waits on what (WaitReport).
+func (c *CN) StuckError() error {
+	return fmt.Errorf("run stuck with %d committed and %d waiting, nothing in flight: %s",
+		c.completed, c.unfinished, c.WaitReport())
 }
 
 // WaitReport lists who waits on what, in transaction order: each blocked

@@ -60,25 +60,29 @@ func newCalendarHost() *calendarHost {
 var oneStep = []model.Step{{File: 0, LockMode: model.X, Cost: 1, DeclaredCost: 1}}
 
 // TestCNQuiescentWaitReport: a scheduler that delays every request leaves
-// the batch waiting with nothing queued; the CN reports it quiescent and
-// names every waiter.
+// the batch waiting with nothing queued. Once arrivals are closed the CN
+// reports it stuck, and its error names every waiter; while they are open
+// a later arrival could still change that, so it is not stuck.
 func TestCNQuiescentWaitReport(t *testing.T) {
-	h := newCalendarHost()
-	for i := 1; i <= 3; i++ {
-		h.cn.Arrive(model.NewTxn(int64(i), 0, oneStep), 0)
-		if h.cn.Quiescent(i) {
-			t.Fatal("quiescent while admissions are queued")
+	var h *calendarHost
+	for _, closed := range []bool{false, true} {
+		h = newCalendarHost()
+		for i := 1; i <= 3; i++ {
+			h.cn.Arrive(model.NewTxn(int64(i), 0, oneStep), 0)
+		}
+		if closed {
+			h.cn.CloseArrivals()
+		}
+		if h.cn.Stuck() {
+			t.Fatal("stuck while admissions are queued")
+		}
+		h.eng.Run(sim.Second)
+		if h.cn.Stuck() != closed {
+			t.Fatalf("arrivals closed %v: stuck %v with %d waiting", closed, h.cn.Stuck(), h.cn.Waiting())
 		}
 	}
-	h.eng.Run(sim.Second)
-	if !h.cn.Quiescent(3) {
-		t.Fatalf("not quiescent: %d waiting", h.cn.Waiting())
-	}
-	if h.cn.Quiescent(4) {
-		t.Error("quiescent although one transaction is unaccounted for")
-	}
-	rep := h.cn.WaitReport()
-	for _, want := range []string{"T1 delayed at step 0 on X(f0)", "T3 delayed", "parked:"} {
+	rep := h.cn.StuckError().Error()
+	for _, want := range []string{"run stuck with 0 committed and 3 waiting", "T1 delayed at step 0 on X(f0)", "T3 delayed", "parked:"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report %q lacks %q", rep, want)
 		}

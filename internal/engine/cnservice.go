@@ -73,6 +73,7 @@ func (c *CN) shed(sh admit.Shed) {
 		c.met.ShedDrain()
 	}
 	e.phase = phFinished
+	c.unfinished--
 	c.emit(EvShed, e.Txn)
 	c.execPool = append(c.execPool, e)
 }
@@ -89,13 +90,6 @@ func (c *CN) Epoch(now sim.Time) {
 	}
 	c.fillWindow(now)
 	c.emitEpoch(now)
-}
-
-// CloseService sheds everything still queued (service shutdown).
-func (c *CN) CloseService(now sim.Time) {
-	for _, sh := range c.svc.Drain(now) {
-		c.shed(sh)
-	}
 }
 
 // fillWindow pops queued arrivals into the in-flight window until it is full
@@ -143,11 +137,20 @@ func (c *CN) evictOne() bool {
 	victim.phase = phFinished
 	c.active--
 	c.window--
+	c.unfinished--
 	c.met.Evicted()
 	c.svc.NoteEviction()
 	c.wakeCommit(victim.Txn) // its released locks may unblock others
 	c.execPool = append(c.execPool, victim)
 	return true
+}
+
+// canEvict reports whether a later epoch may still evict a waiter: the
+// policy evicts on overload, and overload control will be on after the
+// next epoch boundary. With arrivals closed and the queue drained,
+// EndEpoch's inputs no longer change, so that holds for every later epoch.
+func (c *CN) canEvict() bool {
+	return c.svc != nil && c.svc.Policy().EvictOnOverload && c.svc.OverloadedAfterEpoch()
 }
 
 // removeWaiter deletes e from the wait structure its phase names.

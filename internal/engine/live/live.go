@@ -14,9 +14,11 @@
 // sweep and its grant/wake cascades to the simulator's, making sim-vs-live
 // decision logs comparable (DESIGN.md §12).
 //
-// A live run is a closed batch: RunBatch submits every transaction, drives
-// the batch to commit and summarizes at the makespan. There is no arrival
-// process (service mode aside, see service.go) and no fault injection.
+// A live run is a closed batch (RunBatch: submit every transaction, drive
+// the batch to commit, summarize at the makespan) or an open service run
+// (RunService, see service.go). Both go through one CN select loop with one
+// exit rule (CN.Done) and one stall rule (CN.Stuck); there is no fault
+// injection.
 package live
 
 import (
@@ -145,9 +147,9 @@ type liveRun struct {
 	rows    int // each cohort's rows
 }
 
-// Backend is one live run: build with New, Submit the batch, call Run once.
-// All methods are driven from one goroutine (the caller's, which becomes
-// the CN); only the DPN workers run concurrently.
+// Backend is one live run: build with New, then Submit a batch and call Run,
+// or call RunService. All methods are driven from one goroutine (the
+// caller's, which becomes the CN); only the DPN workers run concurrently.
 type Backend struct {
 	cfg   Config
 	met   *metrics.Collector
@@ -160,8 +162,7 @@ type Backend struct {
 	wg       sync.WaitGroup
 	nodesBuf []int
 
-	restartQ       chan *engine.Exec
-	restartPending int
+	restartQ chan *engine.Exec
 
 	ob  *obs.Observer
 	rec *engine.ObsRecorder // the CN's spans and instruments in ob
@@ -224,7 +225,6 @@ func (h cnHost) Dispatch(e *engine.Exec, _ int) {
 
 // RestartAfter hands e back to the CN's select loop after d of wall time.
 func (h cnHost) RestartAfter(e *engine.Exec, d sim.Time) {
-	h.restartPending++
 	time.AfterFunc(time.Duration(d)*time.Microsecond, func() { h.restartQ <- e })
 }
 
@@ -325,9 +325,6 @@ func (b *Backend) Submit(steps []model.Step) *model.Txn {
 	return t
 }
 
-// InFlight reports how many submitted transactions have not committed.
-func (b *Backend) InFlight() int { return int(b.nextID) - b.cn.Completed() }
-
 // Err reports what went wrong in the run (nil on a clean one): a batch left
 // with nothing that could ever wake it or a stall against the deadline,
 // either listing who waits on what; otherwise, when the scheduler keeps a
@@ -351,15 +348,20 @@ func (b *Backend) Violations() int { return b.violations }
 // really ran; also defeats dead-code elimination).
 func (b *Backend) Checksum() uint64 { return b.checksum }
 
-// start builds the channels and DPN workers for at most active
-// concurrently admitted transactions. The capacities make every send
-// non-blocking, which is the deadlock-freedom argument: a transaction has
-// at most one active step, so at most active cohorts can be resident (or
-// queued) per node and at most active*NumNodes completions outstanding,
-// and each transaction has at most one pending restart. Sized so, the CN
-// never blocks sending a cohort or a timer a restart, and a DPN never
-// blocks sending a completion, hence no send cycle exists to deadlock on.
+// start begins the backend's one run: it builds the channels and DPN
+// workers for at most active concurrently admitted transactions. The
+// capacities make every send non-blocking, which is the deadlock-freedom
+// argument: a transaction has at most one active step, so at most active
+// cohorts can be resident (or queued) per node and at most
+// active*NumNodes completions outstanding, and each transaction has at
+// most one pending restart. Sized so, the CN never blocks sending a cohort
+// or a timer a restart, and a DPN never blocks sending a completion, hence
+// no send cycle exists to deadlock on.
 func (b *Backend) start(active int) {
+	if b.ran {
+		panic("live: a backend runs once")
+	}
+	b.ran = true
 	b.comp = make(chan completion, active*b.cfg.NumNodes+1)
 	b.restartQ = make(chan *engine.Exec, active+1)
 	quantum := b.cfg.RowsPerObject / b.cfg.DD
@@ -414,30 +416,44 @@ func (b *Backend) finish() metrics.Summary {
 }
 
 // Run executes the batch to commit and returns the summary, its window the
-// batch makespan. A batch that can no longer progress — every uncommitted
-// transaction waiting, nothing in flight — stops at once; a stall of any
-// other kind (a protocol bug: see start's capacity argument) is cut at
-// cfg.Deadline. Err reports either.
+// batch makespan: it submits the whole batch to the CN, closes arrivals and
+// runs the CN loop.
 func (b *Backend) Run() metrics.Summary {
-	if b.ran {
-		panic("live: Run called twice")
-	}
-	b.ran = true
-	n := len(b.txns)
-	b.start(n)
+	b.start(len(b.txns))
 
 	t0 := time.Now()
 	for _, t := range b.txns {
 		b.cn.Arrive(t, admit.Batch)
 	}
+	b.cn.CloseArrivals()
 	b.serve(t0)
+	return b.loop(nil, b.cfg.Deadline)
+}
 
-	deadline := time.NewTimer(b.cfg.Deadline)
-	defer deadline.Stop()
-	for b.cn.Completed() < n {
-		if left := n - b.cn.Completed(); b.cn.Quiescent(left) {
-			b.err = fmt.Errorf("live: batch stuck with %d/%d committed and nothing in flight: %s",
-				n-left, n, b.cn.WaitReport())
+// loop is the CN goroutine's one select loop, shared by a closed batch and
+// a service run. It takes up cohort completions, restart hand-backs and, in
+// a service run (src non-nil), the arrivals src books and the epoch ticks,
+// and drains the CN's job queue after each. It ends when the CN is done
+// (CN.Done). A run that can no longer progress (CN.Stuck) stops at once; a
+// stall of any other kind (a protocol bug: see start's capacity argument)
+// is cut at deadline. Err reports either.
+func (b *Backend) loop(src *arrivalSource, deadline time.Duration) metrics.Summary {
+	var (
+		arrival          *time.Timer
+		arrivals, epochs <-chan time.Time
+	)
+	if src != nil {
+		arrival = time.NewTimer(src.wait(b.clk.Now()))
+		defer arrival.Stop()
+		epoch := time.NewTicker(time.Duration(b.cfg.Service.Epoch) * time.Microsecond)
+		defer epoch.Stop()
+		arrivals, epochs = arrival.C, epoch.C
+	}
+	cut := time.NewTimer(deadline)
+	defer cut.Stop()
+	for !b.cn.Done() {
+		if b.cn.Stuck() {
+			b.err = b.cn.StuckError()
 			break
 		}
 		select {
@@ -447,12 +463,21 @@ func (b *Backend) Run() metrics.Summary {
 			b.serve(t0)
 		case e := <-b.restartQ:
 			t0 := time.Now()
-			b.restartPending--
 			b.cn.Readmit(e)
 			b.serve(t0)
-		case <-deadline.C:
-			b.err = fmt.Errorf("live: stalled after %v: %d/%d committed, active=%d restarting=%d: %s",
-				b.cfg.Deadline, b.cn.Completed(), n, b.cn.Active(), b.restartPending, b.cn.WaitReport())
+		case <-arrivals:
+			if b.arrive(src) {
+				arrival.Reset(src.wait(b.clk.Now()))
+			} else {
+				arrivals = nil
+			}
+		case <-epochs:
+			t0 := time.Now()
+			b.cn.Epoch(b.clk.Now())
+			b.serve(t0)
+		case <-cut.C:
+			b.err = fmt.Errorf("live: stalled at the %v deadline with %d committed: %s",
+				deadline, b.cn.Completed(), b.cn.WaitReport())
 		}
 		if b.err != nil {
 			break

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"time"
 
 	"batchsched/internal/admit"
@@ -11,24 +10,56 @@ import (
 	"batchsched/internal/workload"
 )
 
-// Service mode: the live backend as an open system. An arrivals goroutine
-// draws (gap, steps, class) from the same seed-deterministic RNG streams the
-// simulator uses ("arrivals", "workload", "class" — so the offered sequence
-// is reproducible; wall-clock interleaving decides how it lands), sleeps the
-// gaps in wall time, and feeds the CN loop through a channel. The CN core
+// Service mode: the live backend as an open system, run by the same CN loop
+// as a closed batch (loop). The CN goroutine draws each arrival's gap, steps
+// and class from the seed-deterministic RNG streams the simulator uses
+// ("arrivals", "workload", "class"), so the offered sequence is
+// reproducible while wall-clock interleaving decides how it lands. Each
+// arrival is due at the previous one's due time plus its gap: a busy CN
+// delays an arrival's handling but not the offered schedule. The CN core
 // runs the simulator's service mode (engine.CN's epoch body over the same
 // admit.Service): a wall-clock ticker marks epoch boundaries (expiry,
 // overload control, optional eviction, window refill), completions free
-// window slots, and at the configured duration the arrivals goroutine
-// closes its channel, the queue is drained (ShedDrain), and the loop exits
-// once the window empties — every DPN goroutine, the arrivals goroutine and
-// any restart timers included.
+// window slots, and the first arrival due at or past the configured
+// duration closes arrivals instead: the queue is drained (ShedDrain), and
+// the loop exits once the window empties, stopping every DPN goroutine.
 
-// svcArrival is one drawn arrival in flight from the arrivals goroutine to
-// the CN.
-type svcArrival struct {
-	steps []model.Step
-	class admit.Class
+// arrivalSource is a service run's arrival stream: the due time of the next
+// arrival and the draws that make it.
+type arrivalSource struct {
+	gen              workload.Generator
+	arr              workload.Arrivals
+	rngA, rngW, rngC *sim.RNG
+	due, end         sim.Time // next arrival, service close (wall clock)
+}
+
+// book draws the next gap and moves the due time past it.
+func (s *arrivalSource) book() { s.due += s.arr.Next(s.due, s.rngA) }
+
+// wait is the wall time from now until the next arrival is due (negative
+// when it is overdue, which fires a timer at once).
+func (s *arrivalSource) wait(now sim.Time) time.Duration {
+	return time.Duration(s.due-now) * time.Microsecond
+}
+
+// arrive handles the arrival due now. Past the service duration it closes
+// arrivals and reports false. Otherwise it draws the arrival's steps and
+// class, books the next arrival, and hands the transaction to the CN; the
+// draw is not CN busy time.
+func (b *Backend) arrive(src *arrivalSource) bool {
+	if src.due >= src.end {
+		t0 := time.Now()
+		b.cn.CloseArrivals()
+		b.serve(t0)
+		return false
+	}
+	steps, class := src.gen.Steps(src.rngW), b.cfg.Service.PickClass(src.rngC)
+	src.book()
+	t0 := time.Now()
+	b.nextID++
+	b.cn.Arrive(model.NewTxn(b.nextID, b.clk.Now(), steps), class)
+	b.serve(t0)
+	return true
 }
 
 // RunService executes an open-stream service run: arrivals from arr, bodies
@@ -36,98 +67,24 @@ type svcArrival struct {
 // Call instead of Run (after Submit-free setup); returns the run summary
 // over the full wall window.
 func (b *Backend) RunService(gen workload.Generator, arr workload.Arrivals, seed int64) metrics.Summary {
-	if b.ran {
-		panic("live: RunService after Run")
-	}
 	if b.cfg.Service == nil {
 		panic("live: RunService needs Config.Service")
 	}
 	if gen == nil || arr == nil {
 		panic("live: RunService needs a generator and an arrival process")
 	}
-	b.ran = true
-	svc := b.cn.Service()
 	// At most MPL transactions are admitted at once.
 	b.start(b.cfg.Service.MPL)
 
-	// The arrivals goroutine: deterministic draw sequence, wall-clock gaps.
-	// It owns arrivalQ's close; stop unblocks it if the CN bails early.
-	arrivalQ := make(chan svcArrival, b.cfg.Service.MaxQueue+1)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		defer close(arrivalQ)
-		rng := sim.NewRNG(seed)
-		rngA := rng.Stream("arrivals")
-		rngW := rng.Stream("workload")
-		rngC := rng.Stream("class")
-		gapTimer := time.NewTimer(0)
-		if !gapTimer.Stop() {
-			<-gapTimer.C
-		}
-		start := time.Now()
-		for {
-			gap := arr.Next(b.clk.Now(), rngA)
-			gapTimer.Reset(time.Duration(gap) * time.Microsecond)
-			select {
-			case <-gapTimer.C:
-			case <-stop:
-				gapTimer.Stop()
-				return
-			}
-			if time.Since(start) >= b.cfg.ServiceDuration {
-				return
-			}
-			a := svcArrival{steps: gen.Steps(rngW), class: b.cfg.Service.PickClass(rngC)}
-			select {
-			case arrivalQ <- a:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	epoch := time.NewTicker(time.Duration(b.cfg.Service.Epoch) * time.Microsecond)
-	defer epoch.Stop()
-	deadline := time.NewTimer(b.cfg.ServiceDuration + b.cfg.Deadline)
-	defer deadline.Stop()
-
-	for arrivalsOpen := true; arrivalsOpen || b.cn.Active() > 0 || b.restartPending > 0 || svc.Depth() > 0; {
-		select {
-		case a, ok := <-arrivalQ:
-			t0 := time.Now()
-			if ok {
-				b.nextID++
-				b.cn.Arrive(model.NewTxn(b.nextID, b.clk.Now(), a.steps), a.class)
-			} else {
-				arrivalsOpen = false
-				arrivalQ = nil
-				b.cn.CloseService(b.clk.Now())
-			}
-			b.serve(t0)
-		case c := <-b.comp:
-			t0 := time.Now()
-			b.handleCompletion(c)
-			b.serve(t0)
-		case e := <-b.restartQ:
-			t0 := time.Now()
-			b.restartPending--
-			b.cn.Readmit(e)
-			b.serve(t0)
-		case <-epoch.C:
-			t0 := time.Now()
-			b.cn.Epoch(b.clk.Now())
-			b.serve(t0)
-		case <-deadline.C:
-			b.err = fmt.Errorf("live: service run stalled %v past its %v duration: active=%d queue=%d restarting=%d: %s",
-				b.cfg.Deadline, b.cfg.ServiceDuration, b.cn.Active(), svc.Depth(), b.restartPending, b.cn.WaitReport())
-		}
-		if b.err != nil {
-			break
-		}
-		b.sample()
+	rng := sim.NewRNG(seed)
+	now := b.clk.Now()
+	src := &arrivalSource{
+		gen: gen, arr: arr,
+		rngA: rng.Stream("arrivals"), rngW: rng.Stream("workload"), rngC: rng.Stream("class"),
+		due: now, end: now + sim.Time(b.cfg.ServiceDuration/time.Microsecond),
 	}
-	return b.finish()
+	src.book()
+	return b.loop(src, b.cfg.ServiceDuration+b.cfg.Deadline)
 }
 
 // SetEpochHook installs a per-epoch callback (service mode only). The hook

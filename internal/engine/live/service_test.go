@@ -130,8 +130,8 @@ func TestLiveServiceOverload(t *testing.T) {
 		}
 	}
 
-	// Clean termination: every DPN worker, the arrivals goroutine and all
-	// restart timers have exited.
+	// Clean termination: every DPN worker and all restart timers have
+	// exited.
 	deadlineG := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadlineG) {
 		time.Sleep(10 * time.Millisecond)
@@ -160,5 +160,43 @@ func TestLiveServiceSustainable(t *testing.T) {
 	// Drain sheds at shutdown are fine; overload/queue-full sheds are not.
 	if st.Shed[admit.ShedOverload] != 0 || st.Shed[admit.ShedQueueFull] != 0 {
 		t.Fatalf("backpressure fired below capacity: %+v", st.Shed)
+	}
+}
+
+// TestLiveServiceStuckFailsFast: a service run that can no longer progress
+// once its arrivals close (every admitted transaction policy-delayed,
+// nothing in flight, no eviction possible) returns at once with the control
+// node's stuck error, the one a stuck batch reports on either backend,
+// instead of waiting out Deadline.
+func TestLiveServiceStuckFailsFast(t *testing.T) {
+	cfg := svcLiveConfig(300 * time.Millisecond)
+	cfg.Deadline = 20 * time.Second
+	pol := *cfg.Service
+	pol.MPL = 5
+	pol.InteractiveFraction = 0 // one class: the window fills in arrival order
+	cfg.Service = &pol
+	b, err := live.New(cfg, delayAll{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	sum := b.RunService(workload.NewExp1(cfg.NumFiles), workload.Poisson{Rate: 1000}, 3)
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("stuck service run took %v to fail", el)
+	}
+	if sum.Completions != 0 {
+		t.Fatalf("completions = %d, want 0", sum.Completions)
+	}
+	if b.Err() == nil {
+		t.Fatal("no error for a service run that cannot finish")
+	}
+	msg := b.Err().Error()
+	if !strings.HasPrefix(msg, "run stuck with 0 committed and 5 waiting") {
+		t.Errorf("error %q is not the control node's stuck error", msg)
+	}
+	for i := 1; i <= pol.MPL; i++ {
+		if want := "T" + strconv.Itoa(i) + " delayed at step 0"; !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
 	}
 }

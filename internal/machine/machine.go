@@ -289,44 +289,46 @@ func (m *Machine) Submit(steps []model.Step) *model.Txn {
 
 // Run executes the configured workload for cfg.Duration and returns the
 // metrics summary.
-func (m *Machine) Run() metrics.Summary {
-	if m.inj != nil {
-		m.inj.Start()
-	}
-	if m.arrivals != nil {
-		if m.gen == nil {
-			panic("machine: an arrival process needs a Generator")
-		}
-		m.scheduleNextArrival()
-	}
-	if svc := m.cn.Service(); svc != nil {
-		m.eng.Schedule(svc.Policy().Epoch, m.onEpoch)
-	}
-	m.ob.StartSampling(m.eng)
-	m.eng.RunUntil(m.cfg.Duration)
-	// Fast-forward nodes may still hold an epoch tail whose quantum events
-	// the stepped engine would have fired at (or before) the horizon; replay
-	// it so busy accounting matches before anything is summarized.
-	for _, d := range m.dpns {
-		d.flush(m.cfg.Duration)
-	}
-	m.ob.Finish(m.eng.Now())
-	return m.met.Summarize(m.cfg.Duration)
-}
+func (m *Machine) Run() metrics.Summary { return m.drive(m.cfg.Duration, false) }
 
 // RunClosed executes a closed batch: every transaction must already have
 // been Submitted (ArrivalRate is ignored). Events are dispatched until the
-// whole batch commits — or the calendar drains or the horizon passes,
-// whichever is first — and the summary window is the makespan, so TPS is
-// batch throughput. This is the simulator side of sim-vs-live differential
-// runs, which are all closed batches (the live backend has no arrival
-// process).
-func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
+// whole batch commits, the run is stuck (engine.CN.Stuck), the calendar
+// drains or the horizon passes, whichever is first, and the summary window
+// is the makespan, so TPS is batch throughput. This is the simulator side
+// of sim-vs-live differential runs.
+func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary { return m.drive(horizon, true) }
+
+// drive is the one run loop behind Run and RunClosed. It starts the fault
+// injector, the arrival process and the epoch clock of an open run, and
+// metrics sampling, in that booking order. An open run then dispatches
+// every event up to the horizon with no per-event check; a closed run
+// closes arrivals and stops once the CN is done or stuck. Last it replays
+// every DPN's fast-forwarded tail, which the stepped engine would have
+// fired at or before the end, so busy accounting matches before the window
+// is summarized.
+func (m *Machine) drive(horizon sim.Time, closed bool) metrics.Summary {
 	if m.inj != nil {
 		m.inj.Start()
 	}
+	if !closed {
+		if m.arrivals != nil {
+			if m.gen == nil {
+				panic("machine: an arrival process needs a Generator")
+			}
+			m.scheduleNextArrival()
+		}
+		if svc := m.cn.Service(); svc != nil {
+			m.eng.Schedule(svc.Policy().Epoch, m.onEpoch)
+		}
+	}
 	m.ob.StartSampling(m.eng)
-	for m.InFlight() > 0 && m.eng.Step(horizon) {
+	if closed {
+		m.cn.CloseArrivals()
+		for !m.cn.Done() && !m.cn.Stuck() && m.eng.Step(horizon) {
+		}
+	} else {
+		m.eng.RunUntil(horizon)
 	}
 	now := m.eng.Now()
 	for _, d := range m.dpns {
@@ -338,15 +340,20 @@ func (m *Machine) RunClosed(horizon sim.Time) metrics.Summary {
 
 // RunBatch runs a closed batch, the simulator's one way to: it submits
 // every transaction of batch at the current time and runs them to commit
-// (RunClosed) with cfg.Duration as the horizon, failing if any is still in
-// flight there. Build the machine with no arrival process and no warm-up.
+// (RunClosed) with cfg.Duration as the horizon. It fails with the CN's
+// StuckError when the batch can no longer progress, as the live backend's
+// does, and with the wait report when the horizon cuts it off. Build the
+// machine with no arrival process and no warm-up.
 func (m *Machine) RunBatch(batch [][]model.Step) (metrics.Summary, error) {
 	for _, steps := range batch {
 		m.Submit(steps)
 	}
 	sum := m.RunClosed(m.cfg.Duration)
-	if n := m.InFlight(); n != 0 {
-		return sum, fmt.Errorf("%d transactions still in flight at horizon: %s", n, m.WaitReport())
+	switch {
+	case m.cn.Stuck():
+		return sum, m.cn.StuckError()
+	case !m.cn.Done():
+		return sum, fmt.Errorf("%d transactions still in flight at horizon: %s", m.InFlight(), m.cn.WaitReport())
 	}
 	return sum, nil
 }
@@ -486,8 +493,3 @@ func (m *Machine) SetEpochHook(h func(admit.EpochStats)) { m.cn.SetEpochHook(h) 
 // Service exposes the admission service (nil outside service mode), for
 // end-of-run stats.
 func (m *Machine) Service() *admit.Service { return m.cn.Service() }
-
-// WaitReport lists who waits on what: every blocked or policy-delayed
-// transaction with its file and that file's lock holders, then the park
-// queue. It explains a run that stopped with transactions in flight.
-func (m *Machine) WaitReport() string { return m.cn.WaitReport() }

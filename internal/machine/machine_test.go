@@ -1,12 +1,16 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"batchsched/internal/engine"
 	"batchsched/internal/model"
+	"batchsched/internal/obs"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
+	"batchsched/internal/workload"
 )
 
 func steps(pattern string, binding map[string]model.FileID) []model.Step {
@@ -293,5 +297,53 @@ func TestLowLoadDrainsForAllSchedulers(t *testing.T) {
 				t.Errorf("%s restarted %d times; only OPT and 2PL restart", name, sum.Restarts)
 			}
 		})
+	}
+}
+
+// delayAll admits everything and policy-delays every lock request, so no
+// step ever runs and no commit ever comes to wake anyone.
+type delayAll struct{}
+
+func (delayAll) Name() string                         { return "delay-all" }
+func (delayAll) Admit(*model.Txn) (bool, sim.Time)    { return true, 0 }
+func (delayAll) Validate(*model.Txn) (bool, sim.Time) { return true, 0 }
+func (delayAll) Committed(*model.Txn)                 {}
+func (delayAll) Aborted(*model.Txn)                   {}
+func (delayAll) Request(*model.Txn) sched.Outcome {
+	return sched.Outcome{Decision: sched.Delay}
+}
+
+// TestStuckBatchStopsAtStall: a closed batch that can no longer progress
+// stops at the stall, not at the horizon, even with an observer whose
+// samples keep the calendar busy, and fails with the control node's stuck
+// error naming every waiter, as the live backend's batch does.
+func TestStuckBatchStopsAtStall(t *testing.T) {
+	cfg := quietConfig(1)
+	cfg.Duration = 2000 * sim.Second
+	m, err := New(cfg, delayAll{}, nil, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetObs(obs.New())
+	gen, rng := workload.NewExp1(cfg.NumFiles), sim.NewRNG(3).Stream("workload")
+	batch := make([][]model.Step, 5)
+	for i := range batch {
+		batch[i] = gen.Steps(rng)
+	}
+	sum, err := m.RunBatch(batch)
+	if err == nil {
+		t.Fatal("no error for a batch that cannot finish")
+	}
+	if sum.Window >= sim.Second {
+		t.Errorf("stuck batch ran to %v, want it stopped at the stall", sum.Window)
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "run stuck with 0 committed and 5 waiting") {
+		t.Errorf("error %q is not the control node's stuck error", msg)
+	}
+	for i := 1; i <= len(batch); i++ {
+		if want := fmt.Sprintf("T%d delayed at step 0", i); !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
 	}
 }

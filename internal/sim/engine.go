@@ -15,11 +15,11 @@ type PayloadHandler func(now Time, arg any)
 // Event is a scheduled occurrence on the calendar. It is returned by
 // Schedule so callers can cancel or move it before it fires.
 //
-// The reference is valid only until the event fires or, once canceled, until
-// the engine discards it from the calendar: after that the engine recycles
-// the Event for a later Schedule call. Callers that retain an Event across
-// dispatches (to cancel an in-flight timer) must drop the reference when its
-// handler runs, as the handler's first action.
+// The reference is valid only until the event fires or is canceled: after
+// that the engine recycles the Event for a later Schedule call. Callers that
+// retain an Event across dispatches (to cancel an in-flight timer) must drop
+// the reference when its handler runs, as the handler's first action, and
+// when they cancel it.
 type Event struct {
 	at Time
 	// prio breaks ties among events with equal timestamps before seq does.
@@ -34,7 +34,7 @@ type Event struct {
 	arg      any
 	canceled bool
 	index    int     // heap index, -1 when not on the heap
-	eng      *Engine // owner, for the canceled-event accounting in Cancel
+	eng      *Engine // owner, whose calendar Cancel removes the event from
 	// tie (when hasTie is set) refines the ordering among events with equal
 	// (at, prio) beyond booking order; see TieKey and ScheduleAtTie.
 	tie    TieKey
@@ -126,18 +126,20 @@ func (e *Event) Time() Time { return e.at }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Cancel prevents the event's handler from running. Canceling an event that
-// already fired (or was already canceled) is a no-op. The tombstone stays
-// until it surfaces or the engine compacts; the engine keeps a count of live
-// tombstones so heavy cancelers cannot bloat the heap.
+// Cancel prevents the event's handler from running: a pending event leaves
+// the calendar at once and is recycled. Canceling an event that already
+// fired (or was already canceled) is a no-op. Removal cannot change the
+// order in which the other events fire: the heap order is a total order on
+// (at, prio, tie key, seq), so any valid heap over the same events pops
+// identically.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
 	if e.index >= 0 && e.eng != nil {
-		e.eng.dead++
-		e.eng.maybeCompact()
+		e.eng.calendar.remove(e.index)
+		e.eng.recycle(e)
 	}
 }
 
@@ -156,11 +158,7 @@ type Engine struct {
 	// fine-grained events read it to decide whether a stood-for event would
 	// have fired before the one currently running.
 	curPrio Time
-	// dead counts canceled events still sitting on the calendar; when they
-	// outnumber the live ones the calendar is compacted in one pass instead
-	// of sifting each tombstone to the top.
-	dead int
-	// pool is a free list of fired/discarded events; a 2M-ms run dispatches
+	// pool is a free list of fired/canceled events; a 2M-ms run dispatches
 	// hundreds of thousands of events, and recycling them keeps Schedule
 	// allocation-free at steady state.
 	pool []*Event
@@ -186,8 +184,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // handler; between dispatches it holds the last dispatched event's priority.
 func (e *Engine) CurPrio() Time { return e.curPrio }
 
-// Pending returns the number of events currently on the calendar, including
-// canceled events that have not yet been discarded.
+// Pending returns the number of events currently on the calendar.
 func (e *Engine) Pending() int { return e.calendar.Len() }
 
 // Schedule books fn to run after delay. A negative delay panics: the model
@@ -259,8 +256,8 @@ func (e *Engine) ScheduleAtTie(at, prio Time, tie TieKey, fn Handler) *Event {
 // Reschedule moves the pending event ev to the key (at, prio, tie), keeping
 // its handler: ev then fires exactly where canceling it and booking its
 // handler afresh with ScheduleAtTie would fire, since it takes the next
-// booking sequence number, but it leaves no tombstone and stays the same
-// *Event. ev must be on this engine's calendar and not canceled.
+// booking sequence number, but it stays the same *Event and is fixed in
+// place in the heap. ev must be on this engine's calendar and not canceled.
 func (e *Engine) Reschedule(ev *Event, at, prio Time, tie TieKey) {
 	if ev.eng != e || ev.index < 0 || ev.canceled {
 		panic("sim: reschedule of an event that is not pending")
@@ -315,36 +312,7 @@ func (e *Engine) alloc(at, prio Time, fn Handler) *Event {
 	return ev
 }
 
-// maybeCompact rebuilds the calendar without its tombstones once canceled
-// events outnumber live ones (and there are enough of them to be worth a
-// pass). Compaction preserves dispatch order exactly: the heap order is a
-// total order on (at, prio, seq), so any valid heap over the same live set
-// pops identically.
-func (e *Engine) maybeCompact() {
-	if e.dead < 64 || e.dead*2 <= e.calendar.Len() {
-		return
-	}
-	items := e.calendar.items
-	n := 0
-	for _, ev := range items {
-		if ev.canceled {
-			ev.index = -1
-			e.recycle(ev)
-			continue
-		}
-		items[n] = ev
-		ev.index = n
-		n++
-	}
-	for i := n; i < len(items); i++ {
-		items[i] = nil
-	}
-	e.calendar.items = items[:n]
-	e.calendar.reheap()
-	e.dead = 0
-}
-
-// recycle returns a fired or discarded event to the free list, dropping its
+// recycle returns a fired or canceled event to the free list, dropping its
 // handler references so captured state can be collected.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
@@ -353,29 +321,17 @@ func (e *Engine) recycle(ev *Event) {
 	e.pool = append(e.pool, ev)
 }
 
-// peekLive returns the next live event, discarding any tombstones that have
-// surfaced, or nil when the calendar is empty.
-func (e *Engine) peekLive() *Event {
-	for e.calendar.Len() > 0 {
-		next := e.calendar.peek()
-		if !next.canceled {
-			return next
-		}
-		e.calendar.pop()
-		e.dead--
-		e.recycle(next)
-	}
-	return nil
-}
-
 // Step dispatches the single next event. It returns false when the calendar
 // is empty or the next event is beyond horizon.
 func (e *Engine) Step(horizon Time) bool {
-	next := e.peekLive()
-	if next == nil || next.at > horizon {
+	if e.calendar.Len() == 0 {
 		return false
 	}
-	e.calendar.pop()
+	next := e.calendar.peek()
+	if next.at > horizon {
+		return false
+	}
+	e.calendar.remove(0)
 	e.now = next.at
 	e.curPrio = next.prio
 	e.executed++

@@ -236,8 +236,8 @@ func TestEnginePrioDispatchOrderProperty(t *testing.T) {
 	}
 }
 
-// Canceling most of the calendar must shrink it (lazy deletion compacts)
-// without disturbing the survivors' dispatch order.
+// Canceling most of the calendar must shrink it at once (each canceled
+// event leaves the heap) without disturbing the survivors' dispatch order.
 func TestEngineCancelCompaction(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
@@ -252,8 +252,8 @@ func TestEngineCancelCompaction(t *testing.T) {
 			events[i].Cancel()
 		}
 	}
-	if e.Pending() >= n {
-		t.Fatalf("calendar did not compact: %d pending after canceling 90%%", e.Pending())
+	if e.Pending() != n/10 {
+		t.Fatalf("calendar did not shrink: %d pending after canceling 90%%, want %d", e.Pending(), n/10)
 	}
 	e.Run(Second)
 	if len(fired) != n/10 {
@@ -271,7 +271,7 @@ func TestEngineCancelCompaction(t *testing.T) {
 
 // Differential stress: random schedule/cancel traffic must dispatch exactly
 // the live events, in exactly the (at, prio, seq) order, no matter how often
-// the calendar compacts in between.
+// many events leave the heap by removal in between.
 func TestEngineCompactionDifferential(t *testing.T) {
 	g := NewRNG(77)
 	e := NewEngine()
@@ -333,7 +333,7 @@ func TestEngineCompactionDifferential(t *testing.T) {
 
 // tieScriptBooking is one pre-generated booking of the tie-order property
 // test: a calendar key plus an optional immediate cancel-and-rebook (which
-// leaves a tombstone on the calendar).
+// takes the canceled event off the calendar at once).
 type tieScriptBooking struct {
 	at, prio Time
 	tie      TieKey
@@ -527,13 +527,14 @@ func TestMergedCalendarTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// moveLog is one dispatch of playMoves: the chain whose handler ran and the
-// engine's view at that moment.
+// moveLog is one dispatch of playMoves: the chain whose handler ran, the
+// engine's view at that moment, and the moves made before it.
 type moveLog struct {
 	chain          int
 	now, prio      Time
 	executed       uint64
 	pending, alive int
+	moves          int
 }
 
 // playMoves runs a random tie-keyed calendar: each of several chains keeps
@@ -581,6 +582,7 @@ func playMoves(seed int64, inPlace bool) []moveLog {
 	pending := make([]*Event, chains)
 	handlers := make([]Handler, chains)
 	var log []moveLog
+	moves := 0
 	for s := range handlers {
 		s := s
 		handlers[s] = func(now Time) {
@@ -591,7 +593,7 @@ func playMoves(seed int64, inPlace bool) []moveLog {
 					alive++
 				}
 			}
-			log = append(log, moveLog{s, now, e.CurPrio(), e.Executed(), e.Pending(), alive})
+			log = append(log, moveLog{s, now, e.CurPrio(), e.Executed(), e.Pending(), alive, moves})
 			at, prio, tie := key(now)
 			pending[s] = e.ScheduleAtTie(at, prio, tie, handlers[s])
 			for n := g.Intn(3); n > 0; n-- {
@@ -600,6 +602,7 @@ func playMoves(seed int64, inPlace bool) []moveLog {
 					continue
 				}
 				at, prio, tie := key(now)
+				moves++
 				if inPlace {
 					e.Reschedule(pending[j], at, prio, tie)
 				} else {
@@ -624,8 +627,9 @@ func playMoves(seed int64, inPlace bool) []moveLog {
 // TestEngineRescheduleMatchesCancelAndBook is Reschedule's property test:
 // random tie-keyed calendars moved in place must dispatch exactly as the
 // same moves made by Cancel plus ScheduleAtTie — the same handlers in the
-// same order, seeing the same Executed() and CurPrio() — while the calendar
-// holds no tombstone: Pending() is the live event count at every dispatch.
+// same order, seeing the same Executed() and CurPrio() after the same
+// number of moves — while both calendars hold exactly the live events:
+// Pending() is the live event count at every dispatch.
 func TestEngineRescheduleMatchesCancelAndBook(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		moved := playMoves(500+trial, true)
@@ -633,19 +637,17 @@ func TestEngineRescheduleMatchesCancelAndBook(t *testing.T) {
 		if len(moved) != len(booked) {
 			t.Fatalf("trial %d: %d dispatches in place, %d by cancel-and-book", trial, len(moved), len(booked))
 		}
-		tombstones := 0
 		for i, m := range moved {
 			b := booked[i]
-			if m.chain != b.chain || m.now != b.now || m.prio != b.prio || m.executed != b.executed {
+			if m != b {
 				t.Fatalf("trial %d dispatch %d: in place %+v, cancel-and-book %+v", trial, i, m, b)
 			}
 			if m.pending != m.alive {
 				t.Fatalf("trial %d dispatch %d: Pending() = %d with %d live events", trial, i, m.pending, m.alive)
 			}
-			tombstones += b.pending - b.alive
 		}
-		if tombstones == 0 {
-			t.Fatalf("trial %d: cancel-and-book left no tombstone; the calendars moved nothing", trial)
+		if n := len(moved); n == 0 || moved[n-1].moves == 0 {
+			t.Fatalf("trial %d: the calendars moved nothing", trial)
 		}
 	}
 }
@@ -675,8 +677,8 @@ func TestEngineRescheduleRejects(t *testing.T) {
 	}
 }
 
-// TestEngineCompactionMidDispatch forces tombstone compaction from inside a
-// running handler — the calendar is rebuilt while the engine is mid-Step —
+// TestEngineCompactionMidDispatch cancels most of the calendar from inside
+// a running handler — the heap is reshaped while the engine is mid-Step —
 // and checks that the surviving dispatch order and Executed() come through
 // unscathed.
 func TestEngineCompactionMidDispatch(t *testing.T) {
@@ -688,10 +690,9 @@ func TestEngineCompactionMidDispatch(t *testing.T) {
 		i := i
 		events[i] = e.Schedule(Time(i+10)*Millisecond, func(Time) { fired = append(fired, i) })
 	}
-	// The first event cancels events 1..n-2 from inside its handler; that
-	// puts ~n-2 tombstones on a calendar of n live-or-dead entries, well
-	// past the dead >= 64 && dead*2 > Len() threshold, so maybeCompact
-	// rebuilds the heap during this very dispatch.
+	// The first event cancels events 1..n-2 from inside its handler; each
+	// leaves the heap during this very dispatch, so only events 0 and n-1
+	// stay on the calendar.
 	pendingBefore := 0
 	e.Schedule(Millisecond, func(Time) {
 		for i := 1; i < n-1; i++ {
@@ -700,8 +701,8 @@ func TestEngineCompactionMidDispatch(t *testing.T) {
 		pendingBefore = e.Pending()
 	})
 	e.Run(Second)
-	if pendingBefore >= n {
-		t.Fatalf("compaction did not run mid-dispatch: %d pending right after the cancels", pendingBefore)
+	if pendingBefore != 2 {
+		t.Fatalf("%d pending right after the cancels, want 2", pendingBefore)
 	}
 	if want := []int{0, n - 1}; len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
 		t.Fatalf("fired %v, want %v", fired, want)
@@ -716,7 +717,7 @@ func TestEngineCompactionMidDispatch(t *testing.T) {
 }
 
 // TestEngineExecutedUnderHeavyLazyDeletion cancels interleaved events from
-// inside handlers so the calendar is thick with tombstones while it drains,
+// inside handlers, so two thirds of the calendar leaves it while it drains,
 // and checks that Executed() stays dense — every handler observes exactly
 // the count of live dispatches so far, with canceled events never counted.
 // The machine's tie-key stamps count up from Executed() (adding back the
@@ -735,7 +736,7 @@ func TestEngineExecutedUnderHeavyLazyDeletion(t *testing.T) {
 				t.Fatalf("handler %d: Executed = %d, want %d", i, got, fired)
 			}
 			// Cancel the next two still-pending survivors, so roughly two
-			// thirds of the calendar dies as tombstones mid-drain.
+			// thirds of the calendar is removed mid-drain.
 			for j, killed := i+1, 0; j < n && killed < 2; j++ {
 				if events[j] != nil && !events[j].Canceled() {
 					events[j].Cancel()
@@ -771,11 +772,12 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			ev := e.ScheduleAtTie(at, now, tie, handlers[s])
 			switch {
 			case fires[s]%7 == 0:
-				// Moved in place: no tombstone, no new event.
+				// Moved in place: no new event.
 				e.Reschedule(ev, at+Millisecond, now, tie)
 			case fires[s]%11 == 0:
-				// Cancel-and-rebook: the canceled booking stays as a
-				// tombstone, the replacement comes off the event free list.
+				// Cancel-and-rebook: the canceled booking leaves the
+				// calendar for the event free list, and the replacement
+				// comes off it.
 				ev.Cancel()
 				e.ScheduleAtTie(at+Millisecond, now, tie, handlers[s])
 			}

@@ -46,19 +46,6 @@ func (h *eventHeap) peek() *Event {
 	return h.items[0]
 }
 
-func (h *eventHeap) pop() *Event {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.swap(0, last)
-	h.items[last] = nil
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	top.index = -1
-	return top
-}
-
 // fix restores the heap property after the item at index i changed its key.
 func (h *eventHeap) fix(i int) {
 	if i > 0 && h.less(i, (i-1)/4) {
@@ -68,12 +55,16 @@ func (h *eventHeap) fix(i int) {
 	h.down(i)
 }
 
-// reheap restores the heap property over the whole slice (after the engine
-// compacts tombstones out of it).
-func (h *eventHeap) reheap() {
-	n := len(h.items)
-	for i := (n - 2) / 4; i >= 0; i-- {
-		h.down(i)
+// remove takes the item at index i off the heap (i = 0 pops the minimum):
+// the last item fills the hole and is sifted into place.
+func (h *eventHeap) remove(i int) {
+	last := len(h.items) - 1
+	h.swap(i, last)
+	h.items[last].index = -1
+	h.items[last] = nil
+	h.items = h.items[:last]
+	if i < last {
+		h.fix(i)
 	}
 }
 
