@@ -78,6 +78,21 @@ var (
 	compareTakes       = []string{"compare", "seed", "txns", "cpuprofile", "memprofile"}
 )
 
+// prerequisites are the flags a mode uses only together with another flag
+// or a scheduler; validateModeFlags rejects each one given without what it
+// needs.
+var prerequisites = []struct {
+	flag, needs string
+	met         func(modeFlags) bool
+}{
+	{"k", "-sched LOW or LOW-LB (K is LOW's conflict bound)",
+		func(f modeFlags) bool { return f.sched == "LOW" || f.sched == "LOW-LB" }},
+	{"mpl", "-sched C2PL+M (its admission limit) or -service (the admission window)",
+		func(f modeFlags) bool { return f.sched == "C2PL+M" || f.service }},
+	{"serve-linger", "-serve", func(f modeFlags) bool { return f.set["serve"] }},
+	{"slo-spec", "-sli-ledger or -capacity", func(f modeFlags) bool { return f.set["sli-ledger"] || f.capacity }},
+}
+
 // validateModeFlags rejects flag combinations one invocation cannot honour
 // together, so no flag is dropped silently. -check, -trace and the
 // observability outputs combine on one simulator run.
@@ -105,9 +120,6 @@ func validateModeFlags(f modeFlags) error {
 	case f.backend == "live" && (oneRun || f.progress || f.faults):
 		return errors.New("-backend live takes no -trace, observability outputs, -progress or fault flags; they need -backend sim")
 	}
-	if !f.service && !f.compare && f.set["mpl"] && f.sched != "C2PL+M" {
-		return fmt.Errorf("-mpl is C2PL+M's admission limit (with -service, the admission window); -sched %s takes none", f.sched)
-	}
 	mode, ignores := "a simulator run", simIgnores
 	switch {
 	case f.compare:
@@ -131,6 +143,11 @@ func validateModeFlags(f modeFlags) error {
 	for _, name := range ignores {
 		if f.set[name] {
 			return fmt.Errorf("%s takes no -%s", mode, name)
+		}
+	}
+	for _, p := range prerequisites {
+		if f.set[p.flag] && !p.met(f) {
+			return fmt.Errorf("-%s needs %s", p.flag, p.needs)
 		}
 	}
 	return nil

@@ -127,6 +127,24 @@ func TestFlagCombinations(t *testing.T) {
 			set: map[string]bool{"compare": true, "seed": true, "txns": true}}, outputs{}, false},
 		{"compare with sched", modeFlags{backend: "sim", reps: 1, compare: true, set: map[string]bool{"compare": true, "sched": true}}, outputs{}, true},
 		{"compare with mpl", modeFlags{backend: "sim", reps: 1, compare: true, set: map[string]bool{"compare": true, "mpl": true}}, outputs{}, true},
+		{"sim GOW with k", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"k": true, "duration": true}}, outputs{}, true},
+		{"sim LOW-LB with k", modeFlags{backend: "sim", sched: "LOW-LB", reps: 1, set: map[string]bool{"k": true}}, outputs{}, false},
+		{"live LOW with k", modeFlags{backend: "live", sched: "LOW", reps: 1, set: map[string]bool{"k": true}}, outputs{}, false},
+		{"live C2PL with k", modeFlags{backend: "live", sched: "C2PL", reps: 1, set: map[string]bool{"k": true}}, outputs{}, true},
+		{"service GOW with k", modeFlags{backend: "sim", sched: "GOW", reps: 1, service: true, lambda: 0.5,
+			set: map[string]bool{"k": true}}, outputs{}, true},
+		{"sim with slo-spec alone", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"slo-spec": true}}, outputs{}, true},
+		{"sim with slo-spec and ledger", modeFlags{backend: "sim", sched: "GOW", reps: 1,
+			set: map[string]bool{"slo-spec": true, "sli-ledger": true}}, outputs{}, false},
+		{"service with slo-spec alone", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5,
+			set: map[string]bool{"slo-spec": true}}, outputs{}, true},
+		{"service capacity with slo-spec", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
+			set: map[string]bool{"slo-spec": true}}, outputs{}, false},
+		{"live with serve-linger alone", modeFlags{backend: "live", reps: 1, set: map[string]bool{"txns": true, "serve-linger": true}}, outputs{}, true},
+		{"live with serve and serve-linger", modeFlags{backend: "live", reps: 1,
+			set: map[string]bool{"serve": true, "serve-linger": true}}, outputs{}, false},
+		{"live service with serve-linger alone", modeFlags{backend: "live", reps: 1, service: true, lambda: 8,
+			set: map[string]bool{"serve-linger": true}}, outputs{}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

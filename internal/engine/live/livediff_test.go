@@ -101,7 +101,11 @@ type diffRun struct {
 	restarts int
 }
 
-func runSimDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.Step) diffRun {
+// runSimDiff and runLiveDiff run batch on one backend. origin names where
+// the batch came from (its generator seed and stream), and every failure
+// they report carries it with the scheduler, so a failing batch can be
+// regenerated as a regression case.
+func runSimDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]model.Step) diffRun {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.NumNodes = 4
@@ -140,7 +144,7 @@ func runSimDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.Ste
 	}
 	sum := m.RunClosed(cfg.Duration)
 	if m.InFlight() != 0 {
-		t.Fatalf("sim %s: %d transactions still in flight at horizon", name, m.InFlight())
+		t.Fatalf("sim %s, %s: %d transactions still in flight at horizon", name, origin, m.InFlight())
 	}
 	return diffRun{
 		entries: dl.Entries(), marks: dl.AuditMarks(), audit: o.Audit().Entries(),
@@ -148,7 +152,7 @@ func runSimDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.Ste
 	}
 }
 
-func runLiveDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.Step) diffRun {
+func runLiveDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]model.Step) diffRun {
 	t.Helper()
 	cfg := live.DefaultConfig()
 	cfg.NumNodes = 4
@@ -180,11 +184,11 @@ func runLiveDiff(t *testing.T, name string, numFiles, dd int, batch [][]model.St
 	}
 	sum := b.Run()
 	if err := b.Err(); err != nil {
-		t.Fatalf("live %s: %v", name, err)
+		t.Fatalf("live %s, %s: %v", name, origin, err)
 	}
 	if name != "NODC" && name != "OPT" {
 		if v := b.Violations(); v != 0 {
-			t.Fatalf("live %s: %d lock-guard violations", name, v)
+			t.Fatalf("live %s, %s: %d lock-guard violations", name, origin, v)
 		}
 	}
 	return diffRun{
@@ -260,9 +264,10 @@ func TestSimVsLiveDecisions(t *testing.T) {
 				dd := 1 + rng.Intn(3)
 				n := 8 + rng.Intn(9)
 				batch := randomBatch(rng, numFiles, n)
+				origin := fmt.Sprintf(`seed %d (batch from sim.NewRNG(%d).Stream("diff"))`, seed, 1000+seed)
 
-				s := runSimDiff(t, name, numFiles, dd, batch)
-				l := runLiveDiff(t, name, numFiles, dd, batch)
+				s := runSimDiff(t, name, origin, numFiles, dd, batch)
+				l := runLiveDiff(t, name, origin, numFiles, dd, batch)
 
 				if s.commits != n {
 					t.Fatalf("seed %d: sim committed %d/%d", seed, s.commits, n)
@@ -298,9 +303,10 @@ func TestSimVsLiveAdmittedSets(t *testing.T) {
 	// paper's Figure-style thrashing regime), which is not what this test
 	// is probing.
 	batch := randomBatch(rng, 16, 40)
+	const origin = `batch from sim.NewRNG(42).Stream("admitted")`
 	for _, name := range diffSchedulers {
-		s := runSimDiff(t, name, 16, 2, batch)
-		l := runLiveDiff(t, name, 16, 2, batch)
+		s := runSimDiff(t, name, origin, 16, 2, batch)
+		l := runLiveDiff(t, name, origin, 16, 2, batch)
 		admitted := func(r diffRun) []string {
 			var out []string
 			for _, e := range r.entries[:engine.DeterministicPrefix(r.entries)] {

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"batchsched/internal/engine"
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
@@ -28,6 +26,11 @@ type cohort struct {
 	// both land at the same instant: one delivery event lands them all, in
 	// placement order (Machine.deliver).
 	next *cohort
+	// sib is the same step's cohort on the next member of a shared ring
+	// (ffRing): the ring holds its first member's cohort and reaches the
+	// others through sib, in member order. Only that first cohort keeps
+	// remaining up to date; a split copies it to the cohorts it promotes.
+	sib *cohort
 	// dead marks a cohort whose transaction aborted (crash on a sibling
 	// node, or step retry); the serving node drops it without calling done.
 	dead bool
@@ -46,19 +49,25 @@ type cohort struct {
 //
 //   - the fast-forward engine (dpn_ff.go, the default) schedules one
 //     calendar event per cohort completion and reconstructs the ring state
-//     analytically whenever anything looks at or perturbs the node;
+//     analytically whenever anything looks at or perturbs the node; nodes
+//     in lockstep share that state (ffRing);
 //   - the quantum-stepped engine (dpn_stepped.go) schedules one event per
 //     service quantum — the original loop, kept as the differential oracle
 //     and selectable only from this package's tests (ffdiff_test.go).
+//
+// The node keeps what is its own: its id, crash and straggler state, its
+// completion callback and its observability hooks. The ring, cursor and
+// in-flight service live in the embedded ffRing, which is the node's own
+// (own) or, while the node is in lockstep with others, the first member's.
 type dpn struct {
-	id   int
-	eng  *sim.Engine
-	met  *metrics.Collector
-	ring []*cohort
-	cur  int
-	busy bool
+	*ffRing
 
-	// stepped selects the quantum-per-event oracle engine (tests only).
+	id  int
+	eng *sim.Engine
+	met *metrics.Collector
+
+	// stepped selects the quantum-per-event oracle engine (tests only); a
+	// stepped node always serves alone.
 	stepped bool
 
 	// down marks a crashed node; the machine refuses deliveries to it.
@@ -79,44 +88,19 @@ type dpn struct {
 	curElapsed sim.Time
 	onQuantum  sim.Handler
 
-	// Fast-forward state: the one service conceptually under way. Every
-	// earlier service boundary has been applied to the ring; svcStart,
-	// svcEnd, svcSlice and svcElapsed describe the in-flight service of
-	// ring[cur] exactly as the stepped engine would have booked it.
-	svcStart   sim.Time
-	svcEnd     sim.Time
-	svcSlice   sim.Time
-	svcElapsed sim.Time
-	// ffEvent is the single scheduled ring-change (next completion) event;
-	// ffAt/ffPrio/ffTie cache its slot so an unchanged forecast keeps the
-	// booking (and with it the FIFO tie position) instead of
-	// cancel-and-rebooking.
-	ffAt    sim.Time
-	ffPrio  sim.Time
-	ffTie   sim.TieKey
-	ffEvent *sim.Event
-	onRing  sim.Handler
-	// anchor/anchorPre/anchorStamp identify the node's most recent irregular
-	// service boundary — one whose elapsed time was not a full quantum (a
-	// short final or dying slice), or the delivery that started the current
-	// busy period. They parameterize the completion event's TieKey: the
-	// stepped engine's booking chain is regular (full-quantum spaced) back to
-	// exactly this boundary, so equal-(at, prio) completions on different
-	// nodes resolve their calendar order the way the stepped chain bookings
-	// would have.
-	anchor      sim.Time
-	anchorPre   sim.Time
-	anchorStamp uint64
-	// folded points at the machine's count of cohort deliveries folded into
-	// an earlier cohort's delivery event (Machine.deliver), which stamp
-	// adds back; a node built outside a machine owns a count that stays 0.
+	// folded points at the machine's count of events folded into another:
+	// cohort deliveries landed by an earlier cohort's delivery event
+	// (Machine.deliver) and the completions of a shared ring's later members
+	// (ffRing.finishSiblings). stamp adds it back; a node built outside a
+	// machine owns a count that stays 0.
 	folded *uint64
-	// Forecast scratch (reused across calls to keep the hot path
-	// allocation-free): post-round-one remainders, quanta and full-quantum
-	// elapsed times of the surviving cohorts, in service order.
-	fcRem []sim.Time
-	fcQ   []sim.Time
-	fcE   []sim.Time
+
+	// own is the ring the node serves alone or heads in lockstep; it is
+	// unused, idle, while the node is a later member of another's.
+	own ffRing
+	// arriving is the node's cohort in a lockstep delivery until its ring
+	// takes it (Machine.deliver, land).
+	arriving *cohort
 
 	// ob records cohort residency spans when observability is enabled,
 	// parented on the step's execute span that rec holds.
@@ -127,12 +111,16 @@ type dpn struct {
 func newDPN(id int, eng *sim.Engine, met *metrics.Collector) *dpn {
 	d := &dpn{id: id, eng: eng, met: met, folded: new(uint64)}
 	d.onQuantum = d.quantumDone
-	d.onRing = d.ringChange
+	d.own.members = []*dpn{d}
+	d.own.onRing = d.own.ringChange
+	d.ffRing = &d.own
 	return d
 }
 
-// add registers a cohort; service starts immediately if the node was idle.
-// The new cohort joins the rotation behind the current position.
+// add registers a cohort delivered to this node alone; service starts
+// immediately if the node was idle. A node in lockstep with others leaves
+// them first (detach). The new cohort joins the rotation behind the current
+// position.
 func (d *dpn) add(c *cohort) {
 	if c.quantum <= 0 {
 		panic("machine: cohort quantum must be positive")
@@ -140,12 +128,9 @@ func (d *dpn) add(c *cohort) {
 	if d.down {
 		panic("machine: cohort delivered to a down node")
 	}
+	d.detach()
 	d.sync()
-	if d.ob.Enabled() && c.run != nil {
-		t := c.run.e.Txn
-		c.span = d.ob.Begin("cohort", "io", t.ID, d.id, t.StepIndex,
-			d.rec.StepSpan(t.ID), d.eng.Now())
-	}
+	d.beginSpan(c)
 	d.ring = append(d.ring, c)
 	if d.stepped {
 		if !d.busy {
@@ -165,11 +150,82 @@ func (d *dpn) add(c *cohort) {
 	d.reschedule()
 }
 
-// stamp is the dispatch-order stamp of the running event, for tie keys: the
-// number of events dispatched so far, counting every cohort delivery as an
-// event of its own however the machine groups them. Tie keys then order
-// same-instant completions independently of that grouping.
-func (d *dpn) stamp() uint64 { return d.eng.Executed() + *d.folded }
+// land delivers c, one cohort of a lockstep delivery (Machine.deliver: a
+// chain of live cohorts, every node up, each node's arriving set), at its
+// place in the chain; prev is the chain's previous cohort when that one
+// started or joined a ring here, and land returns c when it does.
+//
+//   - An idle node joins prev's new ring when it runs at prev's speed:
+//     its cohort hangs off prev's as a sibling, and the ring's booking
+//     stands for the one it would have made. Otherwise it starts a ring of
+//     its own (add).
+//   - A busy node's ring takes the step as one element, made of every
+//     member's arriving cohort, once every member is in the chain; the
+//     members the chain misses are split off first. The later members'
+//     cohorts then only open their spans when their turn comes.
+func (d *dpn) land(c, prev *cohort) *cohort {
+	if d.arriving == nil {
+		d.beginSpan(c) // taken with the element an earlier member landed
+		return nil
+	}
+	d.sync()
+	r := d.ffRing
+	if !r.busy {
+		d.arriving = nil
+		if prev == nil || prev.node.slow != d.slow {
+			d.add(c)
+			return c
+		}
+		f := prev.node.ffRing
+		f.members = append(f.members, d)
+		d.ffRing = f
+		prev.sib = c
+		d.beginSpan(c)
+		return c
+	}
+	if !r.covered() {
+		r.split(arrivingDiffers, true)
+		r = d.ffRing
+	}
+	d.beginSpan(c)
+	r.take()
+	r.reschedule()
+	return nil
+}
+
+// arrivingDiffers cuts a ring between a member the delivery reaches and one
+// it misses.
+func arrivingDiffers(a, b *dpn) bool { return (a.arriving == nil) != (b.arriving == nil) }
+
+// beginSpan opens c's residency span at this node when observability is on.
+func (d *dpn) beginSpan(c *cohort) {
+	if d.ob.Enabled() && c.run != nil {
+		t := c.run.e.Txn
+		c.span = d.ob.Begin("cohort", "io", t.ID, d.id, t.StepIndex,
+			d.rec.StepSpan(t.ID), d.eng.Now())
+	}
+}
+
+// finish closes c's span at t and hands c to its completion callback.
+func (d *dpn) finish(c *cohort, t sim.Time) {
+	d.ob.End(c.span, t)
+	if c.done != nil {
+		c.done()
+	} else if d.complete != nil {
+		d.complete(c)
+	}
+}
+
+// detach splits the node off a shared ring, brought up to date first; the
+// members before it and those after it go on sharing among themselves.
+// A node serving alone is left as it is.
+func (d *dpn) detach() {
+	if len(d.members) == 1 {
+		return
+	}
+	d.ffRing.sync()
+	d.ffRing.split(func(a, b *dpn) bool { return a == d || b == d }, true)
+}
 
 // queueLen reports the number of resident cohorts at the current virtual
 // time (bringing the fast-forward ring up to date first, so load probes and
@@ -179,30 +235,13 @@ func (d *dpn) queueLen() int {
 	return len(d.ring)
 }
 
-// sync replays onto the ring every service boundary the stepped engine
-// would have applied before the event currently being dispatched. All
-// boundaries strictly before now qualify; a boundary landing exactly on the
-// current instant qualifies iff the stepped quantum event standing for it —
-// timestamp now, priority svcStart (its booking time) — sorts before the
-// running event's (now, CurPrio) calendar key. Without the priority test a
-// cohort delivered exactly on a quantum boundary would join the rotation
-// ahead of the incumbent the stepped engine had already rotated past.
+// sync brings the node's ring up to date (ffRing.sync); the stepped engine
+// is always up to date.
 func (d *dpn) sync() {
 	if d.stepped {
 		return
 	}
-	now := d.eng.Now()
-	d.advanceTo(now, false)
-	prio := d.eng.CurPrio()
-	for d.busy && d.svcEnd == now && d.svcStart < prio {
-		if c := d.ring[d.cur]; !c.dead && c.remaining <= d.svcSlice {
-			// A completion here would mean the (now, svcStart) completion
-			// event is on the calendar and the engine dispatched the later
-			// (now, prio) event first — impossible.
-			panic(fmt.Sprintf("machine: dpn %d sync crossed a completion at %v", d.id, now))
-		}
-		d.applyBoundary()
-	}
+	d.ffRing.sync()
 }
 
 // crash takes the node down: the in-progress service is cancelled and every
@@ -210,8 +249,10 @@ func (d *dpn) sync() {
 // can abort the transactions that owned them. sync decides whether a
 // boundary falling exactly on the crash instant is applied the same way the
 // stepped calendar would have ordered the colliding quantum event against
-// the crash event; the quantum the crash interrupts is never charged.
+// the crash event; the quantum the crash interrupts is never charged. A
+// node in lockstep leaves its siblings first.
 func (d *dpn) crash() []*cohort {
+	d.detach()
 	d.sync()
 	d.down = true
 	if d.pending != nil {
@@ -237,8 +278,10 @@ func (d *dpn) restore() { d.down = false }
 
 // setSlow applies (factor > 1) or clears (factor <= 1) the straggler
 // multiplier. It affects services scheduled from now on; the one in
-// progress finishes at its booked speed.
+// progress finishes at its booked speed. A node in lockstep leaves its
+// siblings first, since it no longer runs at their speed.
 func (d *dpn) setSlow(factor float64) {
+	d.detach()
 	d.sync()
 	d.slow = factor
 	if !d.stepped && d.busy {
@@ -257,34 +300,57 @@ func (d *dpn) setSlow(factor float64) {
 // flag raised before the replay catches up would drop the cohort from
 // boundaries in the past — quanta the stepped engine served while the
 // cohort was still live.
+//
+// A shared ring whose in-flight element died breaks up into single nodes.
+// The forecast then reaches past that service's boundary, and when the
+// boundary is irregular (a short dying slice, or under RunToCompletion a
+// full slice whose quantum differs from the winner's) each member's booking
+// takes its tie key's stamp from the event that notifies it and its
+// boundary's anchor stamp from whichever event replays it, which shared
+// members could not keep apart. killCohorts notifies every member, and each
+// books its own completion event then, in the order the members' own
+// bookings would have.
 func (d *dpn) deadMarked() {
 	if d.stepped || !d.busy {
 		return
 	}
 	d.sync()
+	if r := d.ffRing; len(r.members) > 1 && r.busy && r.ring[r.cur].dead {
+		r.split(func(*dpn, *dpn) bool { return true }, false)
+	}
 	// reschedule also handles the ring having drained during the replay
 	// (the mark left only dead cohorts): it cancels the stale booking.
 	d.reschedule()
 }
 
+// flush applies every boundary up to and including the measurement horizon
+// at the end of a run (ffRing.advanceTo); the stepped engine's quantum
+// events have fired already.
+func (d *dpn) flush(t sim.Time) {
+	if d.stepped {
+		return
+	}
+	d.advanceTo(t, true)
+}
+
 // dropDeadAt removes the run of dead cohorts at the rotation cursor,
-// closing their residency spans at virtual time t. Consecutive dead
-// cohorts are spliced out in one copy (wrapping costs a second), instead
-// of one O(ring) splice per corpse.
-func (d *dpn) dropDeadAt(t sim.Time) {
-	for len(d.ring) > 0 {
-		if d.cur >= len(d.ring) {
-			d.cur = 0
+// closing their residency spans (every member's) at virtual time t.
+// Consecutive dead cohorts are spliced out in one copy (wrapping costs a
+// second), instead of one O(ring) splice per corpse.
+func (r *ffRing) dropDeadAt(t sim.Time) {
+	for len(r.ring) > 0 {
+		if r.cur >= len(r.ring) {
+			r.cur = 0
 		}
-		j := d.cur
-		for j < len(d.ring) && d.ring[j].dead {
-			d.ob.End(d.ring[j].span, t)
+		j := r.cur
+		for j < len(r.ring) && r.ring[j].dead {
+			r.endSpans(r.ring[j], t)
 			j++
 		}
-		if j == d.cur {
+		if j == r.cur {
 			return
 		}
-		d.ring = append(d.ring[:d.cur], d.ring[j:]...)
+		r.ring = append(r.ring[:r.cur], r.ring[j:]...)
 	}
 }
 

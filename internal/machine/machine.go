@@ -421,11 +421,32 @@ func (m *Machine) placeStep(e *engine.Exec, attempt int) {
 // behind it, in placement order. Each chained cohort counts as a folded
 // delivery, keeping the nodes' tie-key stamps those of one delivery event
 // per cohort.
+//
+// On the fast-forward engine a chain of two or more cohorts of a live run,
+// every node up, lands in lockstep (dpn.land): consecutive idle nodes at
+// one speed start one shared ring, and a busy ring that the chain reaches
+// on every member takes the step as one element. Any other chain lands
+// cohort by cohort (deliverCohort), each node alone.
 func (m *Machine) deliver(c *cohort) {
-	m.deliverCohort(c)
-	for c = c.next; c != nil; c = c.next {
-		m.folded++
-		m.deliverCohort(c)
+	lockstep := c.next != nil && !c.run.dead && !c.node.stepped
+	for x := c; lockstep && x != nil; x = x.next {
+		lockstep = !x.node.down
+	}
+	if lockstep {
+		for x := c; x != nil; x = x.next {
+			x.node.arriving = x
+		}
+	}
+	var prev *cohort // the previous cohort, if it started or joined a ring
+	for x := c; x != nil; x = x.next {
+		if x != c {
+			m.folded++
+		}
+		if lockstep {
+			prev = x.node.land(x, prev)
+		} else {
+			m.deliverCohort(x)
+		}
 	}
 }
 
