@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"batchsched/internal/experiments"
+	"batchsched/internal/sweep"
 )
 
 // TestArtifactsGolden pins every paper artifact byte for byte: each
@@ -26,30 +27,7 @@ func TestArtifactsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "== %s\n%s\n", id, tbl)
 	}
-	path := filepath.Join("testdata", "artifacts.golden.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create it)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gotParts := bytes.Split(got.Bytes(), []byte("\n== "))
-		wantParts := bytes.Split(want, []byte("\n== "))
-		for i := range gotParts {
-			if i >= len(wantParts) || !bytes.Equal(gotParts[i], wantParts[i]) {
-				id, _, _ := bytes.Cut(bytes.TrimPrefix(gotParts[i], []byte("== ")), []byte("\n"))
-				t.Errorf("artifact %s deviates from %s", id, path)
-			}
-		}
-		t.Errorf("artifacts deviate from %s (%d bytes vs %d); rerun with -update-golden if the change is intentional",
-			path, got.Len(), len(want))
-	}
+	checkSections(t, "artifacts.golden.txt", got.Bytes())
 }
 
 // TestAblationsGolden pins every ablation and extension study of
@@ -63,20 +41,40 @@ func TestAblationsGolden(t *testing.T) {
 	for _, a := range experiments.Ablations {
 		fmt.Fprintf(&got, "== %s\n%s\n", a.ID, a.Run(o))
 	}
-	path := filepath.Join("testdata", "ablations.golden.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
+	checkSections(t, "ablations.golden.txt", got.Bytes())
+}
+
+// TestGridsGolden pins the replicated paper grids of cmd/paperbench -grid
+// byte for byte, each as the command prints it: exp1 .. exp4 at R=2,
+// 60-second windows and root seed 1 (paperbench -grid expN -reps 2
+// -duration 60 -seed 1). Regenerate after an intentional behaviour change
+// with:
+//
+//	go test -run TestGridsGolden -update-golden .
+func TestGridsGolden(t *testing.T) {
+	o := Options{Duration: 60 * Second, Reps: 2, Seed: 1}
+	var got bytes.Buffer
+	for _, id := range []string{"exp1", "exp2", "exp3", "exp4"} {
+		spec, _ := experiments.PaperSpec(id, o)
+		fmt.Fprintf(&got, "== %s\n%s\n", id, sweep.Table(spec, experiments.RunGrid(spec)))
+	}
+	checkSections(t, "grids.golden.txt", got.Bytes())
+}
+
+// checkSections is checkGolden for output made of "== id" sections; on a
+// mismatch it also names each section that deviates.
+func checkSections(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, _ := os.ReadFile(filepath.Join("testdata", name))
+	checkGolden(t, name, got)
+	if *updateGolden || bytes.Equal(got, want) {
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create it)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("ablations deviate from %s (%d bytes vs %d); rerun with -update-golden if the change is intentional",
-			path, got.Len(), len(want))
+	wantParts := bytes.Split(want, []byte("\n== "))
+	for i, part := range bytes.Split(got, []byte("\n== ")) {
+		if i >= len(wantParts) || !bytes.Equal(part, wantParts[i]) {
+			id, _, _ := bytes.Cut(bytes.TrimPrefix(part, []byte("== ")), []byte("\n"))
+			t.Errorf("%s deviates from testdata/%s", id, name)
+		}
 	}
 }

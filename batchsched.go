@@ -312,8 +312,8 @@ func DefaultAdmitPolicy() AdmitPolicy { return admit.DefaultPolicy() }
 // process (cfg.Arrivals, or the Poisson at cfg.ArrivalRate). Arrivals flow
 // through the bounded deadline-ordered admission queue; the epoch loop
 // admits them into the policy's in-flight window and sheds load under
-// backpressure. epochHook, if non-nil, receives every epoch's snapshot (for
-// per-epoch SLI ledger lines and gauges). Deterministic in the seed.
+// backpressure. epochHook, if non-nil, receives every epoch's snapshot.
+// Deterministic in the seed.
 func RunService(cfg Config, scheduler string, params Params, gen Generator, seed int64, epochHook func(EpochStats)) (Summary, error) {
 	if cfg.Service == nil {
 		return Summary{}, fmt.Errorf("batchsched: RunService needs cfg.Service (the admission policy)")
@@ -427,8 +427,7 @@ func runLive(cfg LiveConfig, scheduler string, params Params, batch [][]Step, ch
 	if err != nil {
 		return Summary{}, err
 	}
-	res, err := RunLiveTelemetry(b, scheduler, batch, check)
-	return res.Summary, err
+	return RunLiveTelemetry(b, scheduler, batch, check)
 }
 
 // LiveBackend is the real-execution backend handle. Most callers use
@@ -447,28 +446,14 @@ func NewLiveBackend(cfg LiveConfig, scheduler string, params Params) (*LiveBacke
 	return live.New(cfg, s)
 }
 
-// LiveResult bundles a live run's summary with the run-level telemetry the
-// SLI ledger records: guard violations and observability clock clamps.
-type LiveResult struct {
-	Summary Summary
-	// Violations counts incompatible cohort co-residencies the DPN lock
-	// guards observed (zero for every real scheduler; positive under NODC).
-	Violations int
-	// ClockClamps counts monotone clock-regression clamps in the
-	// observability layer (span ends plus metric samples).
-	ClockClamps int64
-}
-
 // RunLiveTelemetry executes a closed batch on a pre-built backend (see
 // NewLiveBackend), with optional conflict-serializability checking of the
 // real history; RunLiveBatch and RunLiveChecked are this call on a fresh
 // backend. scheduler must name the scheduler the backend was built with (it
-// selects the history semantics). The result always carries the guard
-// violations and clock clamps, so telemetry consumers (the SLI ledger) can
-// record them as measures; like every live entry point it fails on a stall
-// and, for a scheduler that keeps a lock table, on any guard violation
-// (LiveBackend.Err).
-func RunLiveTelemetry(b *LiveBackend, scheduler string, batch [][]Step, check bool) (LiveResult, error) {
+// selects the history semantics). Like every live entry point it fails on a
+// stall and, for a scheduler that keeps a lock table, on any guard
+// violation (LiveBackend.Err).
+func RunLiveTelemetry(b *LiveBackend, scheduler string, batch [][]Step, check bool) (Summary, error) {
 	var rec *history.Recorder
 	if check {
 		rec = newHistory(scheduler)
@@ -478,17 +463,15 @@ func RunLiveTelemetry(b *LiveBackend, scheduler string, batch [][]Step, check bo
 		b.SetObserver(rec)
 	}
 	sum, err := b.RunBatch(batch)
-	ends, samples := b.ClockClamps()
-	res := LiveResult{Summary: sum, Violations: b.Violations(), ClockClamps: ends + samples}
 	if err != nil {
-		return res, err
+		return sum, err
 	}
 	if check {
 		if err := rec.CheckSerializable(); err != nil {
-			return res, fmt.Errorf("batchsched: %s produced a non-serializable live history: %w", scheduler, err)
+			return sum, fmt.Errorf("batchsched: %s produced a non-serializable live history: %w", scheduler, err)
 		}
 	}
-	return res, nil
+	return sum, nil
 }
 
 // RunSimBatch executes the same kind of closed batch on the simulator

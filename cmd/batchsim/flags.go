@@ -31,7 +31,7 @@ func validateRunFlags(wl string, numFiles int, heavytail float64, txns, reps int
 // streaming instruments, so it requires the live backend and a single real
 // run — the virtual-clock simulator finishes in milliseconds of wall time
 // and -compare interleaves many runs, so a scrape of either would lie.
-func validateTelemetryFlags(serveAddr, sliLedger, backend string, compare bool) error {
+func validateTelemetryFlags(serveAddr, backend string, compare bool) error {
 	if serveAddr != "" {
 		if compare {
 			return errors.New("-serve is incompatible with -compare (it interleaves many short runs)")
@@ -39,9 +39,6 @@ func validateTelemetryFlags(serveAddr, sliLedger, backend string, compare bool) 
 		if backend != "live" {
 			return fmt.Errorf("-serve requires -backend live: the %q backend runs on the virtual clock, not in wall time", backend)
 		}
-	}
-	if sliLedger != "" && compare {
-		return errors.New("-sli-ledger is incompatible with -compare")
 	}
 	return nil
 }
@@ -71,9 +68,9 @@ var (
 		"slo-interactive", "overload-p95", "capacity", "cap-lo", "cap-hi", "cap-tol"}
 	simServiceIgnores = []string{"txns", "pace", "rows", "serve-linger", "service-duration", "metrics-interval"}
 	// -capacity bisects over its own rates on the default machine, with no
-	// faults, warm-up, cost error or ledger line.
+	// faults, warm-up or cost error.
 	capacityIgnores = []string{"numnodes", "warmup", "sigma", "k", "restartdelay", "mtbf", "mttr", "straggler",
-		"msgloss", "msgdelay", "msgtimeout", "msgretries", "sli-ledger"}
+		"msgloss", "msgdelay", "msgtimeout", "msgretries"}
 	liveServiceIgnores = []string{"txns", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries", "cap-lo", "cap-hi", "cap-tol"}
 	compareTakes       = []string{"compare", "seed", "txns", "cpuprofile", "memprofile"}
 )
@@ -90,7 +87,7 @@ var prerequisites = []struct {
 	{"mpl", "-sched C2PL+M (its admission limit) or -service (the admission window)",
 		func(f modeFlags) bool { return f.sched == "C2PL+M" || f.service }},
 	{"serve-linger", "-serve", func(f modeFlags) bool { return f.set["serve"] }},
-	{"slo-spec", "-sli-ledger or -capacity", func(f modeFlags) bool { return f.set["sli-ledger"] || f.capacity }},
+	{"slo-spec", "-capacity (the SLO it bisects against)", func(f modeFlags) bool { return f.capacity }},
 }
 
 // validateModeFlags rejects flag combinations one invocation cannot honour

@@ -134,8 +134,10 @@ func TestFlagCombinations(t *testing.T) {
 		{"service GOW with k", modeFlags{backend: "sim", sched: "GOW", reps: 1, service: true, lambda: 0.5,
 			set: map[string]bool{"k": true}}, outputs{}, true},
 		{"sim with slo-spec alone", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"slo-spec": true}}, outputs{}, true},
+		// -slo-spec needs -capacity; "sli-ledger" is no flag, so it cannot
+		// satisfy the prerequisite.
 		{"sim with slo-spec and ledger", modeFlags{backend: "sim", sched: "GOW", reps: 1,
-			set: map[string]bool{"slo-spec": true, "sli-ledger": true}}, outputs{}, false},
+			set: map[string]bool{"slo-spec": true, "sli-ledger": true}}, outputs{}, true},
 		{"service with slo-spec alone", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5,
 			set: map[string]bool{"slo-spec": true}}, outputs{}, true},
 		{"service capacity with slo-spec", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,

@@ -67,8 +67,7 @@ func main() {
 
 		serveAddr   = flag.String("serve", "", "serve live telemetry at this address (host:port; :0 picks a port): /metrics, /healthz, /slo, /debug/pprof; requires -backend live")
 		serveLinger = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run completes (for external scrapers)")
-		sliLedger   = flag.String("sli-ledger", "", "append one SLI ledger line (JSONL, see internal/obs/sli) for the run to this file")
-		sloSpec     = flag.String("slo-spec", "", "JSON SLO spec file for -sli-ledger (empty = built-in default spec)")
+		sloSpec     = flag.String("slo-spec", "", "JSON SLO spec file for -capacity (empty = built-in service spec)")
 
 		traceOut        = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file (single rep)")
 		metricsOut      = flag.String("metrics-out", "", "write the sampled metrics time-series as CSV to this file (single rep)")
@@ -120,7 +119,7 @@ func main() {
 		trace:  *traceFile != "", obsOut: obsOut,
 		lambda: *lambda, capacity: *capacity, heavytail: *heavytail > 0, set: set,
 	}))
-	exitOn(2, validateTelemetryFlags(*serveAddr, *sliLedger, *backend, *compare))
+	exitOn(2, validateTelemetryFlags(*serveAddr, *backend, *compare))
 	exitOn(2, validateRunFlags(*wl, *numFiles, *heavytail, *txns, *reps))
 
 	cfg := batchsched.DefaultConfig()
@@ -202,7 +201,7 @@ func main() {
 			sloBatch: *sloBatch, sloInteractive: *sloInter, overloadP95: *overloadP95,
 			mpl:      *mpl,
 			capacity: *capacity, capLo: *capLo, capHi: *capHi, capTol: *capTol,
-			ledger: *sliLedger, specPath: *sloSpec,
+			specPath:  *sloSpec,
 			serveAddr: *serveAddr, linger: *serveLinger,
 		}))
 	}
@@ -222,12 +221,8 @@ func main() {
 			sum batchsched.Summary
 			err error
 		)
-		if *serveAddr != "" || *sliLedger != "" {
-			sum, err = runLiveTelemetry(lcfg, *schedName, params, batch, telemetryOpts{
-				serveAddr: *serveAddr, linger: *serveLinger,
-				ledger: *sliLedger, specPath: *sloSpec,
-				check: *check, wl: *wl, seed: *seed,
-			})
+		if *serveAddr != "" {
+			sum, err = runLiveTelemetry(lcfg, *schedName, params, batch, *serveAddr, *serveLinger, *check)
 		} else {
 			run := batchsched.RunLiveBatch
 			if *check {
@@ -285,10 +280,6 @@ func main() {
 	wall := time.Since(start)
 	exitOn(1, err)
 
-	if *sliLedger != "" {
-		exitOn(1, appendSimLedger(*sliLedger, *sloSpec, *schedName, *wl, *lambda, *seed, sum))
-		fmt.Fprintf(os.Stderr, "batchsim: SLI ledger line appended to %s\n", *sliLedger)
-	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

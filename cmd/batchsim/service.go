@@ -45,9 +45,9 @@ type serviceRun struct {
 	capacity             bool
 	capLo, capHi, capTol float64
 
-	ledger, specPath string
-	serveAddr        string
-	linger           time.Duration
+	specPath  string
+	serveAddr string
+	linger    time.Duration
 }
 
 // simDur converts a wall flag duration onto the policy clock (sim.Time is
@@ -56,7 +56,7 @@ func simDur(d time.Duration) sim.Time { return sim.Time(d / time.Microsecond) }
 
 // policy assembles the admission policy from the flags over the default.
 // -mpl sizes the admission window here (the open-system analogue of the
-// C2PL+M admission limit), matching the sweep grid's reinterpretation.
+// C2PL+M admission limit).
 func (f serviceRun) policy() (batchsched.AdmitPolicy, error) {
 	pol := batchsched.DefaultAdmitPolicy()
 	if f.mpl > 0 {
@@ -118,16 +118,13 @@ func runServiceMode(f serviceRun) int {
 
 // runServiceSim runs the virtual-clock service: -reps replications on seeds
 // seed..seed+reps-1 (fresh arrival process each — burst is stateful),
-// averaged; the epoch trail and ledger lines describe the first replication.
+// averaged; the epoch trail describes the first replication.
 func runServiceSim(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) int) int {
 	cfg := f.cfg
 	cfg.Service = &pol
 	cfg.MPL = 0
 	cfg.ArrivalRate = f.lambda
-	var (
-		epochs []batchsched.EpochStats
-		first  batchsched.Summary
-	)
+	var epochs []batchsched.EpochStats
 	avg, _, err := metrics.Replicate(f.seed, f.reps, func(seed int64) (batchsched.Summary, error) {
 		arr, err := experiments.ArrivalProcess(f.arrival, f.lambda)
 		if err != nil {
@@ -138,20 +135,10 @@ func runServiceSim(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) in
 		if seed == f.seed {
 			hook = func(es batchsched.EpochStats) { epochs = append(epochs, es) }
 		}
-		sum, err := batchsched.RunService(cfg, f.sched, f.params, f.gen, seed, hook)
-		if seed == f.seed {
-			first = sum
-		}
-		return sum, err
+		return batchsched.RunService(cfg, f.sched, f.params, f.gen, seed, hook)
 	})
 	if err != nil {
 		return fail(err)
-	}
-	if f.ledger != "" {
-		if err := appendServiceLedger(f, "sim", first, epochs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "batchsim: %d SLI ledger line(s) appended to %s\n", 1+len(epochs), f.ledger)
 	}
 	return printService(f, fmt.Sprintf("sim, %.0f s virtual, %d rep(s)", cfg.Duration.Seconds(), max(f.reps, 1)), avg, epochs)
 }
@@ -187,12 +174,6 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 	sum := b.RunService(f.gen, arr, f.seed)
 	if err := b.Err(); err != nil {
 		return fail(err)
-	}
-	if f.ledger != "" {
-		if err := appendServiceLedger(f, "live", sum, epochs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "batchsim: %d SLI ledger line(s) appended to %s\n", 1+len(epochs), f.ledger)
 	}
 	code := printService(f, fmt.Sprintf("live, %v wall, %d nodes, pace %v", f.duration, lcfg.NumNodes, lcfg.PacePerObject), sum, epochs)
 	if f.serveAddr != "" {
@@ -247,53 +228,6 @@ func runServiceCapacity(f serviceRun, pol batchsched.AdmitPolicy, fail func(erro
 			tr.Lambda, verdict, tr.Measures.TPS, tr.Measures.P95RTSeconds, 100*tr.Measures.ShedRate())
 	}
 	return 0
-}
-
-// serviceLedgerEntries builds the run-level entry plus one per-epoch entry
-// (Entry.Epoch numbered from 1), all carrying the open-stream arrival/shed
-// counters the shed-rate objective evaluates.
-func serviceLedgerEntries(source string, spec sli.Spec, schedName, wl string, lambda float64, seed int64,
-	sum batchsched.Summary, epochs []batchsched.EpochStats) []sli.Entry {
-	m := sli.FromSummary(schedName, wl, lambda, sum, 0, 0)
-	m.Arrivals = float64(sum.Arrivals)
-	m.Sheds = float64(sum.Sheds)
-	run := sli.NewEntry(source, spec, m)
-	run.Seed = seed
-	entries := []sli.Entry{run}
-	for _, es := range epochs {
-		span := (es.End - es.Start).Seconds()
-		em := sli.Measures{
-			Scheduler:     schedName,
-			Load:          wl,
-			Lambda:        lambda,
-			MeanRTSeconds: es.MeanRT.Seconds(),
-			P95RTSeconds:  es.P95RT.Seconds(),
-			Completions:   float64(es.Completions),
-			Arrivals:      float64(es.Arrivals),
-			Sheds:         float64(es.Sheds),
-		}
-		if span > 0 {
-			em.TPS = float64(es.Completions) / span
-		}
-		e := sli.NewEntry(source, spec, em)
-		e.Seed = seed
-		e.Epoch = es.Epoch
-		entries = append(entries, e)
-	}
-	return entries
-}
-
-// appendServiceLedger stamps the run-level entry (epoch entries stay
-// unstamped, so a fixed-seed epoch trail is byte-reproducible) and appends
-// everything to the JSONL ledger.
-func appendServiceLedger(f serviceRun, source string, sum batchsched.Summary, epochs []batchsched.EpochStats) error {
-	spec, err := serviceSpec(f.specPath)
-	if err != nil {
-		return err
-	}
-	entries := serviceLedgerEntries(source, spec, f.sched, f.wl, f.lambda, f.seed, sum, epochs)
-	entries[0].Time = time.Now().UTC().Format(time.RFC3339)
-	return sli.Append(f.ledger, entries...)
 }
 
 // printService renders the service summary (or its JSON) and returns the

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"batchsched"
-	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
 )
 
@@ -43,67 +42,5 @@ func TestServicePolicyFlags(t *testing.T) {
 	// Explicit zeros disable the interactive deadline and overload control.
 	if pol.QueueSLO[1] != 0 || pol.OverloadP95 != 0 {
 		t.Errorf("zeros did not disable: slo=%v p95=%v", pol.QueueSLO[1], pol.OverloadP95)
-	}
-}
-
-func TestServiceLedgerEntries(t *testing.T) {
-	sum := batchsched.Summary{
-		Arrivals:    100,
-		Completions: 88,
-		Sheds:       1,
-		TPS:         0.88,
-		MeanRT:      8 * sim.Second,
-		P95RT:       20 * sim.Second,
-	}
-	epochs := []batchsched.EpochStats{
-		{Epoch: 1, Start: 0, End: 10 * sim.Second, Arrivals: 9, Completions: 5,
-			Sheds: 1, MeanRT: 4 * sim.Second, P95RT: 6 * sim.Second},
-		{Epoch: 2, Start: 10 * sim.Second, End: 20 * sim.Second, Arrivals: 8, Completions: 7},
-	}
-	spec := sli.ServiceDefault()
-	entries := serviceLedgerEntries("sim", spec, "GOW", "exp1", 0.9, 42, sum, epochs)
-	if len(entries) != 3 {
-		t.Fatalf("entries = %d, want run + 2 epochs", len(entries))
-	}
-
-	run := entries[0]
-	if run.Epoch != 0 {
-		t.Errorf("run entry has Epoch %d", run.Epoch)
-	}
-	if run.Seed != 42 || run.Source != "sim" {
-		t.Errorf("run identity: %+v", run)
-	}
-	if run.Measures.Arrivals != 100 || run.Measures.Sheds != 1 {
-		t.Errorf("run open-stream counters: %+v", run.Measures)
-	}
-	if got := run.Measures.ShedRate(); got != 0.01 {
-		t.Errorf("ShedRate = %g", got)
-	}
-	if !run.Pass {
-		t.Errorf("run entry failed the default spec: %+v", run.Checks)
-	}
-
-	e1 := entries[1]
-	if e1.Epoch != 1 || e1.Measures.Arrivals != 9 || e1.Measures.Sheds != 1 {
-		t.Errorf("epoch 1 entry: %+v", e1)
-	}
-	if e1.Measures.TPS != 0.5 {
-		t.Errorf("epoch 1 TPS = %g, want 5 completions / 10 s", e1.Measures.TPS)
-	}
-	if e1.Measures.P95RTSeconds != 6 {
-		t.Errorf("epoch 1 p95 = %g", e1.Measures.P95RTSeconds)
-	}
-	// Epoch entries stay unstamped so fixed-seed trails are reproducible.
-	if e1.Time != "" {
-		t.Errorf("epoch entry stamped: %q", e1.Time)
-	}
-	if entries[2].Epoch != 2 {
-		t.Errorf("epoch 2 entry: %+v", entries[2])
-	}
-
-	for i, e := range entries {
-		if e.SchemaV != sli.Schema {
-			t.Errorf("entry %d schema %q", i, e.SchemaV)
-		}
 	}
 }

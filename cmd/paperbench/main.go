@@ -9,13 +9,18 @@
 //	paperbench -exp fig10 -quick      # scaled-down smoke run (~seconds)
 //	paperbench -exp table3 -reps 3    # average 3 seeds per point
 //	paperbench -ablations -quick      # the design-choice ablation studies
+//	paperbench -grid exp1 -reps 5     # replicated Exp. 1 grid, mean ± 95% CI
+//
+// -grid runs one experiment's whole grid (exp1 .. exp4) with -reps
+// replications per cell, each on its own seed substream of -seed, and
+// prints one mean ± 95% CI row per cell.
 //
 // Each study's stderr line reports its wall time and how many replications
-// it simulated and how many the replication memo served; the ablations go
-// through the memo too, so a configuration two studies share is simulated
-// once. The root tests TestArtifactsGolden and
-// TestAblationsGolden pin every artifact and every ablation byte for byte
-// (testdata/, 60-second windows, seed 4).
+// it simulated and how many the replication memo served; the ablations and
+// grids go through the memo too, so a configuration two studies share is
+// simulated once. The root tests TestArtifactsGolden, TestAblationsGolden
+// and TestGridsGolden pin every artifact, every ablation and every grid
+// byte for byte (testdata/).
 package main
 
 import (
@@ -28,12 +33,14 @@ import (
 
 	"batchsched"
 	"batchsched/internal/experiments"
+	"batchsched/internal/sweep"
 )
 
 func main() {
 	var (
 		exp       = flag.String("exp", "all", "artifact id ("+strings.Join(batchsched.ArtifactIDs(), ", ")+") or 'all'")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablation studies instead of the paper artifacts")
+		grid      = flag.String("grid", "", "run a replicated paper grid instead of the artifacts: exp1, exp2, exp3 or exp4, -reps replications per cell")
 		chart     = flag.Bool("chart", false, "also render figure artifacts as ASCII charts")
 		quick     = flag.Bool("quick", false, "scaled-down run: 200s windows, coarse solver")
 		duration  = flag.Float64("duration", 0, "override simulated seconds per run (0 = paper's 2000)")
@@ -42,7 +49,10 @@ func main() {
 		tol       = flag.Float64("tol", 0, "bisection tolerance on lambda (0 = 0.01)")
 	)
 	flag.Parse()
-	if err := validateFlags(*duration, *tol, *reps); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	err := validateFlags(runFlags{duration: *duration, tol: *tol, reps: *reps, grid: *grid, ablations: *ablations, set: set})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -60,6 +70,12 @@ func main() {
 		}
 	}
 
+	if set["grid"] {
+		spec, _ := experiments.PaperSpec(*grid, o)
+		fmt.Fprintf(os.Stderr, "== running grid %s: %d cells x %d reps\n", spec.Name, len(spec.Cells()), spec.Reps)
+		timed(spec.Name, func() { fmt.Println(sweep.Table(spec, experiments.RunGrid(spec)).String()) })
+		return
+	}
 	if *ablations {
 		for _, a := range experiments.Ablations {
 			fmt.Fprintf(os.Stderr, "== running %s: %s\n", a.ID, a.Title)
@@ -94,18 +110,51 @@ func main() {
 	}
 }
 
+// The flags each mode ignores; validateFlags rejects any of them given on
+// the command line, so no flag is dropped silently.
+var (
+	ablationsIgnores = []string{"exp", "chart", "grid"}
+	gridIgnores      = []string{"exp", "chart", "tol", "ablations"}
+)
+
+// runFlags are the flags validateFlags checks: the values that need a
+// range check and the mode, plus every flag given on the command line.
+type runFlags struct {
+	duration, tol float64
+	reps          int
+	grid          string
+	ablations     bool
+	set           map[string]bool // the flag.Visit names
+}
+
 // validateFlags rejects flag values that would otherwise run something other
 // than what was asked: a negative or non-finite -duration (0 means the
 // paper's window), a negative or non-finite -tol (0 means 0.01; below 0 every
-// solve would bisect to float resolution), and -reps below 1.
-func validateFlags(duration, tol float64, reps int) error {
+// solve would bisect to float resolution), -reps below 1, an unknown -grid
+// id, and any flag given that the chosen mode ignores.
+func validateFlags(f runFlags) error {
 	switch {
-	case !(duration >= 0) || math.IsInf(duration, 1):
-		return fmt.Errorf("-duration must be a finite number of seconds >= 0 (0 = paper's 2000), got %g", duration)
-	case !(tol >= 0) || math.IsInf(tol, 1):
-		return fmt.Errorf("-tol must be finite and >= 0 (0 = 0.01), got %g", tol)
-	case reps < 1:
-		return fmt.Errorf("-reps must be at least 1, got %d", reps)
+	case !(f.duration >= 0) || math.IsInf(f.duration, 1):
+		return fmt.Errorf("-duration must be a finite number of seconds >= 0 (0 = paper's 2000), got %g", f.duration)
+	case !(f.tol >= 0) || math.IsInf(f.tol, 1):
+		return fmt.Errorf("-tol must be finite and >= 0 (0 = 0.01), got %g", f.tol)
+	case f.reps < 1:
+		return fmt.Errorf("-reps must be at least 1, got %d", f.reps)
+	}
+	mode, ignores := "", []string(nil)
+	switch {
+	case f.set["grid"]:
+		if _, ok := experiments.PaperSpec(f.grid, experiments.Options{}); !ok {
+			return fmt.Errorf("unknown grid %q (want exp1, exp2, exp3 or exp4)", f.grid)
+		}
+		mode, ignores = "-grid", gridIgnores
+	case f.ablations:
+		mode, ignores = "-ablations", ablationsIgnores
+	}
+	for _, name := range ignores {
+		if f.set[name] {
+			return fmt.Errorf("%s takes no -%s", mode, name)
+		}
 	}
 	return nil
 }

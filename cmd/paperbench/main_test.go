@@ -7,25 +7,44 @@ import (
 )
 
 func TestValidateFlags(t *testing.T) {
+	set := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
 	cases := []struct {
-		name          string
-		duration, tol float64
-		reps          int
-		wantErr       string // "" = accepted
+		name    string
+		flags   runFlags
+		wantErr string // "" = accepted
 	}{
-		{"defaults", 0, 0, 1, ""},
-		{"quick-like", 200, 0.05, 3, ""},
-		{"negative duration", -5, 0, 1, "-duration"},
-		{"NaN duration", math.NaN(), 0, 1, "-duration"},
-		{"infinite duration", math.Inf(1), 0, 1, "-duration"},
-		{"negative tol", 0, -1, 1, "-tol"},
-		{"NaN tol", 0, math.NaN(), 1, "-tol"},
-		{"infinite tol", 0, math.Inf(1), 1, "-tol"},
-		{"zero reps", 0, 0, 0, "-reps"},
-		{"negative reps", 0, 0, -1, "-reps"},
+		{"defaults", runFlags{reps: 1}, ""},
+		{"quick-like", runFlags{duration: 200, tol: 0.05, reps: 3}, ""},
+		{"negative duration", runFlags{duration: -5, reps: 1}, "-duration"},
+		{"NaN duration", runFlags{duration: math.NaN(), reps: 1}, "-duration"},
+		{"infinite duration", runFlags{duration: math.Inf(1), reps: 1}, "-duration"},
+		{"negative tol", runFlags{tol: -1, reps: 1}, "-tol"},
+		{"NaN tol", runFlags{tol: math.NaN(), reps: 1}, "-tol"},
+		{"infinite tol", runFlags{tol: math.Inf(1), reps: 1}, "-tol"},
+		{"zero reps", runFlags{reps: 0}, "-reps"},
+		{"negative reps", runFlags{reps: -1}, "-reps"},
+		{"artifacts with exp and chart", runFlags{reps: 1, set: set("exp", "chart", "tol", "quick")}, ""},
+		{"ablations with quick and reps", runFlags{reps: 2, ablations: true, set: set("ablations", "quick", "reps")}, ""},
+		{"ablations with exp", runFlags{reps: 1, ablations: true, set: set("ablations", "exp")}, "-exp"},
+		{"ablations with chart", runFlags{reps: 1, ablations: true, set: set("ablations", "chart")}, "-chart"},
+		{"ablations with grid", runFlags{reps: 1, ablations: true, grid: "exp1", set: set("ablations", "grid")}, "-grid"},
+		{"grid with quick, reps and seed", runFlags{reps: 2, grid: "exp1", set: set("grid", "quick", "reps", "seed")}, ""},
+		{"grid with duration", runFlags{duration: 60, reps: 2, grid: "exp4", set: set("grid", "duration", "reps")}, ""},
+		{"grid with exp", runFlags{reps: 1, grid: "exp1", set: set("grid", "exp")}, "-exp"},
+		{"grid with chart", runFlags{reps: 1, grid: "exp1", set: set("grid", "chart")}, "-chart"},
+		{"grid with tol", runFlags{tol: 0.05, reps: 1, grid: "exp1", set: set("grid", "tol")}, "-tol"},
+		{"grid with ablations", runFlags{reps: 1, grid: "exp1", ablations: true, set: set("grid", "ablations")}, "-ablations"},
+		{"unknown grid", runFlags{reps: 1, grid: "exp9", set: set("grid")}, "unknown grid"},
+		{"empty grid", runFlags{reps: 1, set: set("grid")}, "unknown grid"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.duration, c.tol, c.reps)
+		err := validateFlags(c.flags)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

@@ -242,7 +242,7 @@ func (s Stats) TotalShed() int {
 }
 
 // EpochStats is one epoch's service snapshot, handed to the backend's epoch
-// hook (per-epoch SLI ledger lines, streaming gauges).
+// hook (batchsim's overloaded-epoch count, streaming gauges).
 type EpochStats struct {
 	// Epoch numbers epochs from 1; Start/End bracket it.
 	Epoch int

@@ -104,8 +104,7 @@ func TestMemoKey(t *testing.T) {
 	}
 }
 
-// TestMemoBypasses: observed runs, service points and sweep cells always
-// simulate.
+// TestMemoBypasses: observed runs and service points always simulate.
 func TestMemoBypasses(t *testing.T) {
 	resetMemo()
 	p := Point{Scheduler: "GOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: Exp1,
@@ -113,17 +112,34 @@ func TestMemoBypasses(t *testing.T) {
 	svc := p
 	pol := admit.DefaultPolicy()
 	svc.Service = &pol
-	cell := sweep.Cell{Scheduler: "GOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: "exp1", DurationSeconds: 30}
 	before := SimCounts()
 	for i := 0; i < 2; i++ {
 		RunObserved(p, obs.New())
 		Run(svc)
-		if _, err := RunCell(cell, 3); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if d := simsSince(before); d != (Sims{Simulated: 6}) {
-		t.Errorf("counts = %+v, want 6 simulated and none reused", d)
+	if d := simsSince(before); d != (Sims{Simulated: 4}) {
+		t.Errorf("counts = %+v, want 4 simulated and none reused", d)
+	}
+}
+
+// TestRunGridUsesMemo: a replicated grid runs through the replication memo,
+// so a rerun of the same grid simulates nothing and prints the same rows.
+func TestRunGridUsesMemo(t *testing.T) {
+	resetMemo()
+	spec := sweep.Spec{Name: "memo", Schedulers: []string{"LOW", "NODC"},
+		Lambdas: []float64{0.4}, Reps: 2, Seed: 3, DurationSeconds: 30}
+	before := SimCounts()
+	first := RunGrid(spec)
+	if d := simsSince(before); d != (Sims{Simulated: 4}) {
+		t.Errorf("first run counts = %+v, want 4 simulated", d)
+	}
+	before = SimCounts()
+	again := RunGrid(spec)
+	if d := simsSince(before); d != (Sims{Reused: 4}) {
+		t.Errorf("rerun counts = %+v, want 4 reused", d)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("rerun differs:\n%+v\n%+v", first, again)
 	}
 }
 

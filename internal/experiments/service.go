@@ -17,7 +17,8 @@ import (
 // Diurnal and burst arrival shapes for named service points: a day/night
 // cycle ten virtual minutes long with a ±50% swing, and 30 s flash crowds at
 // 4× the base rate every ~5 quiet minutes. Fixed here so a named process at
-// a given lambda means the same traffic everywhere (sweeps, batchsim, CI).
+// a given lambda means the same traffic everywhere (batchsim, capacity
+// probes, CI).
 const (
 	diurnalAmplitude = 0.5
 	diurnalPeriod    = 600 * sim.Second
@@ -52,11 +53,7 @@ func ServiceMeasures(p Point) sli.Measures {
 	if p.Service == nil {
 		panic("experiments: ServiceMeasures needs a service-mode point")
 	}
-	sum := Run(p)
-	m := sli.FromSummary(p.Scheduler, string(p.Load), p.Lambda, sum, 0, 0)
-	m.Arrivals = float64(sum.Arrivals)
-	m.Sheds = float64(sum.Sheds)
-	return m
+	return sli.FromSummary(p.Scheduler, string(p.Load), p.Lambda, Run(p))
 }
 
 // ServiceCapacity is the sustained-TPS-at-SLO solve for a simulator service

@@ -6,7 +6,6 @@ import (
 	"batchsched/internal/admit"
 	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
-	"batchsched/internal/sweep"
 )
 
 func TestArrivalProcess(t *testing.T) {
@@ -20,36 +19,6 @@ func TestArrivalProcess(t *testing.T) {
 	}
 	if _, err := ArrivalProcess("trace", 0.5); err == nil {
 		t.Error("ArrivalProcess accepted an unknown name")
-	}
-}
-
-func TestCellPointService(t *testing.T) {
-	c := sweep.Cell{
-		Scheduler: "GOW", Lambda: 0.3, NumFiles: 16, DD: 1,
-		MPL: 4, Load: "exp1", Service: true, Arrival: "burst",
-	}
-	p := CellPoint(c)
-	if p.Service == nil {
-		t.Fatal("service cell produced a closed point")
-	}
-	// The grid's MPL dimension becomes the admission window; the machine
-	// requires Config.MPL = 0 in service mode.
-	if p.Service.MPL != 4 || p.MPL != 0 {
-		t.Errorf("window = %d, point MPL = %d; want 4, 0", p.Service.MPL, p.MPL)
-	}
-	if p.Arrival != "burst" {
-		t.Errorf("Arrival = %q", p.Arrival)
-	}
-	// Without an explicit MPL the window keeps the policy default.
-	c.MPL = 0
-	if p := CellPoint(c); p.Service.MPL != admit.DefaultPolicy().MPL {
-		t.Errorf("default window = %d", p.Service.MPL)
-	}
-	// Closed cells stay closed.
-	c.Service = false
-	c.MPL = 4
-	if p := CellPoint(c); p.Service != nil || p.MPL != 4 {
-		t.Errorf("closed cell: Service=%v MPL=%d", p.Service, p.MPL)
 	}
 }
 

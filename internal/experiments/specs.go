@@ -1,19 +1,17 @@
 package experiments
 
 import (
-	"batchsched/internal/admit"
 	"batchsched/internal/fault"
 	"batchsched/internal/metrics"
-	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/sweep"
 )
 
-// This file binds the sweep engine to the paper's machine model: the four
-// experiments' point grids expressed as sweep.Specs (so cmd/sweep, the
-// artifact regenerators and replicated studies share one point generator,
-// with R=1 regeneration as the degenerate case), and the Cell-to-Point /
-// RunFunc adapters the engine simulates cells through.
+// This file binds the sweep grids to the paper's machine model: the four
+// experiments' point grids expressed as sweep.Specs (so the artifact
+// regenerators and the replicated grids of cmd/paperbench -grid share one
+// point generator, with R=1 regeneration as the degenerate case), the
+// Cell-to-Point mapping, and RunGrid, which simulates a replicated grid.
 
 // fig8Lambdas and fig11Lambdas are the paper's arrival-rate grids.
 var (
@@ -130,37 +128,31 @@ func CellPoint(c sweep.Cell) Point {
 		p.Faults = fault.Config{MTBF: sim.FromSeconds(c.MTBFSeconds), MTTR: exp4MTTR}
 		p.RestartDelay = exp4RestartDelay
 	}
-	if c.Service {
-		// Service cells reinterpret the MPL dimension as the admission
-		// window (the machine requires Config.MPL = 0 in service mode, and
-		// the window is the open-system analogue of the admission limit).
-		pol := admit.DefaultPolicy()
-		if c.MPL > 0 {
-			pol.MPL = c.MPL
-		}
-		p.Service = &pol
-		p.Arrival = c.Arrival
-		p.MPL = 0
-	}
 	return p
 }
 
-// RunCell is the sweep.RunFunc binding: it simulates one replication of the
-// cell at the given substream seed. An unknown scheduler name returns an
-// error (instead of the panic Run raises) so one bad cell fails cleanly
-// inside the pool. It bypasses the replication memo: every sweep unit has
-// its own sweep.UnitSeed, so units never repeat.
-func RunCell(c sweep.Cell, seed int64) (metrics.Summary, error) {
-	if _, err := sched.New(c.Scheduler, sched.DefaultParams()); err != nil {
-		return metrics.Summary{}, err
+// RunGrid simulates spec's grid and folds each cell's replications into one
+// row: replication r of cell c runs CellPoint(c) at sweep.UnitSeed(root, c,
+// r), an independent substream per unit, through RunAll and so through the
+// replication memo and the shared worker pool.
+func RunGrid(spec sweep.Spec) []sweep.Agg {
+	n := spec.Norm()
+	cells := n.Cells()
+	pts := make([]Point, 0, len(cells)*n.Reps)
+	for _, c := range cells {
+		for r := 0; r < n.Reps; r++ {
+			p := CellPoint(c)
+			p.Seed = sweep.UnitSeed(n.Seed, c, r)
+			pts = append(pts, p)
+		}
 	}
-	return runObserved(CellPoint(c), seed, nil), nil
+	return sweep.Aggregate(cells, RunAll(pts))
 }
 
 // artifactPoint maps a cell onto a point with the artifact seeding
 // convention — Seed=o.Seed with replications Seed+r averaged, exactly Run's
 // Point semantics — so spec-generated artifacts reproduce the pre-sweep
-// output byte for byte. (cmd/sweep instead derives independent substreams
+// output byte for byte. (RunGrid instead derives independent substreams
 // per replication via sweep.UnitSeed.)
 func artifactPoint(o Options, c sweep.Cell) Point {
 	p := CellPoint(c)

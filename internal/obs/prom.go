@@ -97,7 +97,7 @@ var (
 // metric names, parseable sample values, and every sample preceded by a
 // TYPE declaration for its family (accounting for the _sum/_count/_bucket
 // and _total suffixes summaries, histograms and counters add). It is the
-// checker behind the golden-format test and `slireport -validate-metrics`.
+// checker behind the golden-format test and batchsim's -serve wiring test.
 func ValidatePrometheus(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)

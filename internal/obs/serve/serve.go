@@ -1,9 +1,10 @@
-// Package serve exposes a running batch execution or sweep over HTTP: the
-// operational scrape surface of the telemetry subsystem (DESIGN.md §14).
+// Package serve exposes a running live execution over HTTP (batchsim
+// -serve): the operational scrape surface of the telemetry subsystem
+// (DESIGN.md §14).
 //
 //	/metrics      Prometheus text exposition (obs.Registry.WritePrometheus)
 //	/healthz      liveness: "ok" (200) or the registered health error (503)
-//	/slo          JSON snapshot of the current SLO evaluation / progress
+//	/slo          JSON snapshot of the run's service state
 //	/debug/pprof  net/http/pprof profiles of the live process
 //
 // The server owns no instruments: callers register render callbacks

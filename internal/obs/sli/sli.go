@@ -1,16 +1,9 @@
-// Package sli defines the service-level side of the telemetry subsystem: a
-// declarative SLO spec (response-time ceilings, throughput floors,
-// abort-rate and guard-violation ceilings, selectable per scheduler ×
-// scenario), the evaluation of one run's measures against it, an
-// append-only JSONL metrics ledger with one stable-schema line per
-// run/sweep cell, and pass-rate / regression-trend reporting across
-// historical ledgers (cmd/slireport).
-//
-// The ledger follows the batch-SLI design pattern referenced in
-// SNIPPETS.md: every producer (batchsim live runs, sweep cells) appends one
-// self-describing line, and all aggregation lives in the reader, so the
-// schema can be validated in CI and trends survive across process
-// boundaries and machines.
+// Package sli defines the service-level objectives of the streaming
+// service mode: a declarative SLO spec (response-time ceilings, throughput
+// floors, abort-rate and shed-rate ceilings, selectable per scheduler ×
+// load) and the evaluation of one run's measures against it. The
+// sustained-TPS-at-SLO capacity probe (admit.SustainedTPS, batchsim
+// -capacity) bisects the arrival rate against such a spec.
 package sli
 
 import (
@@ -39,9 +32,6 @@ type Objective struct {
 	MinTPS *float64 `json:"minTps,omitempty"`
 	// MaxAbortRate ceilings restarts per completed transaction.
 	MaxAbortRate *float64 `json:"maxAbortRate,omitempty"`
-	// MaxGuardViolations ceilings the live backend's data-guard
-	// co-residency violations (0 is a meaningful ceiling: none allowed).
-	MaxGuardViolations *float64 `json:"maxGuardViolations,omitempty"`
 	// MaxShedRate ceilings sheds per offered arrival (open-stream service
 	// runs). Without it, load shedding keeps the admitted-transaction tail
 	// healthy at any offered load and a capacity bisection never fails.
@@ -67,7 +57,6 @@ func (o Objective) bounds() []boundSpec {
 	add("mean_rt_seconds", "max", o.MaxMeanRTSeconds, func(m Measures) float64 { return m.MeanRTSeconds })
 	add("tps", "min", o.MinTPS, func(m Measures) float64 { return m.TPS })
 	add("abort_rate", "max", o.MaxAbortRate, func(m Measures) float64 { return m.AbortRate() })
-	add("guard_violations", "max", o.MaxGuardViolations, func(m Measures) float64 { return m.GuardViolations })
 	add("shed_rate", "max", o.MaxShedRate, func(m Measures) float64 { return m.ShedRate() })
 	return out
 }
@@ -82,26 +71,6 @@ type boundSpec struct {
 type Spec struct {
 	Name       string      `json:"name"`
 	Objectives []Objective `json:"objectives"`
-}
-
-// Default is the paper-grounded baseline SLO: the p95 response time stays
-// within the paper's 70-second operating criterion, restart churn stays
-// below two aborts per completion, and — for every scheduler that declares
-// conflicts (i.e. all but NODC, which violates by design) — the live
-// backend's data guards observe zero incompatible co-residencies.
-func Default() Spec {
-	f := func(v float64) *float64 { return &v }
-	var spec Spec
-	spec.Name = "default"
-	spec.Objectives = []Objective{
-		{Name: "rt-tail", MaxP95RTSeconds: f(70)},
-		{Name: "abort-churn", MaxAbortRate: f(2)},
-	}
-	for _, s := range []string{"ASL", "GOW", "LOW", "LOW-LB", "C2PL", "C2PL+M", "S2PL", "OPT"} {
-		spec.Objectives = append(spec.Objectives,
-			Objective{Name: "no-guard-violations", Scheduler: s, MaxGuardViolations: f(0)})
-	}
-	return spec
 }
 
 // ServiceDefault is the open-stream service SLO: the paper's 70-second p95
@@ -155,25 +124,20 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Measures are the indicators one run (or one sweep cell's replication
-// aggregate) is judged on. Counts are float64 so replication means fit
-// without a parallel schema.
+// Measures are the indicators one run (or one replication average) is
+// judged on. Counts are float64 so replication means fit without a
+// parallel schema.
 type Measures struct {
-	Scheduler       string  `json:"scheduler"`
-	Load            string  `json:"load"`
-	Lambda          float64 `json:"lambda,omitempty"`
-	TPS             float64 `json:"tps"`
-	MeanRTSeconds   float64 `json:"meanRtSeconds"`
-	P95RTSeconds    float64 `json:"p95RtSeconds"`
-	Completions     float64 `json:"completions"`
-	Restarts        float64 `json:"restarts"`
-	GuardViolations float64 `json:"guardViolations"`
-	// ClockClamps counts monotone-clamp events the observability layer hit
-	// (wall-clock regression made visible; see internal/obs).
-	ClockClamps float64 `json:"clockClamps"`
-	// Arrivals and Sheds support the open-stream shed-rate bound (appended
-	// fields: Entry byte format keeps struct order, so new fields go last
-	// and are omitted when zero).
+	Scheduler     string  `json:"scheduler"`
+	Load          string  `json:"load"`
+	Lambda        float64 `json:"lambda,omitempty"`
+	TPS           float64 `json:"tps"`
+	MeanRTSeconds float64 `json:"meanRtSeconds"`
+	P95RTSeconds  float64 `json:"p95RtSeconds"`
+	Completions   float64 `json:"completions"`
+	Restarts      float64 `json:"restarts"`
+	// Arrivals and Sheds support the open-stream shed-rate bound (omitted
+	// when zero).
 	Arrivals float64 `json:"arrivals,omitempty"`
 	Sheds    float64 `json:"sheds,omitempty"`
 }
@@ -196,20 +160,20 @@ func (m Measures) ShedRate() float64 {
 	return m.Sheds / m.Arrivals
 }
 
-// FromSummary digests a run summary into measures. guardViolations and
-// clockClamps come from outside the summary (live backend / observer).
-func FromSummary(scheduler, load string, lambda float64, sum metrics.Summary, guardViolations, clockClamps int) Measures {
+// FromSummary digests a run summary into measures, the open-stream
+// arrival and shed counters included.
+func FromSummary(scheduler, load string, lambda float64, sum metrics.Summary) Measures {
 	return Measures{
-		Scheduler:       scheduler,
-		Load:            load,
-		Lambda:          lambda,
-		TPS:             sum.TPS,
-		MeanRTSeconds:   sum.MeanRT.Seconds(),
-		P95RTSeconds:    sum.P95RT.Seconds(),
-		Completions:     float64(sum.Completions),
-		Restarts:        float64(sum.Restarts),
-		GuardViolations: float64(guardViolations),
-		ClockClamps:     float64(clockClamps),
+		Scheduler:     scheduler,
+		Load:          load,
+		Lambda:        lambda,
+		TPS:           sum.TPS,
+		MeanRTSeconds: sum.MeanRT.Seconds(),
+		P95RTSeconds:  sum.P95RT.Seconds(),
+		Completions:   float64(sum.Completions),
+		Restarts:      float64(sum.Restarts),
+		Arrivals:      float64(sum.Arrivals),
+		Sheds:         float64(sum.Sheds),
 	}
 }
 

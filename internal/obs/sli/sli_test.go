@@ -3,7 +3,6 @@ package sli
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -64,26 +63,27 @@ func TestEvaluateVacuouslyTrue(t *testing.T) {
 	}
 }
 
+// TestDefaultSpec: the built-in service SLO validates, passes a healthy
+// open-stream run and fails one that sheds more than 2% of its arrivals.
 func TestDefaultSpec(t *testing.T) {
-	spec := Default()
+	spec := ServiceDefault()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// A healthy LOW run passes.
-	good := Measures{Scheduler: "LOW", Load: "exp1", TPS: 0.6, P95RTSeconds: 50, Completions: 100, Restarts: 10}
-	if pass, checks := spec.Evaluate(good); !pass {
-		t.Fatalf("healthy run failed default spec: %+v", checks)
+	good := Measures{Scheduler: "GOW", Load: "exp1", TPS: 0.3, P95RTSeconds: 50,
+		Completions: 100, Restarts: 10, Arrivals: 100, Sheds: 1}
+	if pass, checks := spec.Evaluate(good); !pass || len(checks) != 3 {
+		t.Fatalf("healthy run: pass=%v checks=%+v", pass, checks)
 	}
-	// A guard violation fails any real scheduler.
-	bad := good
-	bad.GuardViolations = 1
-	if pass, _ := spec.Evaluate(bad); pass {
-		t.Fatal("guard violation passed the default spec")
+	shedding := good
+	shedding.Sheds = 5
+	if pass, _ := spec.Evaluate(shedding); pass {
+		t.Fatal("a 5% shed rate passed the service default")
 	}
-	// NODC is exempt from the guard objective by design.
-	nodc := Measures{Scheduler: "NODC", Load: "exp1", TPS: 0.6, P95RTSeconds: 50, Completions: 100, GuardViolations: 5}
-	if pass, checks := spec.Evaluate(nodc); !pass {
-		t.Fatalf("NODC guard violations failed the default spec: %+v", checks)
+	slow := good
+	slow.P95RTSeconds = 71
+	if pass, _ := spec.Evaluate(slow); pass {
+		t.Fatal("a p95 above 70 s passed the service default")
 	}
 }
 
@@ -119,78 +119,5 @@ func TestSpecLoad(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("unknown field accepted")
-	}
-}
-
-func TestLedgerRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sli.jsonl")
-	spec := Default()
-
-	e1 := NewEntry("live", spec, Measures{Scheduler: "LOW", Load: "exp1", TPS: 0.5, P95RTSeconds: 40, Completions: 64})
-	e1.Seed = 7
-	e2 := NewEntry("sweep", spec, Measures{Scheduler: "GOW", Load: "exp1", Lambda: 0.6, TPS: 0.58, P95RTSeconds: 55, Completions: 1200, Restarts: 30})
-	e2.Sweep = "exp1"
-	e2.CellKey = "cell-key"
-	e2.Reps = 5
-
-	if err := Append(path, e1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Append(path, e2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("read %d entries, want 2", len(got))
-	}
-	if got[0].Source != "live" || got[0].Seed != 7 || !got[0].Pass {
-		t.Fatalf("entry 0 = %+v", got[0])
-	}
-	if got[1].CellKey != "cell-key" || got[1].Reps != 5 {
-		t.Fatalf("entry 1 = %+v", got[1])
-	}
-	if got[0].Scenario() == got[1].Scenario() {
-		t.Fatal("distinct runs share a scenario key")
-	}
-	if got[1].Scenario() != "cell-key" {
-		t.Fatalf("cell scenario = %q", got[1].Scenario())
-	}
-
-	// The ledger validates, and byte-identical rewrites are deterministic.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateLedger(strings.NewReader(string(data))); err != nil {
-		t.Fatal(err)
-	}
-	path2 := filepath.Join(dir, "sli2.jsonl")
-	if err := WriteLedger(path2, []Entry{e1, e2}); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Fatalf("Append and WriteLedger bytes differ:\n%s\nvs\n%s", data, data2)
-	}
-}
-
-func TestLedgerValidationRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad json":       "{not json}\n",
-		"wrong schema":   `{"schema":"other/9","source":"live","slo":"x","measures":{"scheduler":"a","load":"b","tps":0,"meanRtSeconds":0,"p95RtSeconds":0,"completions":0,"restarts":0,"guardViolations":0,"clockClamps":0},"pass":true,"checks":null}` + "\n",
-		"missing source": `{"schema":"batchsched-sli/1","source":"","slo":"x","measures":{"scheduler":"a","load":"b","tps":0,"meanRtSeconds":0,"p95RtSeconds":0,"completions":0,"restarts":0,"guardViolations":0,"clockClamps":0},"pass":true,"checks":null}` + "\n",
-	}
-	for name, text := range cases {
-		if err := ValidateLedger(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }

@@ -39,7 +39,7 @@ func (g *RNG) Stream(name string) *RNG {
 // DeriveSeed derives an independent substream seed from a root seed and a
 // string key (splitmix64 over an FNV-1a hash of the key). It is the seeding
 // scheme behind Stream, exported so harnesses that replicate runs — the
-// sweep engine derives one substream per (cell key, replication) — get
+// replicated grids derive one substream per (cell key, replication) — get
 // seeds that are stable across runs, decoupled from each other, and
 // independent of execution order.
 func DeriveSeed(root int64, key string) int64 {

@@ -1,89 +1,47 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 
+	"batchsched/internal/metrics"
 	"batchsched/internal/report"
 	"batchsched/internal/stats"
 )
 
 // Stat digests one metric across a cell's replications.
 type Stat struct {
-	// Mean, StdDev, Min and Max are the sample moments and extremes.
-	Mean, StdDev, Min, Max float64
-	// CI95 is the Student-t 95% confidence half-width on the mean
-	// (0 with fewer than two replications).
-	CI95 float64
-}
-
-func statOf(s *stats.Sample) Stat {
-	return Stat{Mean: s.Mean(), StdDev: s.StdDev(), Min: s.Min(), Max: s.Max(), CI95: s.CI95()}
+	// Mean is the sample mean; CI95 the Student-t 95% confidence
+	// half-width on it (0 with fewer than two replications).
+	Mean, CI95 float64
 }
 
 // Agg is one cell's replication-folded row.
 type Agg struct {
 	// Cell is the grid point.
-	Cell Cell `json:"cell"`
+	Cell Cell
 	// Reps is the number of replications folded in.
-	Reps int `json:"reps"`
-	// MeanRTSeconds aggregates each replication's mean response time.
-	MeanRTSeconds Stat `json:"meanRTSeconds"`
-	// P95RTSeconds aggregates each replication's p95 response time.
-	P95RTSeconds Stat `json:"p95RTSeconds"`
-	// TPS aggregates each replication's throughput.
-	TPS Stat `json:"tps"`
-	// Completions and Restarts aggregate the event counts.
-	Completions Stat `json:"completions"`
-	Restarts    Stat `json:"restarts"`
-	// Arrivals and Sheds aggregate the open-stream counters; they are set
-	// only for service-mode cells (pointers so closed-batch summary JSON is
-	// byte-identical to pre-service sweeps).
-	Arrivals *Stat `json:"arrivals,omitempty"`
-	Sheds    *Stat `json:"sheds,omitempty"`
+	Reps int
+	// MeanRTSeconds and TPS aggregate each replication's mean response time
+	// and throughput.
+	MeanRTSeconds, TPS Stat
+	// P95RTSeconds is the mean of the replications' p95 response times.
+	P95RTSeconds float64
 }
 
-// Aggregate groups records by cell and folds each cell's replications into
-// stats.Sample-backed rows, ordered by cell index.
-func Aggregate(recs []Record) []Agg {
-	byCell := make(map[int][]Record)
-	for _, rec := range recs {
-		byCell[rec.Cell.Index] = append(byCell[rec.Cell.Index], rec)
-	}
-	idxs := make([]int, 0, len(byCell))
-	for idx := range byCell {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	aggs := make([]Agg, 0, len(idxs))
-	for _, idx := range idxs {
-		group := byCell[idx]
-		var meanRT, p95RT, tps, completions, restarts, arrivals, sheds stats.Sample
-		for _, rec := range group {
-			meanRT.Add(rec.Summary.MeanRT.Seconds())
-			p95RT.Add(rec.Summary.P95RT.Seconds())
-			tps.Add(rec.Summary.TPS)
-			completions.Add(float64(rec.Summary.Completions))
-			restarts.Add(float64(rec.Summary.Restarts))
-			arrivals.Add(float64(rec.Summary.Arrivals))
-			sheds.Add(float64(rec.Summary.Sheds))
+// Aggregate folds each cell's replications into one row, in cell order.
+// sums holds the cells' replications in turn, the same number per cell.
+func Aggregate(cells []Cell, sums []metrics.Summary) []Agg {
+	reps := len(sums) / len(cells)
+	stat := func(s *stats.Sample) Stat { return Stat{Mean: s.Mean(), CI95: s.CI95()} }
+	aggs := make([]Agg, len(cells))
+	for i, c := range cells {
+		var meanRT, p95RT, tps stats.Sample
+		for _, sum := range sums[i*reps : (i+1)*reps] {
+			meanRT.Add(sum.MeanRT.Seconds())
+			p95RT.Add(sum.P95RT.Seconds())
+			tps.Add(sum.TPS)
 		}
-		a := Agg{
-			Cell:          group[0].Cell,
-			Reps:          len(group),
-			MeanRTSeconds: statOf(&meanRT),
-			P95RTSeconds:  statOf(&p95RT),
-			TPS:           statOf(&tps),
-			Completions:   statOf(&completions),
-			Restarts:      statOf(&restarts),
-		}
-		if a.Cell.Service {
-			arr, shd := statOf(&arrivals), statOf(&sheds)
-			a.Arrivals, a.Sheds = &arr, &shd
-		}
-		aggs = append(aggs, a)
+		aggs[i] = Agg{Cell: c, Reps: reps, MeanRTSeconds: stat(&meanRT), P95RTSeconds: p95RT.Mean(), TPS: stat(&tps)}
 	}
 	return aggs
 }
@@ -105,54 +63,8 @@ func Table(spec Spec, aggs []Agg) *report.Table {
 			report.F(c.Sigma, 1), fmt.Sprint(c.MPL), fmt.Sprint(c.K), report.F(c.MTBFSeconds, 0),
 			fmt.Sprint(a.Reps),
 			report.F(a.MeanRTSeconds.Mean, 1), report.F(a.MeanRTSeconds.CI95, 1),
-			report.F(a.P95RTSeconds.Mean, 1),
+			report.F(a.P95RTSeconds, 1),
 			report.F(a.TPS.Mean, 3), report.F(a.TPS.CI95, 3))
 	}
 	return t
-}
-
-// WriteCSV writes the aggregates as a flat CSV with one row per cell.
-func WriteCSV(w io.Writer, aggs []Agg) error {
-	if _, err := fmt.Fprintln(w, "scheduler,lambda,numFiles,dd,sigma,mpl,k,mtbfSeconds,load,reps,"+
-		"meanRTSeconds,meanRTStdDev,meanRTCI95,meanRTMin,meanRTMax,"+
-		"p95RTSeconds,tps,tpsStdDev,tpsCI95,completions,restarts"); err != nil {
-		return err
-	}
-	for _, a := range aggs {
-		c := a.Cell
-		if _, err := fmt.Fprintf(w, "%s,%g,%d,%d,%g,%d,%d,%g,%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g\n",
-			c.Scheduler, c.Lambda, c.NumFiles, c.DD, c.Sigma, c.MPL, c.K, c.MTBFSeconds, c.Load, a.Reps,
-			a.MeanRTSeconds.Mean, a.MeanRTSeconds.StdDev, a.MeanRTSeconds.CI95,
-			a.MeanRTSeconds.Min, a.MeanRTSeconds.Max,
-			a.P95RTSeconds.Mean, a.TPS.Mean, a.TPS.StdDev, a.TPS.CI95,
-			a.Completions.Mean, a.Restarts.Mean); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// summaryFile is the machine-readable sweep summary.
-type summaryFile struct {
-	Spec  Spec  `json:"spec"`
-	Units int   `json:"units"`
-	Cells []Agg `json:"cells"`
-}
-
-// MarshalSummary renders the machine-readable summary JSON (deterministic:
-// struct-ordered fields, cells in grid order).
-func MarshalSummary(spec Spec, aggs []Agg) ([]byte, error) {
-	return json.MarshalIndent(summaryFile{Spec: spec.Norm(), Units: spec.NumUnits(), Cells: aggs}, "", "  ")
-}
-
-// WriteSummary atomically writes MarshalSummary output to path.
-func WriteSummary(path string, spec Spec, aggs []Agg) error {
-	data, err := MarshalSummary(spec, aggs)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	})
 }

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -11,58 +9,55 @@ import (
 	"batchsched/internal/sim"
 )
 
-// aggRecords builds two cells: cell 0 with three known replications, cell 1
-// with one.
-func aggRecords() []Record {
-	c0 := Cell{Index: 0, Scheduler: "LOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: "exp1"}
-	c1 := Cell{Index: 1, Scheduler: "GOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: "exp1"}
-	mk := func(c Cell, rep int, rtSec, tps float64) Record {
-		return Record{Cell: c, Rep: rep, Seed: int64(rep), Summary: metrics.Summary{
+// aggInput builds two cells with three known replications each.
+func aggInput() ([]Cell, []metrics.Summary) {
+	cells := []Cell{
+		{Scheduler: "LOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: "exp1"},
+		{Scheduler: "GOW", Lambda: 0.5, NumFiles: 16, DD: 1, Load: "exp1"},
+	}
+	mk := func(rtSec, tps float64) metrics.Summary {
+		return metrics.Summary{
 			MeanRT: sim.FromSeconds(rtSec), P95RT: sim.FromSeconds(2 * rtSec),
 			TPS: tps, Completions: 100,
-		}}
+		}
 	}
-	return []Record{
-		mk(c1, 0, 7, 0.5),
-		mk(c0, 2, 30, 0.6), // out of order on purpose: Aggregate must sort
-		mk(c0, 0, 10, 0.4),
-		mk(c0, 1, 20, 0.5),
+	return cells, []metrics.Summary{
+		mk(10, 0.4), mk(20, 0.5), mk(30, 0.6),
+		mk(7, 0.5), mk(7, 0.5), mk(7, 0.5),
 	}
 }
 
 func TestAggregateMoments(t *testing.T) {
-	aggs := Aggregate(aggRecords())
+	aggs := Aggregate(aggInput())
 	if len(aggs) != 2 {
 		t.Fatalf("aggs = %d, want 2 cells", len(aggs))
 	}
 	a := aggs[0]
-	if a.Cell.Index != 0 || a.Reps != 3 {
+	if a.Cell.Scheduler != "LOW" || a.Reps != 3 {
 		t.Fatalf("first agg: %+v", a)
 	}
 	if math.Abs(a.MeanRTSeconds.Mean-20) > 1e-6 {
 		t.Errorf("mean RT = %v, want 20", a.MeanRTSeconds.Mean)
 	}
-	if math.Abs(a.MeanRTSeconds.StdDev-10) > 1e-6 {
-		t.Errorf("stddev = %v, want 10", a.MeanRTSeconds.StdDev)
-	}
-	// t(df=2, 95%) = 4.303: half-width = 4.303 * 10 / sqrt(3).
+	// Sample stddev 10; t(df=2, 95%) = 4.303: half-width = 4.303 * 10 / sqrt(3).
 	if want := 4.303 * 10 / math.Sqrt(3); math.Abs(a.MeanRTSeconds.CI95-want) > 1e-3 {
 		t.Errorf("CI95 = %v, want %v", a.MeanRTSeconds.CI95, want)
 	}
-	if a.MeanRTSeconds.Min != 10 || a.MeanRTSeconds.Max != 30 {
-		t.Errorf("extremes = [%v, %v]", a.MeanRTSeconds.Min, a.MeanRTSeconds.Max)
+	if math.Abs(a.P95RTSeconds-40) > 1e-6 {
+		t.Errorf("p95 mean = %v, want 40", a.P95RTSeconds)
 	}
-	if math.Abs(a.P95RTSeconds.Mean-40) > 1e-6 {
-		t.Errorf("p95 mean = %v, want 40", a.P95RTSeconds.Mean)
+	if b := aggs[1]; b.Cell.Scheduler != "GOW" || b.MeanRTSeconds.Mean != 7 || b.MeanRTSeconds.CI95 != 0 {
+		t.Errorf("constant cell should have mean 7 and zero CI: %+v", b)
 	}
-	if single := aggs[1]; single.Reps != 1 || single.MeanRTSeconds.CI95 != 0 {
+	cells, sums := aggInput()
+	if single := Aggregate(cells[:1], sums[:1])[0]; single.Reps != 1 || single.MeanRTSeconds.CI95 != 0 {
 		t.Errorf("R=1 cell should have zero CI: %+v", single)
 	}
 }
 
 func TestAggregateTableSurfacesP95AndCI(t *testing.T) {
 	spec := Spec{Name: "t", Schedulers: []string{"LOW", "GOW"}, Lambdas: []float64{0.5}, Reps: 3}
-	tbl := Table(spec, Aggregate(aggRecords()))
+	tbl := Table(spec, Aggregate(aggInput()))
 	s := tbl.String()
 	for _, col := range []string{"meanRT(s)", "p95RT(s)", "±95%", "TPS"} {
 		if !strings.Contains(s, col) {
@@ -76,41 +71,5 @@ func TestAggregateTableSurfacesP95AndCI(t *testing.T) {
 		if len(row) != len(tbl.Header) {
 			t.Fatalf("ragged row %v", row)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, Aggregate(aggRecords())); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want header + 2 cells", len(lines))
-	}
-	if cols := strings.Split(lines[0], ","); len(cols) != len(strings.Split(lines[1], ",")) {
-		t.Errorf("header/data column mismatch:\n%s\n%s", lines[0], lines[1])
-	}
-	if !strings.HasPrefix(lines[1], "LOW,0.5,16,1,") {
-		t.Errorf("first data row: %s", lines[1])
-	}
-}
-
-func TestMarshalSummaryShape(t *testing.T) {
-	spec := Spec{Name: "t", Schedulers: []string{"LOW", "GOW"}, Lambdas: []float64{0.5}, Reps: 3}
-	data, err := MarshalSummary(spec, Aggregate(aggRecords()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Spec  Spec            `json:"spec"`
-		Units int             `json:"units"`
-		Cells json.RawMessage `json:"cells"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("summary is not valid JSON: %v", err)
-	}
-	if out.Spec.Name != "t" || out.Units != 6 {
-		t.Errorf("summary header: %+v", out)
 	}
 }

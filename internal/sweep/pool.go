@@ -12,8 +12,8 @@ import (
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
 // (workers <= 0 means GOMAXPROCS). It is the one concurrency primitive the
-// repository fans out on: the sweep engine, experiments.RunAll and the
-// table regenerators all share it.
+// repository fans out on: experiments.RunAll (and through it the
+// replicated grids) and the table regenerators share it.
 //
 // A panic inside fn is captured — it fails that task, not the process — and
 // surfaces as an error carrying the task index and stack. Cancelling ctx

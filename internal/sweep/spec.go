@@ -1,68 +1,57 @@
-// Package sweep is the parallel parameter-sweep engine: a declarative Spec
-// expands into a deterministic grid of simulation Cells, each cell runs R
-// seed replications on independent RNG substreams derived from a root seed
-// and the cell key, a bounded panic-isolated worker pool executes the
-// (cell, replication) units, results stream to an append-only JSONL
-// checkpoint so a killed sweep resumes by skipping completed units, and an
-// aggregator folds replications into stats.Sample rows (mean, stddev, 95%
-// CI, min/max, p95 response time) rendered as tables, CSV and summary JSON.
+// Package sweep holds the replicated-grid primitives the experiments share:
+// a declarative Spec expands into a deterministic grid of simulation Cells,
+// UnitSeed gives replication r of a cell its own RNG substream derived from
+// the root seed and the cell key, ForEach is the bounded panic-isolated
+// worker pool every fan-out runs on, and Aggregate and Table fold each
+// cell's replications into mean and 95% CI rows.
 //
-// The package knows nothing about how a cell is simulated: callers supply a
-// RunFunc (internal/experiments binds cells to the paper's machine model),
-// so sweep sits below experiments in the dependency order and its worker
-// pool also serves the artifact regenerators.
+// The package knows nothing about how a cell is simulated:
+// internal/experiments binds cells to the paper's machine model (RunGrid,
+// behind cmd/paperbench -grid), so sweep sits below experiments in the
+// dependency order and its worker pool also serves the artifact
+// regenerators.
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
+
+	"batchsched/internal/sim"
 )
 
-// Spec declares a parameter sweep: the cross product of every listed
+// Spec declares a parameter grid: the cross product of every listed
 // dimension, replicated Reps times per cell. Zero-valued dimensions default
-// to one-element grids so a spec only names what it varies; R=1 with a
-// single cell degenerates to one ordinary simulation run.
+// to one-element grids so a spec only names what it varies.
 type Spec struct {
-	// Name labels the sweep in outputs ("exp1", "mpl-scan", ...).
-	Name string `json:"name"`
+	// Name labels the grid in outputs ("exp1", ...).
+	Name string
 	// Load selects the workload generator ("exp1" or "exp2"; default exp1).
-	Load string `json:"load,omitempty"`
-	// Schedulers is the scheduler grid (required).
-	Schedulers []string `json:"schedulers"`
-	// Lambdas is the arrival-rate grid in TPS (required).
-	Lambdas []float64 `json:"lambdas"`
+	Load string
+	// Schedulers is the scheduler grid.
+	Schedulers []string
+	// Lambdas is the arrival-rate grid in TPS.
+	Lambdas []float64
 	// NumFiles is the database-size grid (default [16]).
-	NumFiles []int `json:"numFiles,omitempty"`
+	NumFiles []int
 	// DDs is the degree-of-declustering grid (default [1]).
-	DDs []int `json:"dds,omitempty"`
+	DDs []int
 	// Sigmas is the estimation-error grid (default [0]).
-	Sigmas []float64 `json:"sigmas,omitempty"`
+	Sigmas []float64
 	// MPLs is the C2PL+M admission-limit grid (default [0] = scheduler
 	// default; ignored by the other schedulers).
-	MPLs []int `json:"mpls,omitempty"`
+	MPLs []int
 	// Ks is the LOW conflict-bound grid (default [0] = the paper's K=2).
-	Ks []int `json:"ks,omitempty"`
+	Ks []int
 	// MTBFSeconds is the per-node mean-time-between-failures grid in
 	// seconds (default [0] = failure-free; >0 enables the Exp.4 fault
 	// model).
-	MTBFSeconds []float64 `json:"mtbfSeconds,omitempty"`
-	// Service switches every cell into streaming-admission service mode
-	// (internal/admit): open arrivals through the bounded admission queue
-	// instead of the closed paper loop. The MPLs grid then sizes the
-	// admission window (0 = the default policy's window).
-	Service bool `json:"service,omitempty"`
-	// Arrivals is the arrival-process grid for service cells: "poisson",
-	// "diurnal" or "burst" (default ["poisson"]). Only valid with Service.
-	Arrivals []string `json:"arrivals,omitempty"`
+	MTBFSeconds []float64
 	// Reps is the number of seed replications per cell (default 1).
-	Reps int `json:"reps,omitempty"`
+	Reps int
 	// Seed is the root seed every substream derives from (default 1).
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 	// DurationSeconds overrides the simulated span per run (0 = the
 	// paper's 2000 s).
-	DurationSeconds float64 `json:"durationSeconds,omitempty"`
+	DurationSeconds float64
 }
 
 // Norm fills the defaulted dimensions in, returning a spec whose grid
@@ -89,15 +78,6 @@ func (s Spec) Norm() Spec {
 	if len(s.MTBFSeconds) == 0 {
 		s.MTBFSeconds = []float64{0}
 	}
-	if s.Service && len(s.Arrivals) == 0 {
-		s.Arrivals = []string{"poisson"}
-	}
-	if !s.Service {
-		// Closed-batch cells carry no arrival-process dimension; the empty
-		// string keeps their keys (and checkpoints) byte-identical to
-		// pre-service sweeps.
-		s.Arrivals = []string{""}
-	}
 	if s.Reps < 1 {
 		s.Reps = 1
 	}
@@ -107,82 +87,39 @@ func (s Spec) Norm() Spec {
 	return s
 }
 
-// Validate rejects specs that cannot expand into a runnable grid.
-func (s Spec) Validate() error {
-	if len(s.Schedulers) == 0 {
-		return fmt.Errorf("sweep: spec %q lists no schedulers", s.Name)
-	}
-	if len(s.Lambdas) == 0 {
-		return fmt.Errorf("sweep: spec %q lists no lambdas", s.Name)
-	}
-	for _, l := range s.Lambdas {
-		if l <= 0 {
-			return fmt.Errorf("sweep: spec %q has non-positive lambda %v", s.Name, l)
-		}
-	}
-	if n := s.Norm(); n.Load != "exp1" && n.Load != "exp2" {
-		return fmt.Errorf("sweep: spec %q has unknown load %q (want exp1 or exp2)", s.Name, s.Load)
-	}
-	if s.DurationSeconds < 0 {
-		return fmt.Errorf("sweep: spec %q has negative duration", s.Name)
-	}
-	if !s.Service && len(s.Arrivals) > 0 {
-		return fmt.Errorf("sweep: spec %q lists arrivals without service mode", s.Name)
-	}
-	if s.Service {
-		for _, a := range s.Arrivals {
-			switch a {
-			case "poisson", "diurnal", "burst":
-			default:
-				return fmt.Errorf("sweep: spec %q has unknown arrival process %q (want poisson, diurnal or burst)", s.Name, a)
-			}
-		}
-	}
-	return nil
-}
-
-// Cell is one fully specified grid point. Index is its position in the
-// spec's expansion order; the JSONL outputs are sorted by it, so row order
-// is independent of completion order.
+// Cell is one fully specified grid point.
 type Cell struct {
-	Index           int     `json:"index"`
-	Scheduler       string  `json:"scheduler"`
-	Lambda          float64 `json:"lambda"`
-	NumFiles        int     `json:"numFiles"`
-	DD              int     `json:"dd"`
-	Sigma           float64 `json:"sigma"`
-	MPL             int     `json:"mpl"`
-	K               int     `json:"k"`
-	MTBFSeconds     float64 `json:"mtbfSeconds"`
-	Load            string  `json:"load"`
-	DurationSeconds float64 `json:"durationSeconds"`
-	// Service and Arrival carry the streaming-admission dimension; both are
-	// zero for closed-batch cells so legacy checkpoints and keys are
-	// untouched.
-	Service bool   `json:"service,omitempty"`
-	Arrival string `json:"arrival,omitempty"`
+	Scheduler       string
+	Lambda          float64
+	NumFiles        int
+	DD              int
+	Sigma           float64
+	MPL             int
+	K               int
+	MTBFSeconds     float64
+	Load            string
+	DurationSeconds float64
 }
 
-// Key is the canonical identity of the cell's parameters (Index excluded):
-// it keys checkpoint records and, with the replication number, seeds the
-// cell's RNG substreams, so a cell's draws never depend on grid position or
-// execution order.
+// Key is the canonical identity of the cell's parameters: with the
+// replication number it seeds the cell's RNG substreams, so a cell's draws
+// never depend on grid position or execution order.
 func (c Cell) Key() string {
-	key := fmt.Sprintf("load=%s sched=%s lambda=%g nf=%d dd=%d sigma=%g mpl=%d k=%d mtbf=%g dur=%g",
+	return fmt.Sprintf("load=%s sched=%s lambda=%g nf=%d dd=%d sigma=%g mpl=%d k=%d mtbf=%g dur=%g",
 		c.Load, c.Scheduler, c.Lambda, c.NumFiles, c.DD, c.Sigma, c.MPL, c.K, c.MTBFSeconds, c.DurationSeconds)
-	// The service dimension appends only when on, so every pre-service cell
-	// key — and with it every existing checkpoint and seed derivation — stays
-	// byte-identical.
-	if c.Service {
-		key += fmt.Sprintf(" svc=1 arr=%s", c.Arrival)
-	}
-	return key
+}
+
+// UnitSeed is the substream derivation: replication rep of the cell runs on
+// DeriveSeed(root, "<cell key>/rep=<rep>"). The seed depends only on the
+// root seed and the cell's parameters — not on grid position, worker
+// assignment or completion order — so every unit is reproducible in
+// isolation.
+func UnitSeed(root int64, c Cell, rep int) int64 {
+	return sim.DeriveSeed(root, fmt.Sprintf("%s/rep=%d", c.Key(), rep))
 }
 
 // Cells expands the spec into its grid, in the documented nesting order —
-// NumFiles, DD, MTBF, Sigma, Lambda, Scheduler, MPL, K, Arrival, outermost
-// first (the arrival dimension collapses to one unlabeled element for
-// closed-batch specs) —
+// NumFiles, DD, MTBF, Sigma, Lambda, Scheduler, MPL, K, outermost first —
 // which the artifact regenerators rely on for positional row/column
 // indexing (rows vary the slow dimensions, scheduler columns vary fastest).
 func (s Spec) Cells() []Cell {
@@ -196,23 +133,18 @@ func (s Spec) Cells() []Cell {
 						for _, sched := range n.Schedulers {
 							for _, mpl := range n.MPLs {
 								for _, k := range n.Ks {
-									for _, arr := range n.Arrivals {
-										cells = append(cells, Cell{
-											Index:           len(cells),
-											Scheduler:       sched,
-											Lambda:          lambda,
-											NumFiles:        nf,
-											DD:              dd,
-											Sigma:           sigma,
-											MPL:             mpl,
-											K:               k,
-											MTBFSeconds:     mtbf,
-											Load:            n.Load,
-											DurationSeconds: n.DurationSeconds,
-											Service:         n.Service,
-											Arrival:         arr,
-										})
-									}
+									cells = append(cells, Cell{
+										Scheduler:       sched,
+										Lambda:          lambda,
+										NumFiles:        nf,
+										DD:              dd,
+										Sigma:           sigma,
+										MPL:             mpl,
+										K:               k,
+										MTBFSeconds:     mtbf,
+										Load:            n.Load,
+										DurationSeconds: n.DurationSeconds,
+									})
 								}
 							}
 						}
@@ -222,25 +154,4 @@ func (s Spec) Cells() []Cell {
 		}
 	}
 	return cells
-}
-
-// NumUnits is the total work-unit count: cells times replications.
-func (s Spec) NumUnits() int { return len(s.Cells()) * s.Norm().Reps }
-
-// LoadSpec reads and validates a JSON spec file.
-func LoadSpec(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("sweep: %w", err)
-	}
-	var s Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("sweep: parsing %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }

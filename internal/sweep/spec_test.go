@@ -1,9 +1,10 @@
 package sweep
 
 import (
-	"os"
-	"path/filepath"
+	"strconv"
 	"testing"
+
+	"batchsched/internal/sim"
 )
 
 func testSpec() Spec {
@@ -39,9 +40,6 @@ func TestSpecCellOrder(t *testing.T) {
 		{2, 0.2, "LOW"}, {2, 0.2, "NODC"}, {2, 0.6, "LOW"}, {2, 0.6, "NODC"},
 	}
 	for i, c := range cells {
-		if c.Index != i {
-			t.Errorf("cell %d has Index %d", i, c.Index)
-		}
 		if c.DD != want[i].dd || c.Lambda != want[i].lambda || c.Scheduler != want[i].sched {
 			t.Errorf("cell %d = (%d, %v, %s), want %+v", i, c.DD, c.Lambda, c.Scheduler, want[i])
 		}
@@ -58,109 +56,39 @@ func TestCellKeyIdentity(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	// The key must not depend on grid position.
-	a, b := cells[3], cells[3]
-	b.Index = 99
-	if a.Key() != b.Key() {
-		t.Error("Key depends on Index")
+	// The key bytes seed every replication (UnitSeed), so they are part of
+	// every replicated table: pin them.
+	if got, want := cells[0].Key(), "load=exp1 sched=LOW lambda=0.2 nf=16 dd=1 sigma=0 mpl=0 k=0 mtbf=0 dur=0"; got != want {
+		t.Errorf("Key changed:\n got  %q\n want %q", got, want)
 	}
 }
 
-func TestSpecValidate(t *testing.T) {
-	for _, bad := range []Spec{
-		{Lambdas: []float64{1}},                              // no schedulers
-		{Schedulers: []string{"LOW"}},                        // no lambdas
-		{Schedulers: []string{"LOW"}, Lambdas: []float64{0}}, // λ <= 0
-		{Schedulers: []string{"LOW"}, Lambdas: []float64{1}, Load: "exp9"},
-		{Schedulers: []string{"LOW"}, Lambdas: []float64{1}, DurationSeconds: -1},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
+// TestRunSeedsAreSubstreams: every (cell, replication) unit of a grid runs
+// on its own substream of the root seed, so no two units share a seed and
+// a unit's seed does not depend on where it sits in the grid.
+func TestRunSeedsAreSubstreams(t *testing.T) {
+	spec := testSpec().Norm()
+	cells := spec.Cells()
+	seeds := map[int64]bool{}
+	for _, c := range cells {
+		for r := 0; r < spec.Reps; r++ {
+			seed := UnitSeed(spec.Seed, c, r)
+			if seeds[seed] {
+				t.Errorf("cell %s rep %d reuses seed %d", c.Key(), r, seed)
+			}
+			seeds[seed] = true
+			if want := sim.DeriveSeed(spec.Seed, c.Key()+"/rep="+strconv.Itoa(r)); seed != want {
+				t.Errorf("cell %s rep %d: seed %d, want substream %d", c.Key(), r, seed, want)
+			}
 		}
 	}
-	if err := testSpec().Validate(); err != nil {
-		t.Errorf("Validate rejected a good spec: %v", err)
+	// A one-cell grid of the same point seeds it exactly as the full grid.
+	one := Spec{Schedulers: []string{cells[5].Scheduler}, Lambdas: []float64{cells[5].Lambda},
+		DDs: []int{cells[5].DD}, Seed: spec.Seed}
+	if got, want := UnitSeed(spec.Seed, one.Cells()[0], 1), UnitSeed(spec.Seed, cells[5], 1); got != want {
+		t.Errorf("seed depends on grid position: %d vs %d", got, want)
 	}
-}
-
-func TestNumUnits(t *testing.T) {
-	if got := testSpec().NumUnits(); got != 16 {
-		t.Errorf("NumUnits = %d, want 8 cells x 2 reps", got)
-	}
-}
-
-func TestLoadSpec(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spec.json")
-	good := `{"name":"s","schedulers":["LOW"],"lambdas":[0.5],"reps":3,"seed":2}`
-	if err := os.WriteFile(path, []byte(good), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSpec(path)
-	if err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
-	if s.Name != "s" || s.Reps != 3 || s.Seed != 2 {
-		t.Errorf("loaded %+v", s)
-	}
-	// Unknown fields are typos, not extensions: refuse them.
-	if err := os.WriteFile(path, []byte(`{"schedulers":["LOW"],"lambdas":[0.5],"lambda":0.5}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSpec(path); err == nil {
-		t.Error("LoadSpec accepted an unknown field")
-	}
-	if _, err := LoadSpec(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("LoadSpec accepted a missing file")
-	}
-}
-
-func TestServiceSpecGrid(t *testing.T) {
-	// Legacy closed-batch keys must be byte-identical with the service
-	// dimension present in the struct: checkpoints from older sweeps resume.
-	legacy := testSpec().Cells()[0]
-	if got, want := legacy.Key(), "load=exp1 sched=LOW lambda=0.2 nf=16 dd=1 sigma=0 mpl=0 k=0 mtbf=0 dur=0"; got != want {
-		t.Errorf("closed-batch Key changed:\n got  %q\n want %q", got, want)
-	}
-
-	s := testSpec()
-	s.Service = true
-	s.Arrivals = []string{"poisson", "burst"}
-	n := s.Norm()
-	cells := n.Cells()
-	if len(cells) != 16 {
-		t.Fatalf("cells = %d, want 8 x 2 arrivals", len(cells))
-	}
-	// Arrival is the innermost (fastest-cycling) dimension.
-	if cells[0].Arrival != "poisson" || cells[1].Arrival != "burst" ||
-		cells[2].Arrival != "poisson" {
-		t.Errorf("arrival nesting wrong: %q %q %q", cells[0].Arrival, cells[1].Arrival, cells[2].Arrival)
-	}
-	for i, c := range cells {
-		if !c.Service {
-			t.Fatalf("cell %d not marked Service", i)
-		}
-	}
-	k := cells[0].Key()
-	if want := legacy.Key() + " svc=1 arr=poisson"; k != want {
-		t.Errorf("service Key = %q, want %q", k, want)
-	}
-
-	// Defaulting: service with no arrivals gets poisson.
-	d := Spec{Schedulers: []string{"LOW"}, Lambdas: []float64{1}, Service: true}.Norm()
-	if len(d.Arrivals) != 1 || d.Arrivals[0] != "poisson" {
-		t.Errorf("service default arrivals = %v", d.Arrivals)
-	}
-
-	for _, bad := range []Spec{
-		{Schedulers: []string{"LOW"}, Lambdas: []float64{1}, Arrivals: []string{"poisson"}}, // arrivals without service
-		{Schedulers: []string{"LOW"}, Lambdas: []float64{1}, Service: true, Arrivals: []string{"trace"}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("Validate rejected a good service spec: %v", err)
+	if UnitSeed(spec.Seed+1, cells[0], 0) == UnitSeed(spec.Seed, cells[0], 0) {
+		t.Error("seed ignores the root seed")
 	}
 }
