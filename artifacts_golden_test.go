@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"batchsched/internal/experiments"
-	"batchsched/internal/sweep"
 )
 
 // TestArtifactsGolden pins every paper artifact byte for byte: each
@@ -55,8 +54,8 @@ func TestGridsGolden(t *testing.T) {
 	o := Options{Duration: 60 * Second, Reps: 2, Seed: 1}
 	var got bytes.Buffer
 	for _, id := range []string{"exp1", "exp2", "exp3", "exp4"} {
-		spec, _ := experiments.PaperSpec(id, o)
-		fmt.Fprintf(&got, "== %s\n%s\n", id, sweep.Table(spec, experiments.RunGrid(spec)))
+		g, _ := experiments.PaperSpec(id, o)
+		fmt.Fprintf(&got, "== %s\n%s\n", id, experiments.RunGrid(g))
 	}
 	checkSections(t, "grids.golden.txt", got.Bytes())
 }

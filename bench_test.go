@@ -7,7 +7,6 @@ import (
 	"batchsched/internal/experiments"
 	"batchsched/internal/machine"
 	"batchsched/internal/model"
-	"batchsched/internal/obs/sli"
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 )
@@ -286,11 +285,10 @@ func BenchmarkSustainedTPSAtSLO(b *testing.B) {
 		Duration:  100_000 * sim.Millisecond,
 		Service:   &pol,
 	}
-	spec := sli.ServiceDefault()
 	b.ReportAllocs()
 	var tps float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ServiceCapacity(p, spec, 1, 0.05, 0.5, 0.1)
+		res, err := experiments.ServiceCapacity(p, 0.05, 0.5, 0.1)
 		if err != nil {
 			b.Fatal(err)
 		}

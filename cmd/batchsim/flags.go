@@ -69,7 +69,7 @@ var (
 	simServiceIgnores = []string{"txns", "pace", "rows", "serve-linger", "service-duration", "metrics-interval"}
 	// -capacity bisects over its own rates on the default machine, with no
 	// faults, warm-up or cost error.
-	capacityIgnores = []string{"numnodes", "warmup", "sigma", "k", "restartdelay", "mtbf", "mttr", "straggler",
+	capacityIgnores = []string{"lambda", "numnodes", "warmup", "sigma", "k", "restartdelay", "mtbf", "mttr", "straggler",
 		"msgloss", "msgdelay", "msgtimeout", "msgretries"}
 	liveServiceIgnores = []string{"txns", "duration", "warmup", "metrics-interval", "mttr", "msgtimeout", "msgretries", "cap-lo", "cap-hi", "cap-tol"}
 	compareTakes       = []string{"compare", "seed", "txns", "cpuprofile", "memprofile"}
@@ -87,7 +87,6 @@ var prerequisites = []struct {
 	{"mpl", "-sched C2PL+M (its admission limit) or -service (the admission window)",
 		func(f modeFlags) bool { return f.sched == "C2PL+M" || f.service }},
 	{"serve-linger", "-serve", func(f modeFlags) bool { return f.set["serve"] }},
-	{"slo-spec", "-capacity (the SLO it bisects against)", func(f modeFlags) bool { return f.capacity }},
 }
 
 // validateModeFlags rejects flag combinations one invocation cannot honour
@@ -106,7 +105,7 @@ func validateModeFlags(f modeFlags) error {
 		return errors.New("-service is incompatible with -compare")
 	case f.service && f.check:
 		return errors.New("-service does not support -check (evictions abort transactions mid-history)")
-	case f.service && !(f.lambda > 0):
+	case f.service && !f.capacity && !(f.lambda > 0):
 		return errors.New("-service needs -lambda > 0 (the offered arrival rate)")
 	case f.service && f.capacity && f.backend != "sim":
 		return errors.New("-capacity bisects many runs and requires -backend sim")

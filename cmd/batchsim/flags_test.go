@@ -117,7 +117,12 @@ func TestFlagCombinations(t *testing.T) {
 		{"sim service with txns", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5, set: map[string]bool{"txns": true}}, outputs{}, true},
 		{"sim service with cap-lo", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5, set: map[string]bool{"cap-lo": true}}, outputs{}, true},
 		{"sim service capacity with cap-lo", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
-			set: map[string]bool{"lambda": true, "duration": true, "cap-lo": true, "cap-hi": true, "cap-tol": true}}, outputs{}, false},
+			set: map[string]bool{"duration": true, "cap-lo": true, "cap-hi": true, "cap-tol": true}}, outputs{}, false},
+		// -capacity picks its own rates: it takes no -lambda, and needs
+		// none above 0.
+		{"sim service capacity with lambda", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
+			set: map[string]bool{"lambda": true}}, outputs{}, true},
+		{"sim service capacity with lambda 0", modeFlags{backend: "sim", reps: 1, service: true, capacity: true}, outputs{}, false},
 		{"sim service capacity with numnodes", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
 			set: map[string]bool{"numnodes": true}}, outputs{}, true},
 		{"sim service capacity with mtbf", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
@@ -133,15 +138,6 @@ func TestFlagCombinations(t *testing.T) {
 		{"live C2PL with k", modeFlags{backend: "live", sched: "C2PL", reps: 1, set: map[string]bool{"k": true}}, outputs{}, true},
 		{"service GOW with k", modeFlags{backend: "sim", sched: "GOW", reps: 1, service: true, lambda: 0.5,
 			set: map[string]bool{"k": true}}, outputs{}, true},
-		{"sim with slo-spec alone", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"slo-spec": true}}, outputs{}, true},
-		// -slo-spec needs -capacity; "sli-ledger" is no flag, so it cannot
-		// satisfy the prerequisite.
-		{"sim with slo-spec and ledger", modeFlags{backend: "sim", sched: "GOW", reps: 1,
-			set: map[string]bool{"slo-spec": true, "sli-ledger": true}}, outputs{}, true},
-		{"service with slo-spec alone", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.5,
-			set: map[string]bool{"slo-spec": true}}, outputs{}, true},
-		{"service capacity with slo-spec", modeFlags{backend: "sim", reps: 1, service: true, lambda: 0.1, capacity: true,
-			set: map[string]bool{"slo-spec": true}}, outputs{}, false},
 		{"live with serve-linger alone", modeFlags{backend: "live", reps: 1, set: map[string]bool{"txns": true, "serve-linger": true}}, outputs{}, true},
 		{"live with serve and serve-linger", modeFlags{backend: "live", reps: 1,
 			set: map[string]bool{"serve": true, "serve-linger": true}}, outputs{}, false},

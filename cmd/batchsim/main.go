@@ -67,7 +67,6 @@ func main() {
 
 		serveAddr   = flag.String("serve", "", "serve live telemetry at this address (host:port; :0 picks a port): /metrics, /healthz, /slo, /debug/pprof; requires -backend live")
 		serveLinger = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run completes (for external scrapers)")
-		sloSpec     = flag.String("slo-spec", "", "JSON SLO spec file for -capacity (empty = built-in service spec)")
 
 		traceOut        = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file (single rep)")
 		metricsOut      = flag.String("metrics-out", "", "write the sampled metrics time-series as CSV to this file (single rep)")
@@ -201,7 +200,6 @@ func main() {
 			sloBatch: *sloBatch, sloInteractive: *sloInter, overloadP95: *overloadP95,
 			mpl:      *mpl,
 			capacity: *capacity, capLo: *capLo, capHi: *capHi, capTol: *capTol,
-			specPath:  *sloSpec,
 			serveAddr: *serveAddr, linger: *serveLinger,
 		}))
 	}

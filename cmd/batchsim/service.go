@@ -11,7 +11,6 @@ import (
 	"batchsched/internal/experiments"
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
-	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
 )
 
@@ -45,7 +44,6 @@ type serviceRun struct {
 	capacity             bool
 	capLo, capHi, capTol float64
 
-	specPath  string
 	serveAddr string
 	linger    time.Duration
 }
@@ -81,15 +79,6 @@ func (f serviceRun) policy() (batchsched.AdmitPolicy, error) {
 		pol.OverloadP95 = simDur(f.overloadP95)
 	}
 	return pol, pol.Validate()
-}
-
-// serviceSpec resolves the SLO spec for service runs: the open-stream
-// default (with the shed-rate ceiling) unless -slo-spec overrides it.
-func serviceSpec(path string) (sli.Spec, error) {
-	if path == "" {
-		return sli.ServiceDefault(), nil
-	}
-	return sli.Load(path)
 }
 
 // runServiceMode dispatches -service to the chosen backend and returns the
@@ -182,12 +171,9 @@ func runServiceLive(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) i
 	return code
 }
 
-// runServiceCapacity solves sustained-TPS-at-SLO for the sim service point.
+// runServiceCapacity solves sustained-TPS-at-SLO for the sim service point
+// against the service SLO.
 func runServiceCapacity(f serviceRun, pol batchsched.AdmitPolicy, fail func(error) int) int {
-	spec, err := serviceSpec(f.specPath)
-	if err != nil {
-		return fail(err)
-	}
 	p := experiments.Point{
 		Scheduler: f.sched,
 		NumFiles:  f.cfg.NumFiles,
@@ -199,7 +185,7 @@ func runServiceCapacity(f serviceRun, pol batchsched.AdmitPolicy, fail func(erro
 		Service:   &pol,
 		Arrival:   f.arrival,
 	}
-	res, err := experiments.ServiceCapacity(p, spec, f.reps, f.capLo, f.capHi, f.capTol)
+	res, err := experiments.ServiceCapacity(p, f.capLo, f.capHi, f.capTol)
 	if err != nil {
 		return fail(err)
 	}
@@ -212,7 +198,7 @@ func runServiceCapacity(f serviceRun, pol batchsched.AdmitPolicy, fail func(erro
 		return 0
 	}
 	fmt.Printf("scheduler             %s (%s arrivals, %s, window %d)\n", f.sched, f.arrival, f.wl, pol.MPL)
-	fmt.Printf("SLO spec              %s\n", spec.Name)
+	fmt.Println("SLO spec              service-default")
 	if !res.Passed {
 		fmt.Printf("sustained TPS at SLO  none: even lambda=%.3f fails the SLO\n", f.capLo)
 	} else {

@@ -44,3 +44,21 @@ func TestServicePolicyFlags(t *testing.T) {
 		t.Errorf("zeros did not disable: slo=%v p95=%v", pol.QueueSLO[1], pol.OverloadP95)
 	}
 }
+
+// TestServiceUnknownArrival: an unknown -arrival fails a plain -service run
+// and a -capacity run the same way, with one error line and exit 1, before
+// anything is simulated.
+func TestServiceUnknownArrival(t *testing.T) {
+	for _, capacity := range []bool{false, true} {
+		f := serviceRun{
+			backend: "sim", sched: "GOW", params: batchsched.DefaultParams(),
+			gen: batchsched.NewExp1Workload(16), cfg: batchsched.DefaultConfig(),
+			wl: "exp1", lambda: 0.1, seed: 1, reps: 1, arrival: "nosuch",
+			interactive: -1, sloBatch: -1, sloInteractive: -1, overloadP95: -1,
+			capacity: capacity, capLo: 0.05, capHi: 0.5, capTol: 0.1,
+		}
+		if code := runServiceMode(f); code != 1 {
+			t.Errorf("capacity=%v: exit code %d, want 1", capacity, code)
+		}
+	}
+}

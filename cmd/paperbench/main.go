@@ -33,7 +33,6 @@ import (
 
 	"batchsched"
 	"batchsched/internal/experiments"
-	"batchsched/internal/sweep"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	err := validateFlags(runFlags{duration: *duration, tol: *tol, reps: *reps, grid: *grid, ablations: *ablations, set: set})
+	err := validateFlags(runFlags{duration: *duration, tol: *tol, reps: *reps, exp: *exp, grid: *grid, ablations: *ablations, set: set})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
@@ -71,9 +70,9 @@ func main() {
 	}
 
 	if set["grid"] {
-		spec, _ := experiments.PaperSpec(*grid, o)
-		fmt.Fprintf(os.Stderr, "== running grid %s: %d cells x %d reps\n", spec.Name, len(spec.Cells()), spec.Reps)
-		timed(spec.Name, func() { fmt.Println(sweep.Table(spec, experiments.RunGrid(spec)).String()) })
+		g, _ := experiments.PaperSpec(*grid, o)
+		fmt.Fprintf(os.Stderr, "== running grid %s: %d cells x %d reps\n", g.Name, len(g.Points()), g.Base.Reps)
+		timed(g.Name, func() { fmt.Println(experiments.RunGrid(g).String()) })
 		return
 	}
 	if *ablations {
@@ -84,18 +83,8 @@ func main() {
 		return
 	}
 
-	ids := batchsched.ArtifactIDs()
-	if *exp != "all" {
-		ids = strings.Split(*exp, ",")
-	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		a, ok := experiments.FindArtifact(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "paperbench: unknown artifact %q (want one of %v or 'all')\n",
-				id, batchsched.ArtifactIDs())
-			os.Exit(2)
-		}
+	for _, id := range artifactIDs(*exp) {
+		a, _ := experiments.FindArtifact(id)
 		fmt.Fprintf(os.Stderr, "== regenerating %s: %s\n", a.ID, a.Title)
 		timed(a.ID, func() {
 			tbl := a.Run(o)
@@ -117,12 +106,25 @@ var (
 	gridIgnores      = []string{"exp", "chart", "tol", "ablations"}
 )
 
+// artifactIDs lists the artifacts an -exp value names: every artifact for
+// "all", else the comma-separated ids.
+func artifactIDs(exp string) []string {
+	if exp == "all" {
+		return batchsched.ArtifactIDs()
+	}
+	ids := strings.Split(exp, ",")
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+	}
+	return ids
+}
+
 // runFlags are the flags validateFlags checks: the values that need a
 // range check and the mode, plus every flag given on the command line.
 type runFlags struct {
 	duration, tol float64
 	reps          int
-	grid          string
+	exp, grid     string
 	ablations     bool
 	set           map[string]bool // the flag.Visit names
 }
@@ -131,7 +133,8 @@ type runFlags struct {
 // than what was asked: a negative or non-finite -duration (0 means the
 // paper's window), a negative or non-finite -tol (0 means 0.01; below 0 every
 // solve would bisect to float resolution), -reps below 1, an unknown -grid
-// id, and any flag given that the chosen mode ignores.
+// or -exp id (every -exp id is checked before anything runs), and any flag
+// given that the chosen mode ignores.
 func validateFlags(f runFlags) error {
 	switch {
 	case !(f.duration >= 0) || math.IsInf(f.duration, 1):
@@ -150,6 +153,12 @@ func validateFlags(f runFlags) error {
 		mode, ignores = "-grid", gridIgnores
 	case f.ablations:
 		mode, ignores = "-ablations", ablationsIgnores
+	default:
+		for _, id := range artifactIDs(f.exp) {
+			if _, ok := experiments.FindArtifact(id); !ok {
+				return fmt.Errorf("unknown artifact %q (want one of %v or 'all')", id, batchsched.ArtifactIDs())
+			}
+		}
 	}
 	for _, name := range ignores {
 		if f.set[name] {

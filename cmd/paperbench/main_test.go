@@ -19,8 +19,8 @@ func TestValidateFlags(t *testing.T) {
 		flags   runFlags
 		wantErr string // "" = accepted
 	}{
-		{"defaults", runFlags{reps: 1}, ""},
-		{"quick-like", runFlags{duration: 200, tol: 0.05, reps: 3}, ""},
+		{"defaults", runFlags{reps: 1, exp: "all"}, ""},
+		{"quick-like", runFlags{duration: 200, tol: 0.05, reps: 3, exp: "all"}, ""},
 		{"negative duration", runFlags{duration: -5, reps: 1}, "-duration"},
 		{"NaN duration", runFlags{duration: math.NaN(), reps: 1}, "-duration"},
 		{"infinite duration", runFlags{duration: math.Inf(1), reps: 1}, "-duration"},
@@ -29,7 +29,9 @@ func TestValidateFlags(t *testing.T) {
 		{"infinite tol", runFlags{tol: math.Inf(1), reps: 1}, "-tol"},
 		{"zero reps", runFlags{reps: 0}, "-reps"},
 		{"negative reps", runFlags{reps: -1}, "-reps"},
-		{"artifacts with exp and chart", runFlags{reps: 1, set: set("exp", "chart", "tol", "quick")}, ""},
+		{"artifacts with exp and chart", runFlags{reps: 1, exp: "table2, fig8", set: set("exp", "chart", "tol", "quick")}, ""},
+		{"unknown artifact after a known one", runFlags{reps: 1, exp: "fig8,nosuch", set: set("exp", "quick")}, `unknown artifact "nosuch"`},
+		{"empty exp", runFlags{reps: 1, exp: "", set: set("exp")}, "unknown artifact"},
 		{"ablations with quick and reps", runFlags{reps: 2, ablations: true, set: set("ablations", "quick", "reps")}, ""},
 		{"ablations with exp", runFlags{reps: 1, ablations: true, set: set("ablations", "exp")}, "-exp"},
 		{"ablations with chart", runFlags{reps: 1, ablations: true, set: set("ablations", "chart")}, "-chart"},

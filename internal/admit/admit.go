@@ -10,9 +10,10 @@
 // same Service object from their control-node loop, so policy behavior is
 // identical under virtual and wall-clock time.
 //
-// The headline open-system metric is sustained-TPS-at-SLO (capacity.go): the
-// largest arrival rate at which a duration-bounded service run still passes
-// its SLO spec, found by bisection.
+// The headline open-system metric is sustained-TPS-at-SLO
+// (experiments.ServiceCapacity): the largest arrival rate at which a
+// duration-bounded service run still passes the service SLO, found by
+// bisection.
 package admit
 
 import (

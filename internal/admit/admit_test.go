@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"batchsched/internal/obs/sli"
 	"batchsched/internal/sim"
 )
 
@@ -320,155 +319,5 @@ func TestPickClassFraction(t *testing.T) {
 	p.InteractiveFraction = 0
 	if p.PickClass(rng) != Batch {
 		t.Fatal("zero fraction drew interactive")
-	}
-}
-
-// capSpec is a miniature service SLO for the bisection tests.
-func capSpec() sli.Spec {
-	f := func(v float64) *float64 { return &v }
-	return sli.Spec{Name: "cap-test", Objectives: []sli.Objective{
-		{Name: "tail", MaxP95RTSeconds: f(70)},
-		{Name: "shed", MaxShedRate: f(0.02)},
-	}}
-}
-
-// syntheticTrial models a saturating system with knee at capacity: below it
-// the p95 is flat and nothing sheds, above it the p95 blows up and sheds
-// grow with the excess.
-func syntheticTrial(capacity float64, calls *[]float64) TrialFunc {
-	return func(lambda float64) (sli.Measures, error) {
-		*calls = append(*calls, lambda)
-		m := sli.Measures{Scheduler: "GOW", Load: "synthetic", Lambda: lambda, Arrivals: 1000}
-		if lambda <= capacity {
-			m.TPS = lambda
-			m.P95RTSeconds = 20
-		} else {
-			m.TPS = capacity
-			m.P95RTSeconds = 500
-			m.Sheds = 1000 * (lambda - capacity) / lambda
-		}
-		m.Completions = m.TPS * 100
-		return m, nil
-	}
-}
-
-func TestSustainedTPSBisection(t *testing.T) {
-	var calls []float64
-	res, err := SustainedTPS(capSpec(), syntheticTrial(3.0, &calls), 0.5, 8, 0.05)
-	if err != nil {
-		t.Fatalf("SustainedTPS: %v", err)
-	}
-	if !res.Passed {
-		t.Fatal("bisection found no passing rate")
-	}
-	if res.Lambda > 3.0 || res.Lambda < 3.0-0.05 {
-		t.Fatalf("lambda %g, want within tol below capacity 3.0", res.Lambda)
-	}
-	if res.SustainedTPS != res.Measures.TPS {
-		t.Fatalf("SustainedTPS %g != Measures.TPS %g", res.SustainedTPS, res.Measures.TPS)
-	}
-	// Every reported trial was actually run, and the result is one of them.
-	if len(res.Trials) != len(calls) {
-		t.Fatalf("%d trials recorded, %d run", len(res.Trials), len(calls))
-	}
-	found := false
-	for _, tr := range res.Trials {
-		if tr.Lambda == res.Lambda {
-			if !tr.Pass {
-				t.Fatalf("result lambda %g recorded as failing", res.Lambda)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("result lambda %g was never probed (untested midpoint)", res.Lambda)
-	}
-}
-
-// TestSustainedTPSTolBelowFloatResolution: a tolerance no float spacing
-// can reach must still end the bisection, at a rate that was run and
-// passed, once the bracket ends are adjacent floats.
-func TestSustainedTPSTolBelowFloatResolution(t *testing.T) {
-	var calls []float64
-	res, err := SustainedTPS(capSpec(), syntheticTrial(3.0, &calls), 0.5, 8, 1e-300)
-	if err != nil {
-		t.Fatalf("SustainedTPS: %v", err)
-	}
-	if !res.Passed || res.Lambda > 3.0 || 3.0-res.Lambda > 1e-12 {
-		t.Fatalf("lambda %g (passed %v), want the capacity 3.0 to float resolution", res.Lambda, res.Passed)
-	}
-	if len(calls) > 100 {
-		t.Fatalf("%d probes: the bisection did not stop at float resolution", len(calls))
-	}
-	verified := false
-	for _, tr := range res.Trials {
-		verified = verified || (tr.Lambda == res.Lambda && tr.Pass)
-	}
-	if !verified {
-		t.Fatalf("result lambda %g was never probed and passed", res.Lambda)
-	}
-}
-
-func TestSustainedTPSWholeBracketPasses(t *testing.T) {
-	var calls []float64
-	res, err := SustainedTPS(capSpec(), syntheticTrial(100, &calls), 1, 4, 0.1)
-	if err != nil {
-		t.Fatalf("SustainedTPS: %v", err)
-	}
-	if !res.Passed || res.Lambda != 4 {
-		t.Fatalf("whole-bracket pass: %+v", res)
-	}
-	if len(calls) != 2 { // lo and hi only; no bisection needed
-		t.Fatalf("probe count %d, want 2", len(calls))
-	}
-}
-
-func TestSustainedTPSFloorFails(t *testing.T) {
-	var calls []float64
-	res, err := SustainedTPS(capSpec(), syntheticTrial(0.1, &calls), 1, 4, 0.1)
-	if err != nil {
-		t.Fatalf("SustainedTPS: %v", err)
-	}
-	if res.Passed || res.Lambda != 0 || res.SustainedTPS != 0 {
-		t.Fatalf("floor-fail result: %+v", res)
-	}
-	if len(calls) != 1 {
-		t.Fatalf("probe count %d, want 1 (stop at failing floor)", len(calls))
-	}
-}
-
-func TestSustainedTPSRejectsBadBracket(t *testing.T) {
-	trial := func(float64) (sli.Measures, error) { return sli.Measures{}, nil }
-	for _, c := range [][3]float64{{0, 1, 0.1}, {2, 1, 0.1}, {1, 2, 0}} {
-		if _, err := SustainedTPS(capSpec(), trial, c[0], c[1], c[2]); err == nil {
-			t.Errorf("bracket %v accepted", c)
-		}
-	}
-}
-
-func TestSustainedTPSTrialError(t *testing.T) {
-	boom := func(float64) (sli.Measures, error) { return sli.Measures{}, fmt.Errorf("backend exploded") }
-	if _, err := SustainedTPS(capSpec(), boom, 1, 2, 0.1); err == nil {
-		t.Fatal("trial error swallowed")
-	}
-}
-
-func TestShedRateGatesCapacity(t *testing.T) {
-	// A trial whose p95 stays healthy because shedding absorbs the excess:
-	// without the shed-rate bound the bisection would run away to hi.
-	trial := func(lambda float64) (sli.Measures, error) {
-		m := sli.Measures{Scheduler: "GOW", Load: "synthetic", Lambda: lambda,
-			Arrivals: 1000, TPS: math.Min(lambda, 2), P95RTSeconds: 20, Completions: 100}
-		if lambda > 2 {
-			m.Sheds = 1000 * (lambda - 2) / lambda
-		}
-		return m, nil
-	}
-	res, err := SustainedTPS(capSpec(), trial, 0.5, 8, 0.05)
-	if err != nil {
-		t.Fatalf("SustainedTPS: %v", err)
-	}
-	if res.Lambda > 2.1 {
-		t.Fatalf("shed-rate bound did not gate: lambda %g", res.Lambda)
 	}
 }

@@ -306,10 +306,6 @@ func (b *Backend) SetObs(o *obs.Observer) {
 	})
 }
 
-// ClockClamps reports the attached observer's monotone clock-clamp
-// counters (zero when no observer is attached). Safe from any goroutine.
-func (b *Backend) ClockClamps() (spanEnds, samples int64) { return b.ob.ClockClamps() }
-
 // Snapshot returns the /slo view of the run (the zero value when no
 // observer is attached). Safe from any goroutine.
 func (b *Backend) Snapshot() engine.SLOSnapshot { return b.rec.Snapshot(b.clk.Now()) }

@@ -28,11 +28,8 @@ const (
 // stream, all schedulers in a row face the identical crash schedule, and
 // the availability column is scheduler-independent.
 func Exp4(o Options) *report.Table {
-	o = o.norm()
-	cells := Exp4Spec(o).Cells()
-	pts := make([]Point, len(cells))
-	for i, c := range cells {
-		pts[i] = artifactPoint(o, c)
+	pts := Exp4Spec(o).Points()
+	for i := range pts {
 		// The failure-free reference row keeps the same restart hold-back
 		// as the faulty rows (it only matters when aborts happen).
 		pts[i].RestartDelay = exp4RestartDelay

@@ -2,11 +2,13 @@
 // regenerator per table and figure (Fig. 8-13, Tables 2-5), built on a
 // parameterized simulation point, a parallel runner, and a bisection solver
 // for "the arrival rate at which mean response time is 70 seconds" — the
-// paper's throughput metric.
+// paper's throughput metric. It also holds the four experiments' parameter
+// grids, which the regenerators and the replicated grids of paperbench
+// -grid (RunGrid) both expand, and the service mode's fixed SLO with its
+// sustained-TPS-at-SLO capacity solve (ServiceCapacity).
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"batchsched/internal/admit"
@@ -17,7 +19,6 @@ import (
 	"batchsched/internal/sched"
 	"batchsched/internal/sim"
 	"batchsched/internal/stats"
-	"batchsched/internal/sweep"
 	"batchsched/internal/workload"
 )
 
@@ -166,18 +167,13 @@ func newMachine(cfg machine.Config, scheduler string, params sched.Params, gen m
 	return m
 }
 
-// RunAll simulates many points concurrently on the shared sweep worker
-// pool (GOMAXPROCS workers) and returns summaries in input order. A panic
-// in any point — e.g. an unknown scheduler name — is re-raised here after
-// the other points finish, preserving the pre-pool contract.
+// RunAll simulates many points concurrently on the shared worker pool
+// (GOMAXPROCS workers) and returns summaries in input order. A panic in any
+// point — e.g. an unknown scheduler name — is re-raised here after the
+// other points finish.
 func RunAll(pts []Point) []metrics.Summary {
 	out := make([]metrics.Summary, len(pts))
-	if err := sweep.ForEach(context.Background(), 0, len(pts), func(i int) error {
-		out[i] = Run(pts[i])
-		return nil
-	}); err != nil {
-		panic(err)
-	}
+	parallelEach(len(pts), func(i int) { out[i] = Run(pts[i]) })
 	return out
 }
 

@@ -12,7 +12,6 @@ import (
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
 	"batchsched/internal/sim"
-	"batchsched/internal/sweep"
 )
 
 // resetMemo empties the replication memo.
@@ -126,15 +125,15 @@ func TestMemoBypasses(t *testing.T) {
 // so a rerun of the same grid simulates nothing and prints the same rows.
 func TestRunGridUsesMemo(t *testing.T) {
 	resetMemo()
-	spec := sweep.Spec{Name: "memo", Schedulers: []string{"LOW", "NODC"},
-		Lambdas: []float64{0.4}, Reps: 2, Seed: 3, DurationSeconds: 30}
+	g := Exp1Spec(Options{Reps: 2, Seed: 3, Duration: 30 * sim.Second})
+	g.Schedulers, g.Lambdas = []string{"LOW", "NODC"}, []float64{0.4}
 	before := SimCounts()
-	first := RunGrid(spec)
+	first := RunGrid(g)
 	if d := simsSince(before); d != (Sims{Simulated: 4}) {
 		t.Errorf("first run counts = %+v, want 4 simulated", d)
 	}
 	before = SimCounts()
-	again := RunGrid(spec)
+	again := RunGrid(g)
 	if d := simsSince(before); d != (Sims{Reused: 4}) {
 		t.Errorf("rerun counts = %+v, want 4 reused", d)
 	}

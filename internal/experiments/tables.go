@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"batchsched/internal/metrics"
 	"batchsched/internal/obs"
 	"batchsched/internal/report"
 	"batchsched/internal/sim"
-	"batchsched/internal/sweep"
 )
 
 // Options scales an artifact regeneration. The zero value reproduces the
@@ -85,12 +83,11 @@ func FindArtifact(id string) (Artifact, bool) {
 }
 
 // Fig8 regenerates the response-time-versus-arrival-rate curves from the
-// Exp.1 sweep spec (cells expand λ-major, scheduler fastest — the table's
+// Exp.1 grid (points expand λ-major, scheduler fastest — the table's
 // row/column order).
 func Fig8(o Options) *report.Table {
-	o = o.norm()
 	lambdas := fig8Lambdas
-	sums := runCells(o, Exp1Spec(o).Cells())
+	sums := RunAll(Exp1Spec(o).Points())
 	t := &report.Table{
 		Title:  "Fig. 8 — Exp.1: Arrival Rate vs. Mean Response Time (s). DD=1, NumFiles=16.",
 		Note:   "Paper reference points: RT=70s is crossed at about 1.04 (NODC), 0.72 (ASL), 0.67 (GOW), 0.65 (LOW), 0.35 (C2PL), 0.24 (OPT) TPS.",
@@ -232,16 +229,15 @@ func Fig10(o Options) *report.Table {
 }
 
 // Fig11 regenerates arrival rate versus response-time speedup at DD=4:
-// speedup(λ) = RT(DD=1, λ)/RT(DD=4, λ). The grid is the Exp.1 spec with
-// Fig. 11's arrival rates over DD ∈ {1, 4} (cells expand DD-major, then λ,
+// speedup(λ) = RT(DD=1, λ)/RT(DD=4, λ). The grid is the Exp.1 grid with
+// Fig. 11's arrival rates over DD ∈ {1, 4} (points expand DD-major, then λ,
 // scheduler fastest).
 func Fig11(o Options) *report.Table {
-	o = o.norm()
 	lambdas := fig11Lambdas
 	spec := Exp1Spec(o)
 	spec.Lambdas = fig11Lambdas
 	spec.DDs = []int{1, 4}
-	sums := runCells(o, spec.Cells())
+	sums := RunAll(spec.Points())
 	rt := func(ddIdx, li, si int) float64 {
 		return sums[ddIdx*len(lambdas)*len(sixSchedulers)+li*len(sixSchedulers)+si].MeanRT.Seconds()
 	}
@@ -261,10 +257,9 @@ func Fig11(o Options) *report.Table {
 }
 
 // table4Data runs Exp.2 at λ=1.2 for the RT half of Table 4 and Fig. 12,
-// from the Exp.2 sweep spec (cells expand DD-major, scheduler fastest).
+// from the Exp.2 grid (points expand DD-major, scheduler fastest).
 func table4Data(o Options, dds []int) map[int]map[string]float64 {
-	o = o.norm()
-	sums := runCells(o, exp2Spec(o, dds).Cells())
+	sums := RunAll(exp2Spec(o, dds).Points())
 	out := make(map[int]map[string]float64)
 	i := 0
 	for _, dd := range dds {
@@ -330,16 +325,16 @@ func Fig12(o Options) *report.Table {
 	return t
 }
 
-// fig13Data solves the RT=70s throughput for GOW and LOW over the error
-// grid of the Exp.3 sweep spec (cells expand DD-major, then σ, scheduler
-// fastest); used by Fig13 and Table5. Each cell re-solves the operating
-// point, so the arrival rate the spec carries is only a placeholder.
+// fig13Data solves the RT=70s throughput for GOW and LOW over the Exp.3
+// error grid (points expand DD-major, then σ, scheduler fastest); used by
+// Fig13 and Table5. Each point re-solves the operating point, so the
+// arrival rate the grid carries is only a placeholder.
 func fig13Data(o Options, sigmas []float64, dds []int) map[int]map[float64]map[string]float64 {
 	o = o.norm()
-	cells := exp3Spec(o, sigmas, dds).Cells()
+	cells := exp3Spec(o, sigmas, dds).Points()
 	results := make([]float64, len(cells))
 	parallelEach(len(cells), func(i int) {
-		p := artifactPoint(o, cells[i])
+		p := cells[i]
 		p.Lambda = 0
 		results[i] = rt70TPS(p, o.SolverTol)
 	})
@@ -445,15 +440,4 @@ func Phases(o Options) *report.Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// parallelEach runs fn(i) for i in [0, n) on the shared sweep worker pool,
-// re-raising any captured panic once the other tasks finish.
-func parallelEach(n int, fn func(i int)) {
-	if err := sweep.ForEach(context.Background(), 0, n, func(i int) error {
-		fn(i)
-		return nil
-	}); err != nil {
-		panic(err)
-	}
 }

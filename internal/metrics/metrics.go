@@ -174,7 +174,7 @@ type Summary struct {
 	// the original reproduction metric).
 	P50RT, P90RT, MaxRT sim.Time
 	// P95RT and P99RT are interpolated tail percentiles (stats.Quantile);
-	// the sweep aggregates report P95RT alongside MeanRT.
+	// the replicated grids report P95RT alongside MeanRT.
 	P95RT, P99RT sim.Time
 	// TPS is Completions divided by the window in seconds.
 	TPS float64

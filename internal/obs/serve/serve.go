@@ -3,12 +3,12 @@
 // (DESIGN.md §14).
 //
 //	/metrics      Prometheus text exposition (obs.Registry.WritePrometheus)
-//	/healthz      liveness: "ok" (200) or the registered health error (503)
+//	/healthz      liveness: "ok" (200) while the server is up
 //	/slo          JSON snapshot of the run's service state
 //	/debug/pprof  net/http/pprof profiles of the live process
 //
 // The server owns no instruments: callers register render callbacks
-// (AddMetrics, SetSLO, SetHealth) whose implementations must be safe to run
+// (AddMetrics, SetSLO) whose implementations must be safe to run
 // concurrently with the workload — in practice, renders of an obs.Registry
 // (which read stored values, never run state) and snapshots taken under
 // the caller's own locks.
@@ -30,14 +30,13 @@ type Server struct {
 	mu      sync.Mutex
 	metrics []func(w http.ResponseWriter) error
 	slo     func() any
-	health  func() error
 
 	srv *http.Server
 	lis net.Listener
 }
 
-// New returns a server with no sources: /metrics renders empty, /slo
-// returns null, /healthz is healthy.
+// New returns a server with no sources: /metrics renders empty and /slo
+// returns null.
 func New() *Server { return &Server{} }
 
 // AddMetrics registers one /metrics renderer (typically a closure over
@@ -55,13 +54,6 @@ func (s *Server) SetSLO(fn func() any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.slo = fn
-}
-
-// SetHealth registers the /healthz probe; a non-nil error renders as 503.
-func (s *Server) SetHealth(fn func() error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.health = fn
 }
 
 // Handler returns the full route table, including pprof. The pprof handlers
@@ -95,15 +87,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	probe := s.health
-	s.mu.Unlock()
-	if probe != nil {
-		if err := probe(); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

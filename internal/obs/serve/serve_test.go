@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,11 +58,6 @@ func TestHealthz(t *testing.T) {
 	resp, body := get(t, s.Handler(), "/healthz")
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(body) != "ok" {
 		t.Fatalf("healthy probe: status %d body %q", resp.StatusCode, body)
-	}
-	s.SetHealth(func() error { return errors.New("stalled") })
-	resp, body = get(t, s.Handler(), "/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "stalled") {
-		t.Fatalf("unhealthy probe: status %d body %q", resp.StatusCode, body)
 	}
 }
 
