@@ -262,7 +262,7 @@ func NewMixedWorkload(batch Generator, numFiles int, shortFraction, shortCost fl
 // 100x: most transactions shrink slightly, a few grow enormously — the
 // heavy-tailed cost mix of real batch traffic.
 func WithHeavyTail(gen Generator, alpha float64) Generator {
-	return workload.NewHeavyTailed(gen, alpha, 0)
+	return workload.NewHeavyTailed(gen, alpha)
 }
 
 // Arrivals is an open arrival process (Config.Arrivals and service mode):

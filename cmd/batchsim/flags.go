@@ -50,6 +50,7 @@ type modeFlags struct {
 	service, compare, check, progress bool
 	reps                              int
 	faults                            bool // any fault-injection flag
+	crashes, msgLoss                  bool // -mtbf above 0, -msgloss above 0
 	trace                             bool // -trace
 	obsOut                            bool // any of -trace-out, -metrics-out, -audit, -report
 	lambda                            float64
@@ -87,6 +88,11 @@ var prerequisites = []struct {
 	{"mpl", "-sched C2PL+M (its admission limit) or -service (the admission window)",
 		func(f modeFlags) bool { return f.sched == "C2PL+M" || f.service }},
 	{"serve-linger", "-serve", func(f modeFlags) bool { return f.set["serve"] }},
+	{"mttr", "-mtbf above 0 (it is the mean outage per crash)", func(f modeFlags) bool { return f.crashes }},
+	{"msgtimeout", "-msgloss above 0 (it times out lost messages)", func(f modeFlags) bool { return f.msgLoss }},
+	{"msgretries", "-msgloss above 0 (it re-sends lost messages)", func(f modeFlags) bool { return f.msgLoss }},
+	{"metrics-interval", "-metrics-out or -report (the outputs that carry sampled metrics)",
+		func(f modeFlags) bool { return f.set["metrics-out"] || f.set["report"] }},
 }
 
 // validateModeFlags rejects flag combinations one invocation cannot honour

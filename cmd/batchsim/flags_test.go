@@ -103,8 +103,23 @@ func TestFlagCombinations(t *testing.T) {
 			set: map[string]bool{"pace": true, "rows": true, "txns": true, "arrival": true, "epoch": true, "service-duration": true}}, outputs{}, true},
 		{"sim with txns", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"txns": true}}, outputs{}, true},
 		{"sim with epoch", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"epoch": true}}, outputs{}, true},
-		{"sim with its own flags", modeFlags{backend: "sim", sched: "LOW", reps: 1,
-			set: map[string]bool{"sched": true, "lambda": true, "duration": true, "warmup": true, "dd": true, "k": true, "mtbf": true, "metrics-interval": true}}, outputs{}, false},
+		{"sim with its own flags", modeFlags{backend: "sim", sched: "LOW", reps: 1, obsOut: true,
+			set: map[string]bool{"sched": true, "lambda": true, "duration": true, "warmup": true, "dd": true, "k": true, "mtbf": true,
+				"metrics-out": true, "metrics-interval": true}}, outputs{}, false},
+		{"sim with mttr alone", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"mttr": true}}, outputs{}, true},
+		{"sim with mtbf 0 and mttr", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"mtbf": true, "mttr": true}}, outputs{}, true},
+		{"sim with mtbf and mttr", modeFlags{backend: "sim", reps: 1, faults: true, crashes: true,
+			set: map[string]bool{"mtbf": true, "mttr": true}}, outputs{}, false},
+		{"sim with msgtimeout alone", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"msgtimeout": true}}, outputs{}, true},
+		{"sim with msgretries and msgdelay", modeFlags{backend: "sim", reps: 1, faults: true,
+			set: map[string]bool{"msgdelay": true, "msgretries": true}}, outputs{}, true},
+		{"sim with msgloss, msgtimeout and msgretries", modeFlags{backend: "sim", reps: 1, faults: true, msgLoss: true,
+			set: map[string]bool{"msgloss": true, "msgtimeout": true, "msgretries": true}}, outputs{}, false},
+		{"sim with metrics-interval alone", modeFlags{backend: "sim", reps: 1, set: map[string]bool{"metrics-interval": true}}, outputs{}, true},
+		{"sim with metrics-interval and trace-out", modeFlags{backend: "sim", reps: 1, obsOut: true,
+			set: map[string]bool{"trace-out": true, "metrics-interval": true}}, outputs{}, true},
+		{"sim with metrics-interval and report", modeFlags{backend: "sim", reps: 1, obsOut: true,
+			set: map[string]bool{"report": true, "metrics-interval": true}}, outputs{}, false},
 		{"sim GOW with mpl", modeFlags{backend: "sim", sched: "GOW", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, true},
 		{"sim C2PL+M with mpl", modeFlags{backend: "sim", sched: "C2PL+M", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, false},
 		{"live GOW with mpl", modeFlags{backend: "live", sched: "GOW", reps: 1, set: map[string]bool{"mpl": true}}, outputs{}, true},

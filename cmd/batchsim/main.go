@@ -114,8 +114,9 @@ func main() {
 	exitOn(2, validateModeFlags(modeFlags{
 		backend: *backend, sched: *schedName, service: *service, compare: *compare,
 		check: *check, progress: *progress, reps: *reps,
-		faults: *mtbf > 0 || *straggler != "" || *msgloss > 0 || *msgdelay > 0,
-		trace:  *traceFile != "", obsOut: obsOut,
+		faults:  *mtbf > 0 || *straggler != "" || *msgloss > 0 || *msgdelay > 0,
+		crashes: *mtbf > 0, msgLoss: *msgloss > 0,
+		trace: *traceFile != "", obsOut: obsOut,
 		lambda: *lambda, capacity: *capacity, heavytail: *heavytail > 0, set: set,
 	}))
 	exitOn(2, validateTelemetryFlags(*serveAddr, *backend, *compare))

@@ -107,12 +107,11 @@ type Policy struct {
 	// (drawn from the backend's "class" RNG stream).
 	InteractiveFraction float64
 	// QueueSLO is the per-class admission-sojourn target: a transaction's
-	// admission deadline is its arrival time plus its class's SLO. Zero
-	// means no deadline for that class.
+	// admission deadline is its arrival time plus its class's SLO, and a
+	// queued transaction whose deadline has lapsed is shed at the next
+	// epoch boundary instead of being admitted late. Zero means no
+	// deadline for that class.
 	QueueSLO [NumClasses]sim.Time
-	// ShedOverdue sheds queued transactions whose deadline has lapsed at
-	// each epoch boundary (instead of admitting them late).
-	ShedOverdue bool
 	// OverloadP95 triggers overload control: when the p95 admission sojourn
 	// over the sliding sample window exceeds it, new batch-class arrivals
 	// are shed until the p95 recovers below 3/4 of it. 0 disables the
@@ -130,8 +129,8 @@ type Policy struct {
 
 // DefaultPolicy returns a serviceable starting policy: an 8-wide window,
 // 500 ms epochs, a 256-entry queue, 20% interactive traffic with a 10 s
-// admission SLO (batch: 120 s), overdue shedding on, and overload control
-// at a 30 s sojourn p95.
+// admission SLO (batch: 120 s), and overload control at a 30 s sojourn
+// p95.
 func DefaultPolicy() Policy {
 	return Policy{
 		MPL:                 8,
@@ -139,7 +138,6 @@ func DefaultPolicy() Policy {
 		MaxQueue:            256,
 		InteractiveFraction: 0.2,
 		QueueSLO:            [NumClasses]sim.Time{Batch: 120 * sim.Second, Interactive: 10 * sim.Second},
-		ShedOverdue:         true,
 		OverloadP95:         30 * sim.Second,
 		SojournWindow:       128,
 	}

@@ -123,14 +123,6 @@ func TestExpireShedsOverdueOnly(t *testing.T) {
 	if s.Depth() != 1 {
 		t.Fatalf("depth after expire: %d", s.Depth())
 	}
-
-	// ShedOverdue off: expiry is a no-op.
-	p.ShedOverdue = false
-	s2 := mustService(t, p)
-	arrive(t, s2, 1, Interactive, 0)
-	if sheds := s2.Expire(NoDeadline - 1); len(sheds) != 0 {
-		t.Fatalf("expire with ShedOverdue off shed %d", len(sheds))
-	}
 }
 
 func TestZeroSLOMeansNoDeadline(t *testing.T) {

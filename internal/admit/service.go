@@ -105,12 +105,8 @@ func (s *Service) Pop(now sim.Time) (it *Item, ok bool) {
 	return it, true
 }
 
-// Expire sheds every queued item whose deadline has lapsed (no-op unless
-// Policy.ShedOverdue).
+// Expire sheds every queued item whose deadline has lapsed.
 func (s *Service) Expire(now sim.Time) []Shed {
-	if !s.pol.ShedOverdue {
-		return nil
-	}
 	var out []Shed
 	for len(s.q) > 0 && s.q[0].Deadline < now {
 		it := heap.Pop(&s.q).(*Item)

@@ -91,14 +91,131 @@ func randomBatch(rng *sim.RNG, numFiles, n int) [][]model.Step {
 	return out
 }
 
+// decision is one scheduler-protocol call the control node made and its
+// result, with no timestamps: the sequence of decisions is what a backend
+// drove the scheduler through, independent of when each call happened.
+type decision struct {
+	// op is the call's event: EvAdmit, EvRequest, EvValidate, EvCommit, or
+	// EvAbort for the release of an aborted or evicted attempt.
+	op   engine.EventKind
+	txn  int64
+	step int // the transaction's StepIndex at call time
+	// file and mode identify the requested lock (requests only; -1/"").
+	file int
+	mode string
+	// result is "ok"/"reject" for admits and validates, the decision name
+	// for requests, and "" for commits and aborts.
+	result string
+}
+
+// String renders the decision compactly, e.g. "request T3/1 X(f5) -> grant".
+func (d decision) String() string {
+	switch d.op {
+	case engine.EvRequest:
+		return fmt.Sprintf("request T%d/%d %s(f%d) -> %s", d.txn, d.step, d.mode, d.file, d.result)
+	case engine.EvAdmit:
+		return fmt.Sprintf("admit T%d -> %s", d.txn, d.result)
+	case engine.EvValidate:
+		return fmt.Sprintf("validate T%d -> %s", d.txn, d.result)
+	case engine.EvCommit:
+		return fmt.Sprintf("committed T%d", d.txn)
+	}
+	return fmt.Sprintf("aborted T%d", d.txn)
+}
+
+// decisionLog is the observer that projects a run's events onto the
+// scheduler calls they report: the admission test, a lock request,
+// validation, the commit, and the release of an aborted or evicted
+// attempt. Beside each decision it marks how many audit entries the
+// scheduler had emitted once the call returned, so marks[i-1] is the
+// length of the audit prefix the first i calls generated.
+type decisionLog struct {
+	audit     *obs.Audit
+	decisions []decision
+	marks     []int
+}
+
+func (l *decisionLog) Event(ev engine.Event) {
+	d := decision{op: ev.Kind, file: -1}
+	switch ev.Kind {
+	case engine.EvAdmit, engine.EvValidate:
+		d.result = "reject"
+		if ev.OK {
+			d.result = "ok"
+		}
+	case engine.EvRequest:
+		st := ev.Txn.CurrentStep()
+		d.file, d.mode, d.result = int(st.File), st.LockMode.String(), ev.Decision.String()
+	case engine.EvEvict:
+		d.op = engine.EvAbort // the scheduler's Aborted call
+	case engine.EvCommit, engine.EvAbort:
+	default:
+		return // not a scheduler call
+	}
+	d.txn, d.step = ev.Txn.ID, ev.Txn.StepIndex
+	l.decisions = append(l.decisions, d)
+	l.marks = append(l.marks, len(l.audit.Entries()))
+}
+
+// deterministicPrefix returns the length of the leading run of decisions
+// that is identical across backends for the same submitted batch:
+// everything before the first decision whose timing can depend on a
+// data-processing-node completion. Admissions and step-0 requests in the
+// initial control-node sweep, with the grant/wake cascades they trigger,
+// are ordered purely by the CN's FIFO queue discipline, which both
+// backends implement identically. The first validate, commit, abort or
+// step>0 request marks the point where a cohort completion, whose arrival
+// order is timing-dependent under live execution, has fed back into
+// scheduling.
+func deterministicPrefix(ds []decision) int {
+	for i, d := range ds {
+		switch d.op {
+		case engine.EvValidate, engine.EvCommit, engine.EvAbort:
+			return i
+		case engine.EvRequest:
+			if d.step > 0 {
+				return i
+			}
+		}
+	}
+	return len(ds)
+}
+
+func TestDeterministicPrefix(t *testing.T) {
+	adm := decision{op: engine.EvAdmit, txn: 1, file: -1, result: "ok"}
+	req0 := decision{op: engine.EvRequest, txn: 1, step: 0, file: 0, mode: "X", result: "grant"}
+	req1 := decision{op: engine.EvRequest, txn: 1, step: 1, file: 1, mode: "X", result: "grant"}
+	val := decision{op: engine.EvValidate, txn: 1, file: -1, result: "ok"}
+	com := decision{op: engine.EvCommit, txn: 1, file: -1}
+	abo := decision{op: engine.EvAbort, txn: 1, file: -1}
+
+	cases := []struct {
+		name string
+		ds   []decision
+		want int
+	}{
+		{"empty", nil, 0},
+		{"sweep only", []decision{adm, req0, adm, req0}, 4},
+		{"cut at validate", []decision{adm, req0, val, com}, 2},
+		{"cut at step>0 request", []decision{adm, req0, req1, val}, 2},
+		{"cut at abort", []decision{adm, req0, abo, adm}, 2},
+		{"cut at committed", []decision{adm, com}, 1},
+	}
+	for _, c := range cases {
+		if got := deterministicPrefix(c.ds); got != c.want {
+			t.Errorf("%s: deterministicPrefix = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // diffRun is one backend's observed execution.
 type diffRun struct {
-	entries  []engine.DecisionEntry
-	marks    []int
-	audit    []obs.AuditEntry
-	rec      *history.Recorder
-	commits  int
-	restarts int
+	decisions []decision
+	marks     []int
+	audit     []obs.AuditEntry
+	rec       *history.Recorder
+	commits   int
+	restarts  int
 }
 
 // runSimDiff and runLiveDiff run batch on one backend. origin names where
@@ -132,7 +249,7 @@ func runSimDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]m
 	o := obs.New()
 	o.SetSampleInterval(0)
 	m.SetObs(o)
-	dl := engine.NewDecisionLog(o.Audit())
+	dl := &decisionLog{audit: o.Audit()}
 	m.SetObserver(dl)
 	rec := history.New()
 	if name == "OPT" {
@@ -147,7 +264,7 @@ func runSimDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]m
 		t.Fatalf("sim %s, %s: %d transactions still in flight at horizon", name, origin, m.InFlight())
 	}
 	return diffRun{
-		entries: dl.Entries(), marks: dl.AuditMarks(), audit: o.Audit().Entries(),
+		decisions: dl.decisions, marks: dl.marks, audit: o.Audit().Entries(),
 		rec: rec, commits: sum.Completions, restarts: sum.Restarts,
 	}
 }
@@ -171,7 +288,7 @@ func runLiveDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]
 	o := obs.New()
 	o.SetSampleInterval(0)
 	b.SetObs(o)
-	dl := engine.NewDecisionLog(o.Audit())
+	dl := &decisionLog{audit: o.Audit()}
 	b.SetObserver(dl)
 	rec := history.New()
 	if name == "OPT" {
@@ -192,7 +309,7 @@ func runLiveDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]
 		}
 	}
 	return diffRun{
-		entries: dl.Entries(), marks: dl.AuditMarks(), audit: o.Audit().Entries(),
+		decisions: dl.decisions, marks: dl.marks, audit: o.Audit().Entries(),
 		rec: rec, commits: sum.Completions, restarts: sum.Restarts,
 	}
 }
@@ -201,7 +318,7 @@ func runLiveDiff(t *testing.T, name, origin string, numFiles, dd int, batch [][]
 // prefix and returns its length.
 func comparePrefix(t *testing.T, name string, n int, s, l diffRun) int {
 	t.Helper()
-	ps, pl := engine.DeterministicPrefix(s.entries), engine.DeterministicPrefix(l.entries)
+	ps, pl := deterministicPrefix(s.decisions), deterministicPrefix(l.decisions)
 	p := ps
 	if pl < p {
 		p = pl
@@ -213,8 +330,8 @@ func comparePrefix(t *testing.T, name string, n int, s, l diffRun) int {
 		t.Fatalf("%s: deterministic prefix %d too short (batch %d)", name, p, n)
 	}
 	for i := 0; i < p; i++ {
-		if s.entries[i] != l.entries[i] {
-			t.Fatalf("%s: decision %d differs:\n  sim:  %v\n  live: %v", name, i, s.entries[i], l.entries[i])
+		if s.decisions[i] != l.decisions[i] {
+			t.Fatalf("%s: decision %d differs:\n  sim:  %v\n  live: %v", name, i, s.decisions[i], l.decisions[i])
 		}
 	}
 	return p
@@ -309,9 +426,9 @@ func TestSimVsLiveAdmittedSets(t *testing.T) {
 		l := runLiveDiff(t, name, origin, 16, 2, batch)
 		admitted := func(r diffRun) []string {
 			var out []string
-			for _, e := range r.entries[:engine.DeterministicPrefix(r.entries)] {
-				if e.Op == engine.EvAdmit {
-					out = append(out, fmt.Sprintf("T%d=%s", e.Txn, e.Result))
+			for _, d := range r.decisions[:deterministicPrefix(r.decisions)] {
+				if d.op == engine.EvAdmit {
+					out = append(out, fmt.Sprintf("T%d=%s", d.txn, d.result))
 				}
 			}
 			return out

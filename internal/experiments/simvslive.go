@@ -129,43 +129,6 @@ func Ranking(tps map[string]float64) []string {
 	return names
 }
 
-// RankingsAgree reports whether two throughput maps order the schedulers
-// consistently: every pair that BOTH backends separate by at least margin
-// (relative to the slower of the pair) must be ordered the same way. Pairs
-// inside the noise margin on either backend carry no ranking information —
-// wall-clock throughput jitters in ways virtual time does not.
-func RankingsAgree(a, b map[string]float64, margin float64) error {
-	names := Ranking(a)
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			x, y := names[i], names[j]
-			if !separated(a[x], a[y], margin) || !separated(b[x], b[y], margin) {
-				continue
-			}
-			if (a[x] > a[y]) != (b[x] > b[y]) {
-				return fmt.Errorf("ranking disagrees on %s vs %s: sim %.3g/%.3g, live %.3g/%.3g",
-					x, y, a[x], a[y], b[x], b[y])
-			}
-		}
-	}
-	return nil
-}
-
-func separated(x, y, margin float64) bool {
-	lo := x
-	if y < lo {
-		lo = y
-	}
-	if lo <= 0 {
-		return true
-	}
-	d := x - y
-	if d < 0 {
-		d = -d
-	}
-	return d/lo >= margin
-}
-
 // SimVsLiveTable renders the comparison for EXPERIMENTS.md / cmd/batchsim.
 func SimVsLiveTable(results []SimVsLiveResult) *report.Table {
 	t := &report.Table{

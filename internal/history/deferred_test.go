@@ -50,7 +50,7 @@ func TestDeferredWritesKeepReadTimes(t *testing.T) {
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("serial commit order flagged: %v", err)
 	}
-	if r.Ops() != 2 {
-		t.Errorf("ops = %d", r.Ops())
+	if len(r.committed) != 2 {
+		t.Errorf("ops = %d", len(r.committed))
 	}
 }

@@ -119,9 +119,6 @@ func (r *Recorder) Commits() int { return r.commits }
 // Restarts returns the number of restarts recorded.
 func (r *Recorder) Restarts() int { return r.restarts }
 
-// Ops returns the number of committed operations recorded.
-func (r *Recorder) Ops() int { return len(r.committed) }
-
 // CheckSerializable verifies conflict-serializability of the committed
 // history and returns a descriptive error when a precedence cycle exists.
 func (r *Recorder) CheckSerializable() error {

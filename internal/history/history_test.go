@@ -47,8 +47,8 @@ func TestSerialHistoryIsSerializable(t *testing.T) {
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatalf("serial history flagged: %v", err)
 	}
-	if r.Commits() != 2 || r.Ops() != 4 {
-		t.Errorf("commits=%d ops=%d", r.Commits(), r.Ops())
+	if r.Commits() != 2 || len(r.committed) != 4 {
+		t.Errorf("commits=%d ops=%d", r.Commits(), len(r.committed))
 	}
 }
 
@@ -105,8 +105,8 @@ func TestUncommittedOpsIgnored(t *testing.T) {
 	t1 := rec(r, 1, "w(A:1)", files, []int{10})
 	rec(r, 2, "w(A:1)", files, []int{5}) // never commits
 	commit(r, t1, msec(20))
-	if r.Ops() != 1 {
-		t.Errorf("ops = %d, want 1 (uncommitted excluded)", r.Ops())
+	if len(r.committed) != 1 {
+		t.Errorf("ops = %d, want 1 (uncommitted excluded)", len(r.committed))
 	}
 	if err := r.CheckSerializable(); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func dpnSteadyStateAllocs(t *testing.T, demand, toggleEvery, window sim.Time) {
 	}
 	for i, c := range cohorts {
 		i, c := i, c
-		eng.ScheduleAt(sim.Time(i)*sim.Millisecond, func(sim.Time) { d.add(c) })
+		eng.Schedule(sim.Time(i)*sim.Millisecond, func(sim.Time) { d.add(c) })
 	}
 	var toggle sim.Handler
 	toggle = func(sim.Time) {

@@ -48,6 +48,8 @@ func ffDiffSchedule(t *testing.T, seed int64, stepped, long bool) []string {
 	d := newDPN(0, eng, met)
 	d.stepped = stepped
 	var log []string
+	// Everything is booked before the run starts, at t=0, so each delay
+	// handed to Schedule below is the event's absolute time.
 	scale, horizon, start := 1, sim.Time(1<<50), sim.Time(0)
 	drawQ := func() sim.Time { return sim.Time(1+g.Intn(1500)) * sim.Millisecond }
 	if long {
@@ -57,7 +59,7 @@ func ffDiffSchedule(t *testing.T, seed int64, stepped, long bool) []string {
 	// span draws lo + [0, n) ms, both stretched by scale.
 	span := func(lo, n int) sim.Time { return sim.Time(lo*scale+g.Intn(n*scale)) * sim.Millisecond }
 	probe := func(at sim.Time) {
-		eng.ScheduleAt(at, func(now sim.Time) {
+		eng.Schedule(at, func(now sim.Time) {
 			log = append(log, fmt.Sprintf("q=%d@%v", d.queueLen(), now))
 		})
 	}
@@ -76,7 +78,7 @@ func ffDiffSchedule(t *testing.T, seed int64, stepped, long bool) []string {
 			a.done = true
 			log = append(log, fmt.Sprintf("done %d@%v", i, eng.Now()))
 		}
-		eng.ScheduleAt(at, func(now sim.Time) {
+		eng.Schedule(at, func(now sim.Time) {
 			if d.down {
 				return
 			}
@@ -137,7 +139,7 @@ func ffDiffSchedule(t *testing.T, seed int64, stepped, long bool) []string {
 		}
 		a := arrive(at, rem, q)
 		if g.Intn(5) == 0 {
-			eng.ScheduleAt(at+span(0, 3000), func(now sim.Time) {
+			eng.Schedule(at+span(0, 3000), func(now sim.Time) {
 				if a.done || !a.added {
 					return
 				}
@@ -150,20 +152,20 @@ func ffDiffSchedule(t *testing.T, seed int64, stepped, long bool) []string {
 	for i := 0; i < 2; i++ {
 		crashAt := start + span(0, 30_000)
 		backAt := crashAt + span(2000, 3000)
-		eng.ScheduleAt(crashAt, func(now sim.Time) {
+		eng.Schedule(crashAt, func(now sim.Time) {
 			if d.down {
 				return
 			}
 			killed := d.crash()
 			log = append(log, fmt.Sprintf("crash@%v killed=%d", now, len(killed)))
 		})
-		eng.ScheduleAt(backAt, func(now sim.Time) { d.restore() })
+		eng.Schedule(backAt, func(now sim.Time) { d.restore() })
 	}
 	for i := 0; i < 2; i++ {
 		onAt := start + span(0, 30_000)
 		offAt := onAt + span(1000, 4000)
-		eng.ScheduleAt(onAt, func(now sim.Time) { d.setSlow(1.5) })
-		eng.ScheduleAt(offAt, func(now sim.Time) { d.setSlow(1) })
+		eng.Schedule(onAt, func(now sim.Time) { d.setSlow(1.5) })
+		eng.Schedule(offAt, func(now sim.Time) { d.setSlow(1) })
 	}
 	for i := 0; i < 10; i++ {
 		probe(start + span(0, 40_000))
@@ -445,7 +447,7 @@ func TestDPNDropDeadRunCursor(t *testing.T) {
 		e4 := mk("D", 150*sim.Millisecond)
 		e5 := mk("E", 400*sim.Millisecond)
 		_ = a
-		eng.ScheduleAt(150*sim.Millisecond, func(now sim.Time) {
+		eng.Schedule(150*sim.Millisecond, func(now sim.Time) {
 			d.sync() // boundaries before the mark served the cohorts live
 			b.dead = true
 			c.dead = true

@@ -113,19 +113,6 @@ func (p *Pattern) Steps() []PatternStep {
 	return cp
 }
 
-// Symbols returns the distinct symbolic file names in first-appearance order.
-func (p *Pattern) Symbols() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, st := range p.steps {
-		if !seen[st.Sym] {
-			seen[st.Sym] = true
-			out = append(out, st.Sym)
-		}
-	}
-	return out
-}
-
 // String renders the pattern back in the mini-language.
 func (p *Pattern) String() string {
 	parts := make([]string, len(p.steps))

@@ -25,9 +25,6 @@ func TestParsePatternExperiment1(t *testing.T) {
 			t.Errorf("step %d = %+v, want %+v", i, steps[i], w)
 		}
 	}
-	if syms := p.Symbols(); len(syms) != 2 || syms[0] != "F1" || syms[1] != "F2" {
-		t.Errorf("Symbols = %v", syms)
-	}
 }
 
 func TestParsePatternExperiment2(t *testing.T) {

@@ -248,13 +248,6 @@ func (t *Txn) WriteSet() map[FileID]bool {
 	return t.writeSet
 }
 
-// Conflicts reports whether the declarations of a and b contain conflicting
-// accesses to at least one common file (same file, incompatible lock modes).
-func Conflicts(a, b *Txn) bool {
-	_, ok := FirstConflictStep(a, b)
-	return ok
-}
-
 // FirstConflictStep returns the index of the earliest step of `of` that
 // requests a lock conflicting with any declared access of `with`, and whether
 // such a step exists. This is the step at which `of` would be blocked by

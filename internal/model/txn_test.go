@@ -91,13 +91,13 @@ func TestFirstConflictStep(t *testing.T) {
 	// Read-read on the same file does not conflict.
 	a := NewTxn(3, 0, mustSteps(MustParsePattern("r(A:1)"), map[string]FileID{"A": 0}))
 	b := NewTxn(4, 0, mustSteps(MustParsePattern("r(A:2)"), map[string]FileID{"A": 0}))
-	if Conflicts(a, b) {
+	if _, ok := FirstConflictStep(a, b); ok {
 		t.Error("S-S on the same file must not conflict")
 	}
 
 	// Disjoint files never conflict.
 	c := NewTxn(5, 0, mustSteps(MustParsePattern("w(A:1)"), map[string]FileID{"A": 7}))
-	if Conflicts(a, c) {
+	if _, ok := FirstConflictStep(a, c); ok {
 		t.Error("disjoint files must not conflict")
 	}
 }
@@ -175,7 +175,8 @@ func TestTxnString(t *testing.T) {
 }
 
 // Property: ConflictWeight(of, with) is always <= of's total declared demand
-// and > 0 when a conflict exists, and Conflicts is symmetric.
+// and > 0 when a conflict exists, and whether two transactions conflict at
+// all does not depend on which one asks.
 func TestConflictProperties(t *testing.T) {
 	type spec struct {
 		FileA, FileB uint8
@@ -184,7 +185,9 @@ func TestConflictProperties(t *testing.T) {
 	prop := func(a, b spec) bool {
 		ta := NewTxn(1, 0, []Step{mkStep(a.FileA, a.WA, 1), mkStep(a.FileB, a.WB, 2)})
 		tb := NewTxn(2, 0, []Step{mkStep(b.FileA, b.WA, 3), mkStep(b.FileB, b.WB, 4)})
-		if Conflicts(ta, tb) != Conflicts(tb, ta) {
+		_, ab := FirstConflictStep(ta, tb)
+		_, ba := FirstConflictStep(tb, ta)
+		if ab != ba {
 			return false
 		}
 		if w, ok := ConflictWeight(ta, tb); ok {

@@ -100,8 +100,8 @@ func TestSampling(t *testing.T) {
 	c := o.Metrics().Counter("events", "events") // counters come first
 
 	// Model activity between ticks.
-	eng.ScheduleAt(4*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 2 })
-	eng.ScheduleAt(17*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 5 })
+	eng.Schedule(4*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 2 })
+	eng.Schedule(17*sim.Millisecond, func(now sim.Time) { c.Add(now, 1); depth = 5 })
 
 	o.StartSampling(eng)
 	eng.RunUntil(25 * sim.Millisecond)

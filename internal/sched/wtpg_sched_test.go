@@ -94,10 +94,10 @@ func TestLOWFig6Decision(t *testing.T) {
 	mustAdmit(t, s, t5)
 	mustAdmit(t, s, t6)
 	mustAdmit(t, s, t7)
-	if err := s.Graph().Orient(4, 5); err != nil {
+	if err := s.Graph().OrientAll([][2]int64{{4, 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Graph().Orient(6, 7); err != nil {
+	if err := s.Graph().OrientAll([][2]int64{{6, 7}}); err != nil {
 		t.Fatal(err)
 	}
 

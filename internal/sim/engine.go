@@ -24,7 +24,7 @@ type Event struct {
 	at Time
 	// prio breaks ties among events with equal timestamps before seq does.
 	// book sets it to the booking time, so for ordinary events (booking
-	// times are nondecreasing in seq) it changes nothing; ScheduleAtPrio
+	// times are nondecreasing in seq) it changes nothing; ScheduleAtTie
 	// sets it explicitly so a coalescing model can plant a future event in
 	// exactly the tie position of the fine-grained event it stands for.
 	prio     Time
@@ -123,9 +123,6 @@ func tieLess(p Time, x, y *TieKey) (less, ok bool) {
 // Time returns the virtual time the event is scheduled for.
 func (e *Event) Time() Time { return e.at }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Cancel prevents the event's handler from running: a pending event leaves
 // the calendar at once and is recycled. Canceling an event that already
 // fired (or was already canceled) is a no-op. Removal cannot change the
@@ -199,40 +196,16 @@ func (e *Engine) Schedule(delay Time, fn Handler) *Event {
 	return e.book(e.now+delay, e.now, fn)
 }
 
-// ScheduleAt books fn to run at absolute virtual time at (>= Now).
-func (e *Engine) ScheduleAt(at Time, fn Handler) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	return e.book(at, e.now, fn)
-}
-
-// ScheduleAtPrio books fn at absolute virtual time at (>= Now) with an
-// explicit tie-breaking priority: equal-timestamp events fire in (prio, seq)
-// order, and every ordinary booking gets prio = its booking time. A model
-// that coalesces a chain of fine-grained events into one future event passes
-// the virtual time the final fine-grained event would have been booked at,
-// placing the stand-in exactly where the chain's last link would have tied.
-// prio may lie in the past (the stand-in for work already under way).
-func (e *Engine) ScheduleAtPrio(at, prio Time, fn Handler) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if prio > at {
-		panic(fmt.Sprintf("sim: priority %v after event time %v", prio, at))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	return e.book(at, prio, fn)
-}
-
-// ScheduleAtTie is ScheduleAtPrio with a booking-genealogy key: among events
-// with equal (at, prio) that both carry one, the tie keys order the events as
-// the elided fine-grained bookings would have been ordered (see TieKey).
+// ScheduleAtTie books fn at absolute virtual time at (>= Now) with an
+// explicit tie-breaking priority and a booking-genealogy key.
+// Equal-timestamp events fire in (prio, seq) order, and every ordinary
+// booking gets prio = its booking time. A model that coalesces a chain of
+// fine-grained events into one future event passes the virtual time the
+// final fine-grained event would have been booked at, placing the stand-in
+// exactly where the chain's last link would have tied; prio may lie in the
+// past (the stand-in for work already under way). Among events with equal
+// (at, prio) that both carry a tie key, the keys order the events as the
+// elided fine-grained bookings would have been ordered (see TieKey).
 func (e *Engine) ScheduleAtTie(at, prio Time, tie TieKey, fn Handler) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))

@@ -11,9 +11,6 @@ func TestTimeConversions(t *testing.T) {
 	if Second != 1_000_000 {
 		t.Fatalf("Second = %d µs, want 1e6", int64(Second))
 	}
-	if got := FromMilliseconds(1.5); got != 1500 {
-		t.Errorf("FromMilliseconds(1.5) = %d, want 1500", int64(got))
-	}
 	if got := FromSeconds(0.001); got != Millisecond {
 		t.Errorf("FromSeconds(0.001) = %v, want 1ms", got)
 	}
@@ -85,8 +82,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 	if e.Executed() != 0 {
 		t.Errorf("Executed = %d, want 0", e.Executed())
@@ -136,10 +133,6 @@ func TestEnginePanicsOnNegativeDelayAndNilHandler(t *testing.T) {
 	e := NewEngine()
 	mustPanic(t, func() { e.Schedule(-1, func(Time) {}) })
 	mustPanic(t, func() { e.Schedule(1, nil) })
-	mustPanic(t, func() {
-		e.now = 10
-		e.ScheduleAt(5, func(Time) {})
-	})
 }
 
 func mustPanic(t *testing.T, f func()) {
@@ -180,8 +173,8 @@ func TestEngineSchedulePrioOrdersTies(t *testing.T) {
 	// At t=30ms three events tie. The prio events were booked first (so have
 	// the smaller seq) but must fire in prio order, interleaving with the
 	// plain booking which carries prio = its booking time (0).
-	e.ScheduleAtPrio(30*Millisecond, 20*Millisecond, func(Time) { order = append(order, "p20") })
-	e.ScheduleAtPrio(30*Millisecond, 10*Millisecond, func(Time) { order = append(order, "p10") })
+	e.book(30*Millisecond, 20*Millisecond, func(Time) { order = append(order, "p20") })
+	e.book(30*Millisecond, 10*Millisecond, func(Time) { order = append(order, "p10") })
 	e.Schedule(30*Millisecond, func(Time) { order = append(order, "plain0") })
 	e.Run(Second)
 	want := []string{"plain0", "p10", "p20"}
@@ -196,14 +189,14 @@ func TestEngineSchedulePrioPastPriority(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(50*Millisecond, func(now Time) {
 		// A stand-in for work already under way: prio before now is legal...
-		e.ScheduleAtPrio(80*Millisecond, 20*Millisecond, func(Time) {})
+		e.ScheduleAtTie(80*Millisecond, 20*Millisecond, TieKey{}, func(Time) {})
 	})
 	e.Run(Second)
 	// ...but the event time itself must not rewind, and prio must not lie
 	// after the event.
-	mustPanic(t, func() { e.ScheduleAtPrio(e.Now()-1, 0, func(Time) {}) })
-	mustPanic(t, func() { e.ScheduleAtPrio(e.Now()+10, e.Now()+20, func(Time) {}) })
-	mustPanic(t, func() { e.ScheduleAtPrio(e.Now()+10, 0, nil) })
+	mustPanic(t, func() { e.ScheduleAtTie(e.Now()-1, 0, TieKey{}, func(Time) {}) })
+	mustPanic(t, func() { e.ScheduleAtTie(e.Now()+10, e.Now()+20, TieKey{}, func(Time) {}) })
+	mustPanic(t, func() { e.ScheduleAtTie(e.Now()+10, 0, TieKey{}, nil) })
 }
 
 // Property: with random (at, prio <= at) pairs, dispatch follows the
@@ -221,7 +214,7 @@ func TestEnginePrioDispatchOrderProperty(t *testing.T) {
 		i := i
 		at := Time(g.Intn(500)) * Millisecond
 		prio := Time(g.Intn(int(at/Millisecond)+1)) * Millisecond
-		e.ScheduleAtPrio(at, prio, func(Time) { fired = append(fired, key{at, prio, i}) })
+		e.book(at, prio, func(Time) { fired = append(fired, key{at, prio, i}) })
 	}
 	e.Run(Time(1 << 40))
 	if len(fired) != n {
@@ -291,7 +284,7 @@ func TestEngineCompactionDifferential(t *testing.T) {
 			prio := Time(g.Intn(int(at) + 1))
 			r := rec{at, prio, id}
 			id++
-			ev := e.ScheduleAtPrio(at, prio, func(Time) { got = append(got, r) })
+			ev := e.book(at, prio, func(Time) { got = append(got, r) })
 			live = append(live, ev)
 			liveRec = append(liveRec, r)
 		}
@@ -416,7 +409,7 @@ func playTieScript(script [][]tieScriptBooking) []int {
 		if m.hasTie {
 			return e.ScheduleAtTie(m.at, m.prio, m.tie, fn)
 		}
-		return e.ScheduleAtPrio(m.at, m.prio, fn)
+		return e.book(m.at, m.prio, fn)
 	}
 	var handler func(s, k int) Handler
 	handler = func(s, k int) Handler {
@@ -657,15 +650,15 @@ func TestEngineRescheduleMatchesCancelAndBook(t *testing.T) {
 // time or put the priority after the event.
 func TestEngineRescheduleRejects(t *testing.T) {
 	e := NewEngine()
-	ev := e.ScheduleAt(10, func(Time) {})
+	ev := e.Schedule(10, func(Time) {})
 	e.Reschedule(ev, 20, 5, TieKey{})
 	if ev.Time() != 20 {
 		t.Fatalf("rescheduled event at %v, want 20", ev.Time())
 	}
 	mustPanic(t, func() { e.Reschedule(ev, 30, 31, TieKey{}) })
 	mustPanic(t, func() { NewEngine().Reschedule(ev, 30, 0, TieKey{}) })
-	fired := e.ScheduleAt(1, func(Time) {})
-	canceled := e.ScheduleAt(40, func(Time) {})
+	fired := e.Schedule(1, func(Time) {})
+	canceled := e.Schedule(40, func(Time) {})
 	canceled.Cancel()
 	e.RunUntil(15)
 	mustPanic(t, func() { e.Reschedule(fired, 30, 0, TieKey{}) })
@@ -738,7 +731,7 @@ func TestEngineExecutedUnderHeavyLazyDeletion(t *testing.T) {
 			// Cancel the next two still-pending survivors, so roughly two
 			// thirds of the calendar is removed mid-drain.
 			for j, killed := i+1, 0; j < n && killed < 2; j++ {
-				if events[j] != nil && !events[j].Canceled() {
+				if events[j] != nil && !events[j].canceled {
 					events[j].Cancel()
 					killed++
 				}
@@ -796,7 +789,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		e.SchedulePayload(3*Millisecond, onPayload, arg)
 	}
 	for s := 0; s < chains; s++ {
-		e.ScheduleAtPrio(Time(s+1)*Millisecond, 0, handlers[s])
+		e.book(Time(s+1)*Millisecond, 0, handlers[s])
 	}
 	e.Schedule(5*Millisecond, tick)
 	e.SchedulePayload(3*Millisecond, onPayload, &fires)
@@ -921,29 +914,5 @@ func TestHeapStress(t *testing.T) {
 	e.Run(Time(1 << 40))
 	if count != n {
 		t.Fatalf("dispatched %d, want %d", count, n)
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	g := NewRNG(17)
-	seen := make(map[int]bool)
-	p := g.Perm(10)
-	if len(p) != 10 {
-		t.Fatalf("len = %d", len(p))
-	}
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	cases := map[float64]float64{0: 0.5, -1: 0.1587, 1: 0.8413, -0.1: 0.4602}
-	for x, want := range cases {
-		if got := NormalCDF(x); math.Abs(got-want) > 1e-3 {
-			t.Errorf("Φ(%v) = %v, want %v", x, got, want)
-		}
 	}
 }

@@ -67,9 +67,6 @@ func (g *RNG) Float64() float64 { return g.src().Float64() }
 // Intn returns a uniform integer in [0, n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
-
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 // rate must be > 0.
 func (g *RNG) Exp(rate float64) float64 {
@@ -113,9 +110,4 @@ func (g *RNG) TwoDistinct(n int) (int, int) {
 		b++
 	}
 	return a, b
-}
-
-// Standard normal CDF helper used by analytical sanity tests.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

@@ -29,9 +29,5 @@ func (d Time) Seconds() float64 { return float64(d) / float64(Second) }
 // nearest microsecond.
 func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 
-// FromMilliseconds converts a duration in milliseconds to a Time span,
-// rounding to the nearest microsecond.
-func FromMilliseconds(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }
-
 // String formats the time in seconds with millisecond precision.
 func (d Time) String() string { return fmt.Sprintf("%.3fs", d.Seconds()) }

@@ -68,14 +68,6 @@ func (e Event) FileID() int {
 	return *e.File
 }
 
-// NodeID returns the fault's node, or -1 when absent.
-func (e Event) NodeID() int {
-	if e.Node == nil {
-		return -1
-	}
-	return *e.Node
-}
-
 // Writer streams events to an io.Writer as JSONL. Create with NewWriter
 // and Flush (or Close via the caller's file) when done.
 type Writer struct {

@@ -95,11 +95,11 @@ func TestZeroValuesRoundTrip(t *testing.T) {
 		t.Errorf("file 0 lost in round trip: %+v", step)
 	}
 	fault := events[1]
-	if fault.Kind != "fault" || fault.Fault != "crash" || fault.NodeID() != 0 {
+	if fault.Kind != "fault" || fault.Fault != "crash" || fault.Node == nil || *fault.Node != 0 {
 		t.Errorf("fault on node 0 lost in round trip: %+v", fault)
 	}
 	// Absent fields stay distinguishable from zero values.
-	if fault.StepIndex() != -1 || fault.FileID() != -1 || step.NodeID() != -1 {
+	if fault.StepIndex() != -1 || fault.FileID() != -1 || step.Node != nil {
 		t.Errorf("absent pointer fields must read back as nil")
 	}
 }
@@ -130,7 +130,7 @@ func TestFaultEventsRoundTrip(t *testing.T) {
 	if len(events) != 4 {
 		t.Fatalf("read %d events, want 4", len(events))
 	}
-	if events[0].Kind != "fault" || events[0].Fault != "slow" || events[0].NodeID() != 5 {
+	if events[0].Kind != "fault" || events[0].Fault != "slow" || events[0].Node == nil || *events[0].Node != 5 {
 		t.Errorf("fault event = %+v", events[0])
 	}
 	if events[1].Kind != "retry" || events[1].Txn != 9 || events[1].Attempt != 1 {

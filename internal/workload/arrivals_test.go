@@ -124,7 +124,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 
 func TestHeavyTailedUnitMeanAndTail(t *testing.T) {
 	base := Fixed{Template: NewExp1(16).Steps(sim.NewRNG(1))}
-	ht := NewHeavyTailed(base, 1.5, 0)
+	ht := NewHeavyTailed(base, 1.5)
 	rng := sim.NewRNG(9).Stream("workload")
 	baseCost := base.Template[0].Cost
 	var sum, max float64

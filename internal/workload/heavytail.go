@@ -10,9 +10,10 @@ import (
 // HeavyTailed scales each transaction's actual and declared step costs by a
 // per-transaction Pareto multiplier, turning any base workload into a
 // heavy-tailed cost mix: most transactions shrink slightly, a few grow by
-// up to Cap. The multiplier's scale is chosen so the unbounded draw has
-// unit mean ((alpha-1)/alpha for shape alpha > 1), so the offered load is
-// approximately unchanged (the Cap clamp trims the mean slightly below 1).
+// up to 100x (heavyTailCap). The multiplier's scale is chosen so the
+// unbounded draw has unit mean ((alpha-1)/alpha for shape alpha > 1), so
+// the offered load is approximately unchanged (the cap trims the mean
+// slightly below 1).
 //
 // Cost and DeclaredCost scale together: cost-declaration error is
 // Experiment 3's axis (WithError), not this one, and the two wrappers
@@ -23,19 +24,17 @@ type HeavyTailed struct {
 	// Alpha is the Pareto shape (> 1; smaller = heavier tail; 1.5 is a
 	// reasonably violent default).
 	Alpha float64
-	// Cap bounds the multiplier (0 means 100x).
-	Cap float64
 }
 
+// heavyTailCap bounds HeavyTailed's cost multiplier.
+const heavyTailCap = 100
+
 // NewHeavyTailed wraps gen with a unit-mean Pareto cost multiplier.
-func NewHeavyTailed(gen Generator, alpha, cap float64) HeavyTailed {
+func NewHeavyTailed(gen Generator, alpha float64) HeavyTailed {
 	if alpha <= 1 {
 		panic(fmt.Sprintf("workload: heavy-tailed costs need Alpha > 1 (finite mean), got %g", alpha))
 	}
-	if cap < 0 {
-		panic(fmt.Sprintf("workload: heavy-tailed cost cap must be >= 0, got %g", cap))
-	}
-	return HeavyTailed{Gen: gen, Alpha: alpha, Cap: cap}
+	return HeavyTailed{Gen: gen, Alpha: alpha}
 }
 
 // Steps draws steps from the wrapped generator and scales their costs by
@@ -55,14 +54,10 @@ func (g HeavyTailed) multiplier(rng *sim.RNG) float64 {
 	if g.Alpha <= 1 {
 		panic(fmt.Sprintf("workload: heavy-tailed costs need Alpha > 1, got %g", g.Alpha))
 	}
-	cap := g.Cap
-	if cap == 0 {
-		cap = 100
-	}
 	xm := (g.Alpha - 1) / g.Alpha // unit mean for the unbounded draw
 	m := rng.Pareto(g.Alpha, xm)
-	if m > cap {
-		m = cap
+	if m > heavyTailCap {
+		m = heavyTailCap
 	}
 	return m
 }

@@ -133,7 +133,7 @@ func TestWithErrorHugeSigmaClampsToZero(t *testing.T) {
 		}
 	}
 	// The clamp fires when x <= -1, i.e. with probability Φ(-1/σ).
-	want := sim.NormalCDF(-1.0 / 10)
+	want := 0.5 * math.Erfc(1.0/10/math.Sqrt2)
 	frac := float64(zeros) / float64(total)
 	if math.Abs(frac-want) > 0.03 {
 		t.Errorf("clamped fraction = %v, want ~%v", frac, want)

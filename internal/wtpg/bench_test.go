@@ -28,10 +28,11 @@ func benchChain(n int, seed int64) (*Graph, []*model.Txn) {
 // 32-node chain (far larger than typical simulation state).
 func BenchmarkOptimalChainOrientation(b *testing.B) {
 	g, _ := benchChain(32, 7)
+	plan := &Plan{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.OptimalChainOrientation(RemainingDemand); err != nil {
+		if err := g.OptimalChainOrientationInto(RemainingDemand, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,8 +75,8 @@ func buildChainGraph(r *rand.Rand, g *Graph, chains, maxLen int) {
 		if x == y {
 			continue
 		}
-		if _, _, d, ok := g.EdgeDir(x, y); ok && d == Undetermined && r.Intn(4) == 0 {
-			_ = g.Orient(x, y)
+		if e, ok := g.edgeBetween(x, y); ok && e.dir == Undetermined && r.Intn(4) == 0 {
+			_ = g.OrientAll([][2]int64{{x, y}})
 		}
 	}
 }

@@ -195,9 +195,6 @@ func (p *Plan) Precedes(from, to int64) (bool, bool) {
 	return false, false
 }
 
-// Edges returns the number of oriented pairs in the plan.
-func (p *Plan) Edges() int { return len(p.pred) }
-
 // chainScratch holds the per-component working arrays of the chain
 // optimizer, reused across calls.
 type chainScratch struct {
@@ -212,25 +209,16 @@ type chainScratch struct {
 	dirs   []bool
 }
 
-// OptimalChainOrientation computes the full serializable order W that
-// minimizes the critical path of a chain-form WTPG (GOW's Phase 2),
-// respecting already-determined precedence edges. It runs in O(m² log m)
-// per chain component via a threshold search over the O(m²) candidate
-// critical-path values with an O(m) feasibility DP — matching the paper's
-// "O((Number of Nodes)²)" bound up to the log factor.
+// OptimalChainOrientationInto computes into plan the full serializable
+// order W that minimizes the critical path of a chain-form WTPG (GOW's
+// Phase 2), respecting already-determined precedence edges. It runs in
+// O(m² log m) per chain component via a threshold search over the O(m²)
+// candidate critical-path values with an O(m) feasibility DP — matching
+// the paper's "O((Number of Nodes)²)" bound up to the log factor. The plan
+// is caller-owned, so per-request callers (GOW) keep and reuse it and the
+// evaluation allocates nothing at steady state.
 //
 // It returns an error when the graph is not in chain form.
-func (g *Graph) OptimalChainOrientation(w0 T0Weight) (*Plan, error) {
-	plan := &Plan{}
-	if err := g.OptimalChainOrientationInto(w0, plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// OptimalChainOrientationInto is OptimalChainOrientation writing into a
-// caller-owned Plan, which per-request callers (GOW) keep and reuse so the
-// evaluation allocates nothing at steady state.
 func (g *Graph) OptimalChainOrientationInto(w0 T0Weight, plan *Plan) error {
 	if !g.ChainForm() {
 		return fmt.Errorf("wtpg: graph is not in chain form")

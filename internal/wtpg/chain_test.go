@@ -108,15 +108,20 @@ func TestFig3OptimalOrder(t *testing.T) {
 		from, to int64
 		want     float64
 	}{{1, 2, 2}, {2, 1, 5}, {3, 2, 1}, {2, 3, 6}} {
-		if w, _ := g.EdgeWeight(c.from, c.to); w != c.want {
+		e, _ := g.edgeBetween(c.from, c.to)
+		w := e.wAB
+		if c.from == e.b {
+			w = e.wBA
+		}
+		if w != c.want {
 			t.Fatalf("w(T%d->T%d) = %g, want %g", c.from, c.to, w, c.want)
 		}
 	}
 	r := map[int64]float64{1: 3, 2: 4, 3: 2}
 	w0 := func(tx *model.Txn) float64 { return r[tx.ID] }
 
-	plan, err := g.OptimalChainOrientation(w0)
-	if err != nil {
+	plan := &Plan{}
+	if err := g.OptimalChainOrientationInto(w0, plan); err != nil {
 		t.Fatal(err)
 	}
 	// Optimal: T1->T2 and T3->T2, critical path T0->T1->T2 = 3+2 = 5.
@@ -136,8 +141,8 @@ func TestFig3OptimalOrder(t *testing.T) {
 	if _, found := plan.Precedes(1, 3); found {
 		t.Error("no edge between T1 and T3")
 	}
-	if plan.Edges() != 2 {
-		t.Errorf("plan edges = %d, want 2", plan.Edges())
+	if len(plan.pred) != 2 {
+		t.Errorf("plan edges = %d, want 2", len(plan.pred))
 	}
 }
 
@@ -151,12 +156,12 @@ func TestOptimalChainRespectsFixedEdges(t *testing.T) {
 	g.Add(t2)
 	g.Add(t3)
 	// Force the bad direction T2->T1; the optimizer must keep it.
-	if err := g.Orient(2, 1); err != nil {
+	if err := g.OrientAll([][2]int64{{2, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	r := map[int64]float64{1: 3, 2: 4, 3: 2}
-	plan, err := g.OptimalChainOrientation(func(tx *model.Txn) float64 { return r[tx.ID] })
-	if err != nil {
+	plan := &Plan{}
+	if err := g.OptimalChainOrientationInto(func(tx *model.Txn) float64 { return r[tx.ID] }, plan); err != nil {
 		t.Fatal(err)
 	}
 	if ok, found := plan.Precedes(2, 1); !found || !ok {
@@ -177,7 +182,7 @@ func TestOptimalChainErrorsOffChainForm(t *testing.T) {
 	g.Add(txn(2, "w(u:1)", files))
 	g.Add(txn(3, "w(v:1)", files))
 	g.Add(txn(4, "w(w:1)", files))
-	if _, err := g.OptimalChainOrientation(RemainingDemand); err == nil {
+	if err := g.OptimalChainOrientationInto(RemainingDemand, &Plan{}); err == nil {
 		t.Fatal("non-chain graph must error")
 	}
 }
@@ -187,15 +192,15 @@ func TestOptimalChainSingletons(t *testing.T) {
 	g := New()
 	g.Add(txn(1, "w(u:3)", files))
 	g.Add(txn(2, "w(v:7)", files))
-	plan, err := g.OptimalChainOrientation(RemainingDemand)
-	if err != nil {
+	plan := &Plan{}
+	if err := g.OptimalChainOrientationInto(RemainingDemand, plan); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Value != 7 {
 		t.Errorf("value = %g, want 7 (max T0 weight)", plan.Value)
 	}
-	if plan.Edges() != 0 {
-		t.Errorf("edges = %d, want 0", plan.Edges())
+	if len(plan.pred) != 0 {
+		t.Errorf("edges = %d, want 0", len(plan.pred))
 	}
 }
 
@@ -246,15 +251,15 @@ func TestOptimalChainMatchesBruteForce(t *testing.T) {
 			g.Add(tx)
 		}
 		// Randomly fix some edges (respecting acyclicity: on a path any
-		// orientation set is acyclic, so Orient never fails here).
+		// orientation set is acyclic, so OrientAll never fails here).
 		for i := 0; i < n-1; i++ {
 			switch rng.Intn(3) {
 			case 0:
-				if err := g.Orient(txns[i].ID, txns[i+1].ID); err != nil {
+				if err := g.OrientAll([][2]int64{{txns[i].ID, txns[i+1].ID}}); err != nil {
 					t.Fatal(err)
 				}
 			case 1:
-				if err := g.Orient(txns[i+1].ID, txns[i].ID); err != nil {
+				if err := g.OrientAll([][2]int64{{txns[i+1].ID, txns[i].ID}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -266,8 +271,8 @@ func TestOptimalChainMatchesBruteForce(t *testing.T) {
 		w0 := func(tx *model.Txn) float64 { return r[tx.ID] }
 
 		want := bruteForceOptimal(g, w0)
-		plan, err := g.OptimalChainOrientation(w0)
-		if err != nil {
+		plan := &Plan{}
+		if err := g.OptimalChainOrientationInto(w0, plan); err != nil {
 			t.Fatal(err)
 		}
 		if plan.Value != want {
@@ -275,15 +280,15 @@ func TestOptimalChainMatchesBruteForce(t *testing.T) {
 				trial, plan.Value, want, n, x, y, r)
 		}
 		// The plan's own orientation must realize its value.
-		check := g.Clone()
+		check := g.clone()
 		for i := 0; i < n-1; i++ {
 			a, b := txns[i].ID, txns[i+1].ID
 			if ok, found := plan.Precedes(a, b); found && ok {
-				if err := check.Orient(a, b); err != nil {
+				if err := check.OrientAll([][2]int64{{a, b}}); err != nil {
 					t.Fatal(err)
 				}
 			} else if found {
-				if err := check.Orient(b, a); err != nil {
+				if err := check.OrientAll([][2]int64{{b, a}}); err != nil {
 					t.Fatal(err)
 				}
 			}

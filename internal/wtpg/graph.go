@@ -73,14 +73,6 @@ func (e *edge) other(id int64) int64 {
 	return e.a
 }
 
-// oriented returns (from, to, weight) for a determined edge.
-func (e *edge) oriented() (int64, int64, float64) {
-	if e.dir == AToB {
-		return e.a, e.b, e.wAB
-	}
-	return e.b, e.a, e.wBA
-}
-
 func pairKey(x, y int64) (int64, int64) {
 	if x < y {
 		return x, y
@@ -399,63 +391,6 @@ func (g *Graph) pushSuccessors(s int) {
 	}
 }
 
-// Clone returns a deep copy of the graph sharing the (immutable) transaction
-// declarations. Retained for tests and offline tools; the hot path
-// (Evaluate) speculates on the live graph instead.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, t := range g.order {
-		s := c.allocSlot(t.ID)
-		c.txns[t.ID] = t
-		c.txnAt[s] = t
-		c.order = append(c.order, t)
-	}
-	for _, e := range g.edgeSet() {
-		ce := &edge{a: e.a, b: e.b, sa: c.slots[e.a], sb: c.slots[e.b],
-			wAB: e.wAB, wBA: e.wBA, dir: e.dir,
-			files: append([]model.FileID(nil), e.files...)}
-		c.insertNeighbor(ce.sa, e.b, ce)
-		c.insertNeighbor(ce.sb, e.a, ce)
-	}
-	c.edgesDirty = true
-	for s, lv := range c.live {
-		if lv {
-			c.recomputeRow(s)
-		}
-	}
-	return c
-}
-
-// EdgeDir returns the orientation state of the edge between x and y, and
-// whether such an edge exists.
-func (g *Graph) EdgeDir(x, y int64) (from, to int64, dir Dir, ok bool) {
-	e, ok2 := g.edgeBetween(x, y)
-	if !ok2 {
-		return 0, 0, Undetermined, false
-	}
-	switch e.dir {
-	case AToB:
-		return e.a, e.b, e.dir, true
-	case BToA:
-		return e.b, e.a, e.dir, true
-	default:
-		return 0, 0, Undetermined, true
-	}
-}
-
-// EdgeWeight returns the weight the edge between from and to would carry
-// when oriented from->to, and whether the pair is joined at all.
-func (g *Graph) EdgeWeight(from, to int64) (float64, bool) {
-	e, ok := g.edgeBetween(from, to)
-	if !ok {
-		return 0, false
-	}
-	if from == e.a {
-		return e.wAB, true
-	}
-	return e.wBA, true
-}
-
 func (g *Graph) edgeBetween(x, y int64) (*edge, bool) {
 	s, ok := g.slots[x]
 	if !ok {
@@ -558,18 +493,12 @@ func (g *Graph) orientEdge(e *edge, want Dir) error {
 	return nil
 }
 
-// Orient fixes the serialization order from->to on the (existing) edge
-// between the two transactions and propagates the transitive closure of
-// Section 3.3 (a directed path forces the orientation of any conflict edge
-// between its endpoints). It returns ErrDeadlock — leaving the graph
-// unchanged — when the orientation contradicts an existing precedence edge
-// or closes a cycle.
-func (g *Graph) Orient(from, to int64) error {
-	return g.OrientAll([][2]int64{{from, to}})
-}
-
-// OrientAll applies a batch of orientations atomically (all or none),
-// running closure once at the end.
+// OrientAll fixes the serialization order p[0]->p[1] on the (existing)
+// edge between each pair of transactions and propagates the transitive
+// closure of Section 3.3 (a directed path forces the orientation of any
+// conflict edge between its endpoints), once for the whole batch. It is
+// atomic: it returns ErrDeadlock — leaving the graph unchanged — when an
+// orientation contradicts an existing precedence edge or closes a cycle.
 func (g *Graph) OrientAll(pairs [][2]int64) error {
 	g.begin()
 	if err := g.applyOrientations(pairs); err != nil {
@@ -739,7 +668,7 @@ func RemainingDemand(t *model.Txn) float64 { return t.DeclaredRemaining(t.StepIn
 //	max over v of [ max over directed paths u1->...->v of w0(u1) + Σ w ].
 //
 // It returns ErrDeadlock if the precedence edges contain a cycle (impossible
-// after successful Orient/Grant calls, but checked defensively). It reads
+// after successful OrientAll/Grant calls, but checked defensively). It reads
 // edge directions only, never the reachability index, so it is safe under a
 // speculative scope and in tests that toggle directions directly.
 func (g *Graph) CriticalPath(w0 T0Weight) (float64, error) {

@@ -2,7 +2,6 @@ package wtpg
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"batchsched/internal/model"
@@ -36,17 +35,17 @@ func TestFig2ConflictEdge(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", g.Len())
 	}
 	// Conflict edge exists and is undetermined.
-	_, _, dir, ok := g.EdgeDir(t1.ID, t2.ID)
-	if !ok || dir != Undetermined {
-		t.Fatalf("edge dir = %v ok=%v, want undetermined conflict edge", dir, ok)
+	e, ok := g.edgeBetween(t1.ID, t2.ID)
+	if !ok || e.dir != Undetermined {
+		t.Fatalf("edge = %+v ok=%v, want undetermined conflict edge", e, ok)
 	}
 	// Weight {T1->T2} = 2 (T2's remaining cost from its blocked step
 	// w2(A:1)); weight {T2->T1} = 5.
-	if w, ok := g.EdgeWeight(t1.ID, t2.ID); !ok || w != 2 {
-		t.Errorf("w(T1->T2) = %g, want 2", w)
+	if e.wAB != 2 {
+		t.Errorf("w(T1->T2) = %g, want 2", e.wAB)
 	}
-	if w, ok := g.EdgeWeight(t2.ID, t1.ID); !ok || w != 5 {
-		t.Errorf("w(T2->T1) = %g, want 5", w)
+	if e.wBA != 5 {
+		t.Errorf("w(T2->T1) = %g, want 5", e.wBA)
 	}
 }
 
@@ -66,7 +65,7 @@ func TestRemoveDropsEdges(t *testing.T) {
 	if g.Has(t1.ID) || !g.Has(t2.ID) || g.Len() != 1 {
 		t.Fatal("Remove did not drop exactly T1")
 	}
-	if _, _, _, ok := g.EdgeDir(t1.ID, t2.ID); ok {
+	if _, ok := g.edgeBetween(t1.ID, t2.ID); ok {
 		t.Fatal("edge must be gone after Remove")
 	}
 	g.Remove(t1.ID) // no-op
@@ -77,16 +76,11 @@ func TestRemoveDropsEdges(t *testing.T) {
 
 func TestOrientAndCriticalPath(t *testing.T) {
 	g, t1, t2 := fig2Graph()
-	if err := g.Orient(t1.ID, t2.ID); err != nil {
+	if err := g.OrientAll([][2]int64{{t1.ID, t2.ID}}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, dir, _ := g.EdgeDir(t1.ID, t2.ID)
-	if dir == Undetermined {
-		t.Fatal("edge must be determined after Orient")
-	}
-	from, to, _, _ := g.EdgeDir(t1.ID, t2.ID)
-	if from != t1.ID || to != t2.ID {
-		t.Fatalf("orientation = %d->%d, want 1->2", from, to)
+	if e, _ := g.edgeBetween(t1.ID, t2.ID); e.dir != AToB {
+		t.Fatalf("orientation = %v, want T1->T2 (AToB)", e.dir)
 	}
 	// Critical path with fresh T0 weights: T0->T1 (5) -> T2 (2) = 7
 	// beats T0->T2 (3).
@@ -98,10 +92,10 @@ func TestOrientAndCriticalPath(t *testing.T) {
 		t.Errorf("critical path = %g, want 7", v)
 	}
 	// Re-orienting the same way is a no-op; the reverse way deadlocks.
-	if err := g.Orient(t1.ID, t2.ID); err != nil {
+	if err := g.OrientAll([][2]int64{{t1.ID, t2.ID}}); err != nil {
 		t.Errorf("idempotent orient failed: %v", err)
 	}
-	if err := g.Orient(t2.ID, t1.ID); err != ErrDeadlock {
+	if err := g.OrientAll([][2]int64{{t2.ID, t1.ID}}); err != ErrDeadlock {
 		t.Errorf("conflicting orient = %v, want ErrDeadlock", err)
 	}
 }
@@ -110,7 +104,7 @@ func TestOrientMissingEdge(t *testing.T) {
 	g, t1, _ := fig2Graph()
 	t3 := txn(3, "w(Z:1)", map[string]model.FileID{"Z": 99})
 	g.Add(t3)
-	if err := g.Orient(t1.ID, t3.ID); err == nil {
+	if err := g.OrientAll([][2]int64{{t1.ID, t3.ID}}); err == nil {
 		t.Fatal("orienting a non-existent edge must error")
 	}
 }
@@ -159,10 +153,10 @@ func fig6Graph() (*Graph, map[int64]*model.Txn) {
 	g.Add(t5)
 	g.Add(t6)
 	g.Add(t7)
-	if err := g.Orient(4, 5); err != nil {
+	if err := g.OrientAll([][2]int64{{4, 5}}); err != nil {
 		panic(err)
 	}
-	if err := g.Orient(6, 7); err != nil {
+	if err := g.OrientAll([][2]int64{{6, 7}}); err != nil {
 		panic(err)
 	}
 	return g, map[int64]*model.Txn{4: t4, 5: t5, 6: t6, 7: t7}
@@ -179,8 +173,17 @@ func TestFig6Weights(t *testing.T) {
 		{4, 5, 1}, {5, 6, 2}, {6, 5, 1}, {6, 7, 1}, {4, 7, 10},
 	}
 	for _, c := range checks {
-		if w, ok := g.EdgeWeight(c.from, c.to); !ok || w != c.want {
-			t.Errorf("w(T%d->T%d) = %g ok=%v, want %g", c.from, c.to, w, ok, c.want)
+		e, ok := g.edgeBetween(c.from, c.to)
+		if !ok {
+			t.Errorf("no edge between T%d and T%d", c.from, c.to)
+			continue
+		}
+		w := e.wAB
+		if c.from == e.b {
+			w = e.wBA
+		}
+		if w != c.want {
+			t.Errorf("w(T%d->T%d) = %g, want %g", c.from, c.to, w, c.want)
 		}
 	}
 }
@@ -195,7 +198,7 @@ func TestFig6EvaluateQ(t *testing.T) {
 		t.Errorf("E(q) = %g, want 10", got)
 	}
 	// The evaluation must not mutate the original graph.
-	if _, _, dir, _ := g.EdgeDir(5, 6); dir != Undetermined {
+	if e, _ := g.edgeBetween(5, 6); e.dir != Undetermined {
 		t.Error("Evaluate mutated the graph")
 	}
 }
@@ -216,9 +219,8 @@ func TestFig6ClosureAfterGrant(t *testing.T) {
 	if err := g.Grant(ts[5], 1, model.X); err != nil {
 		t.Fatal(err)
 	}
-	from, to, _, ok := g.EdgeDir(4, 7)
-	if !ok || from != 4 || to != 7 {
-		t.Fatalf("closure must orient (T4,T7) as T4->T7; got %d->%d ok=%v", from, to, ok)
+	if e, _ := g.edgeBetween(4, 7); e.dir != AToB {
+		t.Fatalf("closure must orient (T4,T7) as T4->T7; got %+v", e)
 	}
 	v, err := g.CriticalPath(zeroW)
 	if err != nil {
@@ -245,9 +247,8 @@ func TestGrantDetectsDeadlock(t *testing.T) {
 		t.Fatalf("second grant = %v, want ErrDeadlock", err)
 	}
 	// Graph unchanged by the failed grant: (a,b) still oriented a->b only.
-	from, to, _, _ := g.EdgeDir(1, 2)
-	if from != 1 || to != 2 {
-		t.Fatalf("failed grant mutated the edge: %d->%d", from, to)
+	if e, _ := g.edgeBetween(1, 2); e.dir != AToB {
+		t.Fatalf("failed grant mutated the edge: %+v", e)
 	}
 	// Evaluate returns +Inf for the deadlocking request.
 	if v := Evaluate(g, b, 1, model.X, zeroW); !math.IsInf(v, 1) {
@@ -276,13 +277,41 @@ func TestGrantOnUnsharedFileDeterminesNothing(t *testing.T) {
 	}
 }
 
+// clone returns a deep copy of the graph sharing the (immutable)
+// transaction declarations, for the brute-force reference tests that try
+// every orientation on a copy. The hot path (Evaluate) speculates on the
+// live graph instead.
+func (g *Graph) clone() *Graph {
+	c := New()
+	for _, t := range g.order {
+		s := c.allocSlot(t.ID)
+		c.txns[t.ID] = t
+		c.txnAt[s] = t
+		c.order = append(c.order, t)
+	}
+	for _, e := range g.edgeSet() {
+		ce := &edge{a: e.a, b: e.b, sa: c.slots[e.a], sb: c.slots[e.b],
+			wAB: e.wAB, wBA: e.wBA, dir: e.dir,
+			files: append([]model.FileID(nil), e.files...)}
+		c.insertNeighbor(ce.sa, e.b, ce)
+		c.insertNeighbor(ce.sb, e.a, ce)
+	}
+	c.edgesDirty = true
+	for s, lv := range c.live {
+		if lv {
+			c.recomputeRow(s)
+		}
+	}
+	return c
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	g, t1, t2 := fig2Graph()
-	c := g.Clone()
-	if err := c.Orient(t1.ID, t2.ID); err != nil {
+	c := g.clone()
+	if err := c.OrientAll([][2]int64{{t1.ID, t2.ID}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, dir, _ := g.EdgeDir(t1.ID, t2.ID); dir != Undetermined {
+	if e, _ := g.edgeBetween(t1.ID, t2.ID); e.dir != Undetermined {
 		t.Fatal("orienting the clone mutated the original")
 	}
 	c.Remove(t1.ID)
@@ -298,7 +327,7 @@ func TestSharedReadersDoNotConflict(t *testing.T) {
 	g := New()
 	g.Add(a)
 	g.Add(b)
-	if _, _, _, ok := g.EdgeDir(1, 2); ok {
+	if _, ok := g.edgeBetween(1, 2); ok {
 		t.Fatal("S-S accesses must not create a conflict edge")
 	}
 }
@@ -313,18 +342,17 @@ func TestThreeWayClosureChain(t *testing.T) {
 	g.Add(a)
 	g.Add(b)
 	g.Add(c)
-	if err := g.Orient(1, 2); err != nil {
+	if err := g.OrientAll([][2]int64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Orient(2, 3); err != nil {
+	if err := g.OrientAll([][2]int64{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	from, to, _, ok := g.EdgeDir(1, 3)
-	if !ok || from != 1 || to != 3 {
-		t.Fatalf("closure: (a,c) = %d->%d ok=%v, want 1->3", from, to, ok)
+	if e, _ := g.edgeBetween(1, 3); e.dir != AToB {
+		t.Fatalf("closure: (a,c) = %+v, want 1->3", e)
 	}
 	// And orienting against the closed edge deadlocks.
-	if err := g.Orient(3, 1); err != ErrDeadlock {
+	if err := g.OrientAll([][2]int64{{3, 1}}); err != ErrDeadlock {
 		t.Errorf("got %v, want ErrDeadlock", err)
 	}
 }
@@ -342,7 +370,7 @@ func TestOrientAllAtomicity(t *testing.T) {
 	if err != ErrDeadlock {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
-	if _, _, dir, _ := g.EdgeDir(1, 2); dir != Undetermined {
+	if e, _ := g.edgeBetween(1, 2); e.dir != Undetermined {
 		t.Fatal("failed OrientAll mutated the graph")
 	}
 }
@@ -359,26 +387,4 @@ func TestTxnsInsertionOrder(t *testing.T) {
 			t.Fatalf("Txns order = %v", ts)
 		}
 	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g, ts := fig6Graph()
-	var b strings.Builder
-	if err := g.WriteDOT(&b, zeroW); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"digraph wtpg", "T0 [shape=doublecircle]",
-		"T4 -> T5 [label=\"1\"]",              // precedence edge
-		"T6 -> T7 [label=\"1\"]",              // precedence edge
-		"T5 -> T6 [label=\"2\", style=dashed", // conflict edge, both directions
-		"T6 -> T5 [label=\"1\", style=dashed",
-		"T4 -> T7 [label=\"10\", style=dashed",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	_ = ts
 }

@@ -27,10 +27,8 @@ func dirSnapshot(g *Graph) map[[2]int64]Dir {
 	for i, tx := range g.order {
 		for _, ty := range g.order[i+1:] {
 			x, y := tx.ID, ty.ID
-			if from, _, d, ok := g.EdgeDir(x, y); ok {
-				_ = from
-				a, b := pairKey(x, y)
-				out[[2]int64{a, b}] = d
+			if e, ok := g.edgeBetween(x, y); ok {
+				out[[2]int64{e.a, e.b}] = e.dir
 			}
 		}
 	}
@@ -38,9 +36,9 @@ func dirSnapshot(g *Graph) map[[2]int64]Dir {
 }
 
 // TestOrientationClosureStaysAcyclic is the safety property behind every
-// grant decision: whenever Orient accepts an orientation (no ErrDeadlock),
+// grant decision: whenever OrientAll accepts an orientation (no ErrDeadlock),
 // the closed graph must still be a DAG — CriticalPath must never rediscover
-// a cycle afterwards. And whenever Orient refuses, the graph must be exactly
+// a cycle afterwards. And whenever OrientAll refuses, the graph must be exactly
 // as it was (the all-or-none contract).
 func TestOrientationClosureStaysAcyclic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -70,22 +68,22 @@ func TestOrientationClosureStaysAcyclic(t *testing.T) {
 				if from == to {
 					continue
 				}
-				if _, _, _, ok := g.EdgeDir(from, to); !ok {
+				if _, ok := g.edgeBetween(from, to); !ok {
 					continue
 				}
 				before := dirSnapshot(g)
-				err := g.Orient(from, to)
+				err := g.OrientAll([][2]int64{{from, to}})
 				if err != nil {
 					if err != ErrDeadlock {
-						t.Fatalf("Orient(%d,%d) = %v, want nil or ErrDeadlock", from, to, err)
+						t.Fatalf("OrientAll(%d->%d) = %v, want nil or ErrDeadlock", from, to, err)
 					}
 					if got := dirSnapshot(g); !equalDirs(got, before) {
-						t.Fatalf("refused Orient(%d,%d) still mutated the graph", from, to)
+						t.Fatalf("refused OrientAll(%d->%d) still mutated the graph", from, to)
 					}
 					continue
 				}
 				if _, cpErr := g.CriticalPath(RemainingDemand); cpErr != nil {
-					t.Fatalf("closure after Orient(%d,%d) left a cycle: %v", from, to, cpErr)
+					t.Fatalf("closure after OrientAll(%d->%d) left a cycle: %v", from, to, cpErr)
 				}
 			}
 		})
@@ -136,7 +134,7 @@ func bruteForceChainMin(t *testing.T, g *Graph, pairs [][2]int64) float64 {
 	t.Helper()
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<len(pairs); mask++ {
-		c := g.Clone()
+		c := g.clone()
 		oriented := make([][2]int64, len(pairs))
 		for k, p := range pairs {
 			if mask>>k&1 == 1 {
@@ -183,17 +181,17 @@ func TestOptimalChainRealizableAndOptimal(t *testing.T) {
 					if r.Intn(2) == 0 {
 						p = [2]int64{p[1], p[0]}
 					}
-					if err := g.Orient(p[0], p[1]); err != nil {
+					if err := g.OrientAll([][2]int64{{p[0], p[1]}}); err != nil {
 						t.Fatal(err)
 					}
 				}
-				plan, err := g.OptimalChainOrientation(RemainingDemand)
-				if err != nil {
+				plan := &Plan{}
+				if err := g.OptimalChainOrientationInto(RemainingDemand, plan); err != nil {
 					t.Fatal(err)
 				}
 				// (a) The plan is a real, acyclic orientation of every chain
 				// edge and its Value is the critical path it realizes.
-				c := g.Clone()
+				c := g.clone()
 				oriented := make([][2]int64, 0, len(pairs))
 				for _, p := range pairs {
 					before, ok := plan.Precedes(p[0], p[1])
